@@ -495,7 +495,7 @@ def _run_evaluate(cfg: dict, out: Path):
         aggregates_perturbed=aggregate(
             [victims_out[k]["attackers"][label]["perturbed_accuracy"] for k in ordered]
         ),
-        audit=bound_audit(clean, perturbed, clean_x, perturbed_x, vocab),
+        audit=bound_audit(clean, perturbed, clean_x, perturbed_x),
         synergy={
             kind: row.as_dict()
             for kind, row in synergy_test(
@@ -538,7 +538,7 @@ def _run_audit(cfg: dict, out: Path):
     vocab = build_vocabulary(clean, cfg["max_vocab"])
     clean_x = featurize(clean.texts, vocab)
     perturbed_x = featurize(perturbed.texts, vocab)
-    audit = bound_audit(clean, perturbed, clean_x, perturbed_x, vocab)
+    audit = bound_audit(clean, perturbed, clean_x, perturbed_x)
     audit["perturb_ratio"] = audit["edge_ratio"]
     audit["single_flip_bound"] = 2.0 / clean.edge_count if clean.edge_count else 0.0
     audit["node_count"] = clean.node_count

@@ -3,7 +3,9 @@
 The attacker owns this model outright (it never touches the victim), so it is
 kept small and auditable: symmetric-normalized propagation, relu, full-batch
 Adam, and a finite-difference gradient check over every weight coordinate.
-Node embeddings are the penultimate (post-relu) hidden activations.
+Node embeddings are the penultimate (post-relu) hidden activations. The `gcn`
+victim is this same model, trained and run through `_loss_and_grads` and
+`forward` with its own seed and weights.
 """
 
 from __future__ import annotations
@@ -11,27 +13,29 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigurationError, ParseError, ShapeError, TrainingError
 from .graph import TextAttributedGraph
-from .nnops import Adam, check_finite, cross_entropy_with_grad, glorot, relu
+from .nnops import cross_entropy_with_grad, fit, glorot, relu
 from .seeding import substream
+
+
+def adjacency_matrix(graph: TextAttributedGraph) -> sp.csr_matrix:
+    """Symmetric 0/1 adjacency A as CSR with sorted indices, no self loops."""
+    n = graph.node_count
+    edges = np.array(list(graph.edges), dtype=np.int64).reshape(-1, 2)
+    rows = np.concatenate([edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    return sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
 
 
 def normalize_adjacency(graph: TextAttributedGraph) -> sp.csr_matrix:
     """Symmetric renormalized adjacency D^{-1/2} (A + I) D^{-1/2} as CSR."""
-    n = graph.node_count
-    rows, cols = [], []
-    for u, v in graph.edges:
-        rows += [u, v]
-        cols += [v, u]
-    rows += list(range(n))
-    cols += list(range(n))
-    data = np.ones(len(rows))
-    a_tilde = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+    a_tilde = adjacency_matrix(graph) + sp.identity(graph.node_count, format="csr")
     deg = np.asarray(a_tilde.sum(axis=1)).ravel()
     inv_sqrt = 1.0 / np.sqrt(deg)  # deg >= 1 thanks to the self loop
     d_half = sp.diags(inv_sqrt)
@@ -45,7 +49,6 @@ class EncoderConfig:
     epochs: int = 200
     weight_decay: float = 5e-4
     seed: int = 0
-    embed_dim: int | None = None
 
     def __post_init__(self):
         if self.hidden < 1:
@@ -56,11 +59,6 @@ class EncoderConfig:
             raise ConfigurationError("learning rate must be positive")
         if self.weight_decay < 0:
             raise ConfigurationError("weight decay must be >= 0")
-        if self.embed_dim is not None and self.embed_dim != self.hidden:
-            raise ConfigurationError(
-                "embeddings are the hidden activations, so embed_dim must "
-                f"equal hidden ({self.embed_dim} != {self.hidden})"
-            )
 
 
 @dataclass
@@ -96,28 +94,30 @@ def forward(
 def _loss_and_grads(
     params: EncoderParams,
     a_hat: sp.csr_matrix,
-    features: np.ndarray,
+    u: np.ndarray,
     labels: np.ndarray,
     train_rows: np.ndarray,
     weight_decay: float,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    u = a_hat @ features           # propagate once, reuse for the W1 gradient
-    h_pre = u @ params.w1
-    h = relu(h_pre)
-    q = a_hat @ h
-    logits = q @ params.w2
+) -> Iterator[tuple[float, list[np.ndarray]]]:
+    """Yield the loss and [dW1, dW2] at the current `params`, once per `next`;
+    `u` is the fixed first propagation a_hat @ features."""
+    while True:
+        h_pre = u @ params.w1
+        h = relu(h_pre)
+        q = a_hat @ h
+        logits = q @ params.w2
 
-    loss, dlogits = cross_entropy_with_grad(logits, labels, train_rows)
-    loss += 0.5 * weight_decay * (
-        float(np.sum(params.w1 ** 2)) + float(np.sum(params.w2 ** 2))
-    )
+        loss, dlogits = cross_entropy_with_grad(logits, labels, train_rows)
+        loss += 0.5 * weight_decay * (
+            float(np.sum(params.w1 ** 2)) + float(np.sum(params.w2 ** 2))
+        )
 
-    dw2 = q.T @ dlogits + weight_decay * params.w2
-    dq = dlogits @ params.w2.T
-    dh = a_hat @ dq                # a_hat is symmetric, so A^T == A
-    dh_pre = dh * (h_pre > 0)
-    dw1 = u.T @ dh_pre + weight_decay * params.w1
-    return loss, dw1, dw2
+        dw2 = q.T @ dlogits + weight_decay * params.w2
+        dq = dlogits @ params.w2.T
+        dh = a_hat @ dq                # a_hat is symmetric, so A^T == A
+        dh_pre = dh * (h_pre > 0)
+        dw1 = u.T @ dh_pre + weight_decay * params.w1
+        yield loss, [dw1, dw2]
 
 
 def init_params(
@@ -142,16 +142,15 @@ def train_encoder(
         raise TrainingError("graph has no train nodes")
     labels = np.array(graph.labels, dtype=int)
     a_hat = normalize_adjacency(graph)
+    u = a_hat @ features
     params = init_params(features.shape[1], config.hidden, graph.class_count, config.seed)
-    opt = Adam([params.w1, params.w2], lr=config.learning_rate)
-    history: list[float] = []
-    for _ in range(config.epochs):
-        loss, dw1, dw2 = _loss_and_grads(
-            params, a_hat, features, labels, train_rows, config.weight_decay
-        )
-        check_finite(loss, "training loss")
-        history.append(loss)
-        opt.step([dw1, dw2])
+    history = fit(
+        [params.w1, params.w2],
+        _loss_and_grads(params, a_hat, u, labels, train_rows, config.weight_decay),
+        config.epochs,
+        config.learning_rate,
+        "training loss",
+    )
     return TrainedEncoder(params=params, config=config, loss_history=history)
 
 
@@ -183,12 +182,9 @@ def gradient_check(
     h_pre = u @ params.w1
 
     def loss_at(p: EncoderParams) -> float:
-        val, _, _ = _loss_and_grads(p, a_hat, features, labels, train_rows, weight_decay)
-        return val
+        return next(_loss_and_grads(p, a_hat, u, labels, train_rows, weight_decay))[0]
 
-    _, dw1, dw2 = _loss_and_grads(
-        params, a_hat, features, labels, train_rows, weight_decay
-    )
+    _, (dw1, dw2) = next(_loss_and_grads(params, a_hat, u, labels, train_rows, weight_decay))
     worst = 0.0
     for which, analytic in (("w1", dw1), ("w2", dw2)):
         w = getattr(params, which)

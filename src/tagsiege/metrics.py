@@ -81,7 +81,6 @@ def bound_audit(
     perturbed: TextAttributedGraph,
     features_clean: np.ndarray,
     features_pert: np.ndarray,
-    vocab=None,
 ) -> dict[str, float]:
     """Every component of the homophily-stability bound, plus the observed ratio.
 

@@ -1,10 +1,13 @@
-"""Small shared numerics: init, activations, losses, Adam.
+"""Small shared numerics: init, activations, the loss, and the training loop.
 
-Everything here is plain numpy on float64 so results are bit-stable across
-runs on the same platform.
+`fit` is the one full-batch Adam loop that trains the surrogate encoder and
+every victim. Everything here is plain numpy on float64 so results are
+bit-stable across runs on the same platform.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -45,32 +48,39 @@ def cross_entropy_with_grad(
     return loss, grad
 
 
-class Adam:
-    """Full-batch Adam over a list of parameter arrays, updated in place."""
-
-    def __init__(self, params: list[np.ndarray], lr: float = 0.01,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = params
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
-        self.t = 0
-
-    def step(self, grads: list[np.ndarray]) -> None:
-        self.t += 1
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * (g * g)
-            m_hat = m / (1 - self.beta1 ** self.t)
-            v_hat = v / (1 - self.beta2 ** self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
-def check_finite(value: float, what: str) -> None:
-    if not np.isfinite(value):
-        raise TrainingError(f"{what} is not finite ({value})")
+def fit(
+    params: list[np.ndarray],
+    loss_and_grads: Iterator[tuple[float, list[np.ndarray]]],
+    epochs: int, learning_rate: float, what: str,
+) -> list[float]:
+    """Full-batch Adam on `params`, updated in place; returns the loss curve.
+
+    Each `next(loss_and_grads)` evaluates the current `params` and gives the
+    loss and one gradient per parameter, in the same order. A non-finite loss
+    raises TrainingError naming `what`.
+
+    The losses are endless generators, not functions, so one epoch's
+    activations live until the next epoch replaces them. Freed all at once on
+    return, they let glibc trim the heap every epoch; at n=2000, hidden=64
+    the page faults on re-growing it took over half of the training time.
+    """
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    history: list[float] = []
+    for t in range(1, epochs + 1):
+        loss, grads = next(loss_and_grads)
+        if not np.isfinite(loss):
+            raise TrainingError(f"{what} is not finite ({loss})")
+        history.append(loss)
+        for p, g, m_p, v_p in zip(params, grads, m, v):
+            m_p *= BETA1
+            m_p += (1 - BETA1) * g
+            v_p *= BETA2
+            v_p += (1 - BETA2) * (g * g)
+            m_hat = m_p / (1 - BETA1 ** t)
+            v_hat = v_p / (1 - BETA2 ** t)
+            p -= learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
+    return history

@@ -3,8 +3,9 @@
 These stand in for the deployed models under attack. They are trained once on
 the clean graph, frozen, and then queried on whatever graph the evaluation
 hands them (clean or perturbed) — propagation is always recomputed from that
-graph. They share nothing with the attacker: no surrogate embeddings, no
-plan, no backend.
+graph. The `gcn` victim shares the surrogate's GCN code (`encoder.forward`,
+`encoder._loss_and_grads`) and all train with `nnops.fit`, but victims share
+no weights, embeddings, plan or backend with the attacker.
 """
 
 from __future__ import annotations
@@ -12,14 +13,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
 
-from .encoder import normalize_adjacency
+from .encoder import (
+    EncoderParams,
+    _loss_and_grads,
+    adjacency_matrix,
+    forward,
+    normalize_adjacency,
+)
 from .errors import ConfigurationError, DegenerateInputError, ParseError, ShapeError, TrainingError
 from .graph import TextAttributedGraph
-from .nnops import Adam, check_finite, cross_entropy_with_grad, glorot, relu
+from .nnops import cross_entropy_with_grad, fit, glorot, relu
 from .seeding import substream
 
 VICTIM_KINDS = ("gcn", "sgc", "sage_mean")
@@ -58,29 +66,10 @@ class VictimModel:
 
 def mean_aggregation(graph: TextAttributedGraph) -> sp.csr_matrix:
     """Row-normalized adjacency D^{-1} A; isolated nodes get an all-zero row."""
-    n = graph.node_count
-    rows, cols = [], []
-    for u, v in graph.edges:
-        rows += [u, v]
-        cols += [v, u]
-    a = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    a = adjacency_matrix(graph)
     deg = np.asarray(a.sum(axis=1)).ravel()
     inv = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
     return (sp.diags(inv) @ a).tocsr()
-
-
-def gcn_logits(
-    a_hat: sp.csr_matrix,
-    features: np.ndarray,
-    w1: np.ndarray,
-    w2: np.ndarray,
-    linear: bool = False,
-) -> np.ndarray:
-    """Two-layer GCN forward; `linear=True` swaps relu for identity."""
-    h = a_hat @ (features @ w1)
-    if not linear:
-        h = relu(h)
-    return a_hat @ (h @ w2)
 
 
 def sgc_logits(
@@ -114,9 +103,8 @@ def victim_logits(
             f"feature dim {features.shape[1]} != weight fan-in {first.shape[0]}"
         )
     if model.kind == "gcn":
-        return gcn_logits(
-            normalize_adjacency(graph), features, model.weights["w1"], model.weights["w2"]
-        )
+        params = EncoderParams(model.weights["w1"], model.weights["w2"])
+        return forward(params, normalize_adjacency(graph), features)[0]
     if model.kind == "sgc":
         return sgc_logits(
             normalize_adjacency(graph), features, model.weights["w"], model.config.sgc_steps
@@ -124,69 +112,75 @@ def victim_logits(
     return sage_logits(mean_aggregation(graph), features, model.weights)
 
 
-def _train_gcn(a_hat, X, labels, rows, cfg):
-    rng = substream(cfg.seed, "victim-gcn")
-    w1 = glorot(rng, X.shape[1], cfg.hidden)
-    w2 = glorot(rng, cfg.hidden, int(labels.max()) + 1)
-    opt = Adam([w1, w2], lr=cfg.learning_rate)
-    u = a_hat @ X
-    for _ in range(cfg.epochs):
-        h_pre = u @ w1
-        h = relu(h_pre)
-        q = a_hat @ h
-        logits = q @ w2
-        loss, dlogits = cross_entropy_with_grad(logits, labels, rows)
-        check_finite(loss, "gcn loss")
-        dw2 = q.T @ dlogits + cfg.weight_decay * w2
-        dh = a_hat @ (dlogits @ w2.T)
-        dh_pre = dh * (h_pre > 0)
-        dw1 = u.T @ dh_pre + cfg.weight_decay * w1
-        opt.step([dw1, dw2])
-    return {"w1": w1, "w2": w2}
+def sgc_loss_and_grads(
+    w: np.ndarray, propagated: np.ndarray, labels: np.ndarray, rows: np.ndarray,
+    weight_decay: float,
+) -> Iterator[tuple[float, list[np.ndarray]]]:
+    """Yield the SGC loss with L2 term and [dW] at the current `w`, once per
+    `next`; `propagated` is a_hat^K @ features."""
+    while True:
+        loss, dlogits = cross_entropy_with_grad(propagated @ w, labels, rows)
+        loss += 0.5 * weight_decay * float(np.sum(w ** 2))
+        yield loss, [propagated.T @ dlogits + weight_decay * w]
 
 
-def _train_sgc(a_hat, X, labels, rows, cfg):
-    rng = substream(cfg.seed, "victim-sgc")
-    propagated = X
-    for _ in range(cfg.sgc_steps):
-        propagated = a_hat @ propagated
-    w = glorot(rng, X.shape[1], int(labels.max()) + 1)
-    opt = Adam([w], lr=cfg.learning_rate)
-    for _ in range(cfg.epochs):
-        logits = propagated @ w
-        loss, dlogits = cross_entropy_with_grad(logits, labels, rows)
-        check_finite(loss, "sgc loss")
-        dw = propagated.T @ dlogits + cfg.weight_decay * w
-        opt.step([dw])
-    return {"w": w}
+SAGE_WEIGHTS = ("ws1", "wn1", "ws2", "wn2")
 
 
-def _train_sage(m, X, labels, rows, cfg):
-    rng = substream(cfg.seed, "victim-sage")
-    classes = int(labels.max()) + 1
-    weights = {
-        "ws1": glorot(rng, X.shape[1], cfg.hidden),
-        "wn1": glorot(rng, X.shape[1], cfg.hidden),
-        "ws2": glorot(rng, cfg.hidden, classes),
-        "wn2": glorot(rng, cfg.hidden, classes),
-    }
-    names = ("ws1", "wn1", "ws2", "wn2")
-    opt = Adam([weights[k] for k in names], lr=cfg.learning_rate)
-    x_nbr = m @ X
-    for _ in range(cfg.epochs):
-        h_pre = X @ weights["ws1"] + x_nbr @ weights["wn1"]
+def sage_loss_and_grads(
+    weights: dict[str, np.ndarray], m: sp.csr_matrix, features: np.ndarray,
+    x_nbr: np.ndarray, labels: np.ndarray, rows: np.ndarray, weight_decay: float,
+) -> Iterator[tuple[float, list[np.ndarray]]]:
+    """Yield the mean-SAGE loss with L2 term and gradients in SAGE_WEIGHTS
+    order at the current `weights`, once per `next`; `x_nbr` is the fixed
+    neighbour mean m @ features."""
+    while True:
+        h_pre = features @ weights["ws1"] + x_nbr @ weights["wn1"]
         h = relu(h_pre)
         h_nbr = m @ h
         logits = h @ weights["ws2"] + h_nbr @ weights["wn2"]
         loss, dlogits = cross_entropy_with_grad(logits, labels, rows)
-        check_finite(loss, "sage loss")
-        dws2 = h.T @ dlogits + cfg.weight_decay * weights["ws2"]
-        dwn2 = h_nbr.T @ dlogits + cfg.weight_decay * weights["wn2"]
+        loss += 0.5 * weight_decay * sum(float(np.sum(weights[k] ** 2)) for k in SAGE_WEIGHTS)
+        dws2 = h.T @ dlogits + weight_decay * weights["ws2"]
+        dwn2 = h_nbr.T @ dlogits + weight_decay * weights["wn2"]
         dh = dlogits @ weights["ws2"].T + m.T @ (dlogits @ weights["wn2"].T)
         dh_pre = dh * (h_pre > 0)
-        dws1 = X.T @ dh_pre + cfg.weight_decay * weights["ws1"]
-        dwn1 = x_nbr.T @ dh_pre + cfg.weight_decay * weights["wn1"]
-        opt.step([dws1, dwn1, dws2, dwn2])
+        dws1 = features.T @ dh_pre + weight_decay * weights["ws1"]
+        dwn1 = x_nbr.T @ dh_pre + weight_decay * weights["wn1"]
+        yield loss, [dws1, dwn1, dws2, dwn2]
+
+
+def _train_weights(kind, graph, X, labels, rows, cfg) -> dict[str, np.ndarray]:
+    """Initialise from the kind's seed substream, then fit on the train rows."""
+    classes = int(labels.max()) + 1
+    wd = cfg.weight_decay
+    if kind == "gcn":
+        rng = substream(cfg.seed, "victim-gcn")
+        params = EncoderParams(
+            glorot(rng, X.shape[1], cfg.hidden), glorot(rng, cfg.hidden, classes)
+        )
+        weights = {"w1": params.w1, "w2": params.w2}
+        a_hat = normalize_adjacency(graph)
+        steps = _loss_and_grads(params, a_hat, a_hat @ X, labels, rows, wd)
+    elif kind == "sgc":
+        rng = substream(cfg.seed, "victim-sgc")
+        propagated = X
+        a_hat = normalize_adjacency(graph)
+        for _ in range(cfg.sgc_steps):
+            propagated = a_hat @ propagated
+        weights = {"w": glorot(rng, X.shape[1], classes)}
+        steps = sgc_loss_and_grads(weights["w"], propagated, labels, rows, wd)
+    else:
+        rng = substream(cfg.seed, "victim-sage")
+        weights = {
+            "ws1": glorot(rng, X.shape[1], cfg.hidden),
+            "wn1": glorot(rng, X.shape[1], cfg.hidden),
+            "ws2": glorot(rng, cfg.hidden, classes),
+            "wn2": glorot(rng, cfg.hidden, classes),
+        }
+        m = mean_aggregation(graph)
+        steps = sage_loss_and_grads(weights, m, X, m @ X, labels, rows, wd)
+    fit(list(weights.values()), steps, cfg.epochs, cfg.learning_rate, f"{kind} loss")
     return weights
 
 
@@ -209,13 +203,7 @@ def train_victim(
         raise TrainingError("graph has no train nodes")
     labels = np.array(graph.labels, dtype=int)
 
-    if kind == "gcn":
-        weights = _train_gcn(normalize_adjacency(graph), features, labels, rows, config)
-    elif kind == "sgc":
-        weights = _train_sgc(normalize_adjacency(graph), features, labels, rows, config)
-    else:
-        weights = _train_sage(mean_aggregation(graph), features, labels, rows, config)
-
+    weights = _train_weights(kind, graph, features, labels, rows, config)
     model = VictimModel(kind=kind, weights=weights, config=config)
     val = graph.split_nodes("val")
     if val:

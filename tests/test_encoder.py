@@ -118,10 +118,6 @@ def test_embeddings_are_penultimate_layer():
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         EncoderConfig(hidden=0)
-    with pytest.raises(ConfigurationError):
-        EncoderConfig(embed_dim=32, hidden=64)
-    # embed_dim equal to hidden is fine
-    EncoderConfig(embed_dim=64, hidden=64)
 
 
 def test_training_requires_train_nodes():

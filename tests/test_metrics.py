@@ -140,7 +140,7 @@ def test_bound_audit_reports_drift_components():
     g2 = g.with_changes(texts=["a b", "a", "b"])
     X1 = featurize(g.texts, vocab)
     X2 = featurize(g2.texts, vocab)
-    audit = bound_audit(g, g2, X1, X2, vocab)
+    audit = bound_audit(g, g2, X1, X2)
     # one node changed, one token added
     assert audit["tau_max"] > 0.0
     assert audit["tau_max"] == pytest.approx(audit["tau_mean"])

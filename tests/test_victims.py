@@ -6,16 +6,17 @@ from tagsiege.errors import ConfigurationError, DegenerateInputError, ShapeError
 from tagsiege.graph import TextAttributedGraph
 from tagsiege.seeding import substream
 from tagsiege.victims import (
+    SAGE_WEIGHTS,
     VictimConfig,
     VictimModel,
     accuracy,
-    gcn_logits,
     load_victim,
     mean_aggregation,
     predict,
-    sage_logits,
+    sage_loss_and_grads,
     save_victim,
     sgc_logits,
+    sgc_loss_and_grads,
     train_victim,
     victim_logits,
 )
@@ -99,7 +100,7 @@ def test_sgc_equals_linear_gcn():
     w1 = rng.normal(size=(3, 5))
     w2 = rng.normal(size=(5, 2))
     a_hat = normalize_adjacency(g)
-    linear_gcn = gcn_logits(a_hat, X, w1, w2, linear=True)
+    linear_gcn = a_hat @ ((a_hat @ (X @ w1)) @ w2)
     sgc = sgc_logits(a_hat, X, w1 @ w2, steps=2)
     assert np.max(np.abs(linear_gcn - sgc)) <= 1e-8
 
@@ -121,9 +122,8 @@ def test_mean_aggregation_rows():
 
 
 def sampled_numeric_grad_check(kind, n_coords=12):
-    """Central-difference check on randomly sampled weight coordinates."""
-    from tagsiege.nnops import cross_entropy_with_grad, relu
-
+    """Central-difference check of the training gradients on sampled coordinates."""
+    wd = 5e-4
     g = clustered_graph(n=10)
     X = block_features(g)
     labels = np.array(g.labels)
@@ -132,42 +132,29 @@ def sampled_numeric_grad_check(kind, n_coords=12):
 
     if kind == "sage_mean":
         m = mean_aggregation(g)
+        x_nbr = m @ X
         weights = {
             "ws1": rng.normal(size=(3, 4)) * 0.3,
             "wn1": rng.normal(size=(3, 4)) * 0.3,
             "ws2": rng.normal(size=(4, 2)) * 0.3,
             "wn2": rng.normal(size=(4, 2)) * 0.3,
         }
+        steps = sage_loss_and_grads(weights, m, X, x_nbr, labels, rows, wd)
 
-        def loss_fn():
-            logits = sage_logits(m, X, weights)
-            return cross_entropy_with_grad(logits, labels, rows)[0]
-
-        # analytic grads, mirroring the training loop
-        h_pre = X @ weights["ws1"] + (m @ X) @ weights["wn1"]
-        h = relu(h_pre)
-        h_nbr = m @ h
-        logits = h @ weights["ws2"] + h_nbr @ weights["wn2"]
-        _, dlogits = cross_entropy_with_grad(logits, labels, rows)
-        dh = dlogits @ weights["ws2"].T + m.T @ (dlogits @ weights["wn2"].T)
-        dh_pre = dh * (h_pre > 0)
-        analytic = {
-            "ws2": h.T @ dlogits,
-            "wn2": h_nbr.T @ dlogits,
-            "ws1": X.T @ dh_pre,
-            "wn1": (m @ X).T @ dh_pre,
-        }
+        def loss_and_grads():
+            loss, grads = next(steps)
+            return loss, dict(zip(SAGE_WEIGHTS, grads))
     else:
         a_hat = normalize_adjacency(g)
         weights = {"w": rng.normal(size=(3, 2)) * 0.3}
         propagated = a_hat @ (a_hat @ X)
+        steps = sgc_loss_and_grads(weights["w"], propagated, labels, rows, wd)
 
-        def loss_fn():
-            return cross_entropy_with_grad(propagated @ weights["w"], labels, rows)[0]
+        def loss_and_grads():
+            loss, (dw,) = next(steps)
+            return loss, {"w": dw}
 
-        _, dlogits = cross_entropy_with_grad(propagated @ weights["w"], labels, rows)
-        analytic = {"w": propagated.T @ dlogits}
-
+    _, analytic = loss_and_grads()
     worst = 0.0
     h_step = 1e-5
     for name, w in weights.items():
@@ -177,9 +164,9 @@ def sampled_numeric_grad_check(kind, n_coords=12):
         for a, b in coords:
             orig = w[a, b]
             w[a, b] = orig + h_step
-            up = loss_fn()
+            up = loss_and_grads()[0]
             w[a, b] = orig - h_step
-            down = loss_fn()
+            down = loss_and_grads()[0]
             w[a, b] = orig
             numeric = (up - down) / (2 * h_step)
             denom = max(abs(analytic[name][a, b]), abs(numeric), 1e-8)
