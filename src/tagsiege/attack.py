@@ -26,6 +26,7 @@ from .errors import (
     ConfigurationError,
     IsolatedNodeError,
     RetrievalExhaustedError,
+    ShapeError,
     TagSiegeError,
 )
 from .graph import TextAttributedGraph
@@ -37,7 +38,7 @@ from .prompts import (
     build_text_prompt,
     build_topology_prompt,
 )
-from .retrieval import DEFAULT_K, retrieve_influencers
+from .retrieval import DEFAULT_K, retrieve_all
 from .seeding import substream
 
 log = logging.getLogger("tagsiege.attack")
@@ -147,10 +148,21 @@ def attack(
         if not 0 <= target < graph.node_count:
             raise ConfigurationError(f"target {target} is not a node")
 
-    for target in sorted(set(targets)):
+    ordered = sorted(set(targets))
+    # an invalid k (or too few embedding rows) fails retrieval as a whole; it
+    # then fails every target, which the loop records as skips
+    try:
+        influencer_sets = retrieve_all(embeddings, ordered, k=k)
+        retrieval_error = None
+    except ShapeError as exc:
+        influencer_sets, retrieval_error = {}, str(exc)
+
+    for target in ordered:
         queries_before = backend.query_count
         try:
-            influencers = retrieve_influencers(embeddings, target, k=k)
+            if retrieval_error is not None:
+                raise ShapeError(retrieval_error)
+            influencers = influencer_sets[target]
             rng = substream(seed, f"candidates-{target}")
             isolated = graph.degree(target) == 0
             prompt = build_topology_prompt(

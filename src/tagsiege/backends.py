@@ -270,10 +270,20 @@ class LLMConfig:
         return self.base_url or os.environ.get(BASE_URL_ENV, DEFAULT_BASE_URL)
 
 
-def _default_transport(url: str, headers: dict, payload: dict, timeout: float) -> dict:
-    import requests
+_session = None
 
-    resp = requests.post(url, headers=headers, json=payload, timeout=timeout)
+
+def _default_transport(url: str, headers: dict, payload: dict, timeout: float) -> dict:
+    """POST through one process-wide `requests.Session`, so successive queries
+    reuse a kept-alive connection instead of opening one each. `requests` is
+    imported on first use, keeping it out of start-up for commands that never
+    query an LLM."""
+    global _session
+    if _session is None:
+        import requests
+
+        _session = requests.Session()
+    resp = _session.post(url, headers=headers, json=payload, timeout=timeout)
     resp.raise_for_status()
     return resp.json()
 

@@ -6,9 +6,19 @@ untouched, so evaluation rows compare like for like.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .graph import TextAttributedGraph
 from .plan import Budgets, PerturbationPlan, PlanEntry
 from .seeding import substream
+
+
+def _non_neighbors(graph: TextAttributedGraph, target: int) -> np.ndarray:
+    """Ascending ids of every node other than the target not adjacent to it."""
+    mask = np.ones(graph.node_count, dtype=bool)
+    mask[target] = False
+    mask[np.array(graph.neighbors(target), dtype=np.intp)] = False
+    return np.flatnonzero(mask)
 
 
 def rnd_attack(
@@ -31,13 +41,10 @@ def rnd_attack(
         delete = None
         if local >= 2 and neighbors:
             delete = int(neighbors[rng.integers(0, len(neighbors))])
-        non_neighbors = [
-            v for v in range(graph.node_count)
-            if v != target and not graph.has_edge(target, v)
-        ]
-        if local < 1 or not non_neighbors:
+        non_neighbors = _non_neighbors(graph, target)
+        if local < 1 or not non_neighbors.size:
             continue
-        insert = int(non_neighbors[rng.integers(0, len(non_neighbors))])
+        insert = int(non_neighbors[rng.integers(0, non_neighbors.size)])
         cost = (2 if delete is not None else 1)
         if spent + cost > budgets.global_edge_budget:
             break
@@ -63,20 +70,18 @@ def flip_attack(
     """
     plan = PerturbationPlan()
     spent = 0
-    degree = [graph.degree(v) for v in range(graph.node_count)]
+    degree = np.array([graph.degree(v) for v in range(graph.node_count)])
     for target in sorted(set(targets)):
         local = budgets.per_node_edge_budget
         neighbors = graph.neighbors(target)
         delete = None
         if local >= 2 and neighbors:
             delete = min(neighbors, key=lambda v: (degree[v], v))
-        non_neighbors = [
-            v for v in range(graph.node_count)
-            if v != target and not graph.has_edge(target, v)
-        ]
-        if local < 1 or not non_neighbors:
+        non_neighbors = _non_neighbors(graph, target)
+        if local < 1 or not non_neighbors.size:
             continue
-        insert = min(non_neighbors, key=lambda v: (-degree[v], v))
+        # argmax returns the first maximum, i.e. the lowest id among ties
+        insert = int(non_neighbors[np.argmax(degree[non_neighbors])])
         cost = (2 if delete is not None else 1)
         if spent + cost > budgets.global_edge_budget:
             break

@@ -27,14 +27,6 @@ from .text_features import token_edit_distance
 from .victims import VictimModel, accuracy
 
 
-def _cosine(u: np.ndarray, v: np.ndarray) -> float:
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv))
-
-
 def _check_features(graph: TextAttributedGraph, features: np.ndarray) -> np.ndarray:
     features = np.asarray(features, dtype=float)
     if features.shape[0] != graph.node_count:
@@ -46,25 +38,42 @@ def _check_features(graph: TextAttributedGraph, features: np.ndarray) -> np.ndar
     return features
 
 
+def _edge_cosines(graph: TextAttributedGraph, features: np.ndarray) -> dict:
+    """Cosine similarity of each edge's endpoint features, keyed by sorted edge.
+
+    One `np.linalg.norm` per node and one `np.dot` per edge; a zero row has
+    similarity 0.0 with everything.
+    """
+    rows = list(features)
+    norms = [np.linalg.norm(row) for row in rows]
+    cosines = {}
+    for u, v in graph.sorted_edges():
+        nu, nv = norms[u], norms[v]
+        if nu == 0.0 or nv == 0.0:
+            cosines[u, v] = 0.0
+        else:
+            cosines[u, v] = float(np.dot(rows[u], rows[v]) / (nu * nv))
+    return cosines
+
+
 def homophily_edge(graph: TextAttributedGraph, features: np.ndarray) -> float:
     """Mean cosine similarity across edge endpoints."""
     features = _check_features(graph, features)
-    return float(np.mean([
-        _cosine(features[u], features[v]) for u, v in graph.sorted_edges()
-    ]))
+    return float(np.mean(list(_edge_cosines(graph, features).values())))
 
 
 def homophily_node(graph: TextAttributedGraph, features: np.ndarray) -> float:
     """Mean over non-isolated nodes of their mean neighbor cosine similarity."""
     features = _check_features(graph, features)
+    cosines = _edge_cosines(graph, features)
     values = []
     for node in range(graph.node_count):
         nbrs = graph.neighbors(node)
         if not nbrs:
             continue
-        values.append(
-            float(np.mean([_cosine(features[node], features[n]) for n in nbrs]))
-        )
+        values.append(float(np.mean([
+            cosines[(node, n) if node < n else (n, node)] for n in nbrs
+        ])))
     return float(np.mean(values))
 
 

@@ -40,20 +40,22 @@ def cosine_dissimilarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(1.0 - np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
-def _dissimilarity_row(embeddings: np.ndarray, target: int) -> np.ndarray:
-    """Cosine dissimilarity of every node to the target, vectorized."""
-    scales = np.max(np.abs(embeddings), axis=1)
-    if np.any(scales == 0.0):
-        # rare path: fall back to the scalar helper so zero vectors warn once each
-        return np.array([
-            0.0 if i == target else
-            cosine_dissimilarity(embeddings[target], embeddings[i])
-            for i in range(embeddings.shape[0])
-        ])
+def _scaled_rows(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows divided by their largest |component|, and the norms of those rows.
+
+    Zero rows stay zero with norm 0.0 and raise one DegenerateVectorWarning.
+    """
+    scales = np.max(np.abs(embeddings), axis=1, initial=0.0)
+    zero = scales == 0.0
+    if zero.any():
+        warnings.warn(
+            f"{int(zero.sum())} zero embedding rows; treating them as orthogonal",
+            DegenerateVectorWarning,
+            stacklevel=3,
+        )
+        scales = np.where(zero, 1.0, scales)
     scaled = embeddings / scales[:, None]
-    norms = np.linalg.norm(scaled, axis=1)
-    t = scaled[target]
-    return 1.0 - (scaled @ t) / (norms * norms[target])
+    return scaled, np.linalg.norm(scaled, axis=1)
 
 
 @dataclass(frozen=True)
@@ -62,28 +64,58 @@ class InfluencerSet:
     candidates: tuple[int, ...]  # most dissimilar first
 
 
+def _top_k(scaled: np.ndarray, norms: np.ndarray, target: int, k: int) -> InfluencerSet:
+    """The k rows most dissimilar to `target`, from `_scaled_rows` output.
+
+    Dissimilarity is 1 - cos, computed as one matrix-vector product over the
+    pre-scaled rows; a pair involving a zero row scores 1.0 (orthogonal).
+    Ties break by lower id: argpartition finds the k-th best score, then every
+    non-target id scoring at least that well is sorted by (-score, id), so
+    the result equals a full sort of all n ids. The target never appears.
+    """
+    n = scaled.shape[0]
+    if not 0 <= target < n:
+        raise ShapeError(f"target {target} outside embedding rows [0, {n})")
+    if k < 1:
+        raise ShapeError("k must be >= 1")
+    k = min(k, n - 1)
+    if k == 0:
+        return InfluencerSet(target=target, candidates=())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dissim = 1.0 - (scaled @ scaled[target]) / (norms * norms[target])
+    dissim[norms == 0.0] = 1.0
+    if norms[target] == 0.0:
+        dissim[:] = 1.0
+    ids = np.delete(np.arange(n), target)
+    neg = -dissim[ids]
+    kth = neg[np.argpartition(neg, k - 1)[k - 1]]
+    pool = ids[~(neg > kth)]  # a NaN k-th score keeps every id; lexsort puts NaN last
+    # lexsort: last key is primary -> sort by -dissim, then id ascending
+    order = np.lexsort((pool, -dissim[pool]))
+    return InfluencerSet(target=target, candidates=tuple(pool[order[:k]].tolist()))
+
+
 def retrieve_influencers(
     embeddings: np.ndarray, target: int, k: int = DEFAULT_K
 ) -> InfluencerSet:
     """Top-k most-dissimilar nodes to the target, ties broken by lower id."""
     embeddings = np.asarray(embeddings, dtype=float)
-    n = embeddings.shape[0]
-    if not 0 <= target < n:
-        raise ShapeError(f"target {target} outside embedding rows [0, {n})")
-    if k < 1:
-        raise ShapeError("k must be >= 1")
-    dissim = _dissimilarity_row(embeddings, target)
-    ids = np.arange(n)
-    # lexsort: last key is primary -> sort by -dissim, then id ascending
-    order = np.lexsort((ids, -dissim))
-    ranked = [int(i) for i in order if i != target]
-    return InfluencerSet(target=target, candidates=tuple(ranked[: min(k, n - 1)]))
+    return _top_k(*_scaled_rows(embeddings), target, k)
 
 
 def retrieve_all(
     embeddings: np.ndarray, targets: list[int], k: int = DEFAULT_K
 ) -> dict[int, InfluencerSet]:
-    return {t: retrieve_influencers(embeddings, t, k) for t in targets}
+    """`retrieve_influencers` for every target, normalising the rows once.
+
+    The scaled rows and their norms are computed once per call rather than
+    once per target; each target then costs one matrix-vector product and a
+    partial sort (`_top_k`), with the same results and tie rule. Zero rows
+    warn once per call and score 1.0 against every other row.
+    """
+    embeddings = np.asarray(embeddings, dtype=float)
+    scaled, norms = _scaled_rows(embeddings)
+    return {t: _top_k(scaled, norms, t, k) for t in targets}
 
 
 def save_influencers(sets: dict[int, InfluencerSet], path: str | Path) -> None:

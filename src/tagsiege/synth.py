@@ -67,13 +67,16 @@ def generate(config: SynthConfig) -> TextAttributedGraph:
     n = config.node_count
     labels = [i % config.class_count for i in range(n)]  # balanced ±1
 
+    # One uniform per pair u < v, drawn a row of the upper triangle at a time:
+    # the stream order is the row-major pair order, so the edge set equals
+    # that of one scalar draw per pair, and no n×n array is ever built.
     edge_rng = substream(config.seed, "synth-edges")
+    label_array = np.array(labels)
     edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            p = config.p_in if labels[u] == labels[v] else config.p_out
-            if edge_rng.random() < p:
-                edges.append((u, v))
+    for u in range(n - 1):
+        p_row = np.where(label_array[u + 1:] == labels[u], config.p_in, config.p_out)
+        hits = np.flatnonzero(edge_rng.random(n - u - 1) < p_row) + (u + 1)
+        edges.extend((u, v) for v in hits.tolist())
 
     text_rng = substream(config.seed, "synth-texts")
     shared = shared_vocabulary(config)

@@ -2,15 +2,17 @@
 
 These stand in for the deployed models under attack. They are trained once on
 the clean graph, frozen, and then queried on whatever graph the evaluation
-hands them (clean or perturbed) — propagation is always recomputed from that
-graph. The `gcn` victim shares the surrogate's GCN code (`encoder.forward`,
-`encoder._loss_and_grads`) and all train with `nnops.fit`, but victims share
-no weights, embeddings, plan or backend with the attacker.
+hands them (clean or perturbed) — propagation always comes from that graph,
+built once per graph and reused across predictions. The `gcn` victim shares
+the surrogate's GCN code (`encoder.forward`, `encoder._loss_and_grads`) and
+all train with `nnops.fit`, but victims share no weights, embeddings, plan or
+backend with the attacker.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -72,6 +74,35 @@ def mean_aggregation(graph: TextAttributedGraph) -> sp.csr_matrix:
     return (sp.diags(inv) @ a).tocsr()
 
 
+_PROPAGATION: "weakref.WeakKeyDictionary[TextAttributedGraph, sp.csr_matrix]" = (
+    weakref.WeakKeyDictionary()
+)
+_MEAN_AGGREGATION: "weakref.WeakKeyDictionary[TextAttributedGraph, sp.csr_matrix]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _propagation(kind: str, graph: TextAttributedGraph) -> sp.csr_matrix:
+    """The kind's propagation matrix for `graph`, built once per graph.
+
+    `normalize_adjacency` for gcn and sgc, `mean_aggregation` for sage_mean.
+    An entry lives as long as its graph does. Its value and index arrays are
+    read-only, so an in-place write raises instead of changing what later
+    calls are handed.
+    """
+    cache, build = (
+        (_MEAN_AGGREGATION, mean_aggregation) if kind == "sage_mean"
+        else (_PROPAGATION, normalize_adjacency)
+    )
+    matrix = cache.get(graph)
+    if matrix is None:
+        matrix = build(graph)
+        for array in (matrix.data, matrix.indices, matrix.indptr):
+            array.flags.writeable = False
+        cache[graph] = matrix
+    return matrix
+
+
 def sgc_logits(
     a_hat: sp.csr_matrix, features: np.ndarray, w: np.ndarray, steps: int
 ) -> np.ndarray:
@@ -96,20 +127,19 @@ def sage_logits(
 def victim_logits(
     model: VictimModel, graph: TextAttributedGraph, features: np.ndarray
 ) -> np.ndarray:
-    """Forward pass with propagation rebuilt from the *given* graph."""
+    """Forward pass with propagation taken from the *given* graph."""
     first = next(iter(model.weights.values()))
     if features.shape[1] != first.shape[0]:
         raise ShapeError(
             f"feature dim {features.shape[1]} != weight fan-in {first.shape[0]}"
         )
+    propagation = _propagation(model.kind, graph)
     if model.kind == "gcn":
         params = EncoderParams(model.weights["w1"], model.weights["w2"])
-        return forward(params, normalize_adjacency(graph), features)[0]
+        return forward(params, propagation, features)[0]
     if model.kind == "sgc":
-        return sgc_logits(
-            normalize_adjacency(graph), features, model.weights["w"], model.config.sgc_steps
-        )
-    return sage_logits(mean_aggregation(graph), features, model.weights)
+        return sgc_logits(propagation, features, model.weights["w"], model.config.sgc_steps)
+    return sage_logits(propagation, features, model.weights)
 
 
 def sgc_loss_and_grads(
@@ -160,12 +190,12 @@ def _train_weights(kind, graph, X, labels, rows, cfg) -> dict[str, np.ndarray]:
             glorot(rng, X.shape[1], cfg.hidden), glorot(rng, cfg.hidden, classes)
         )
         weights = {"w1": params.w1, "w2": params.w2}
-        a_hat = normalize_adjacency(graph)
+        a_hat = _propagation(kind, graph)
         steps = _loss_and_grads(params, a_hat, a_hat @ X, labels, rows, wd)
     elif kind == "sgc":
         rng = substream(cfg.seed, "victim-sgc")
         propagated = X
-        a_hat = normalize_adjacency(graph)
+        a_hat = _propagation(kind, graph)
         for _ in range(cfg.sgc_steps):
             propagated = a_hat @ propagated
         weights = {"w": glorot(rng, X.shape[1], classes)}
@@ -178,7 +208,7 @@ def _train_weights(kind, graph, X, labels, rows, cfg) -> dict[str, np.ndarray]:
             "ws2": glorot(rng, cfg.hidden, classes),
             "wn2": glorot(rng, cfg.hidden, classes),
         }
-        m = mean_aggregation(graph)
+        m = _propagation(kind, graph)
         steps = sage_loss_and_grads(weights, m, X, m @ X, labels, rows, wd)
     fit(list(weights.values()), steps, cfg.epochs, cfg.learning_rate, f"{kind} loss")
     return weights

@@ -198,6 +198,14 @@ def test_all_targets_failing_raises():
         attack(g, [0, 1], Z, dead, Budgets.for_targets(2), seed=0)
 
 
+def test_invalid_k_skips_every_target_then_raises():
+    g, Z, oracle = setup()
+    with pytest.raises(BackendExhaustedError) as info:
+        attack(g, [0, 3], Z, oracle, Budgets.for_targets(2), k=0)
+    assert info.value.plan.skipped == {0: "k must be >= 1", 3: "k must be >= 1"}
+    assert oracle.query_count == 0
+
+
 def test_out_of_range_target_rejected():
     g, Z, oracle = setup()
     with pytest.raises(ConfigurationError):

@@ -304,3 +304,36 @@ def test_llm_base_url_from_env(monkeypatch):
     prompt = build_topology_prompt(g, 0, InfluencerSet(0, (3,)))
     backend.topology_decision(prompt)
     assert transport.calls[0]["url"] == "https://example.test/v1/chat/completions"
+
+
+def test_default_transport_reuses_one_session(monkeypatch):
+    import requests
+
+    import tagsiege.backends as backends
+
+    sessions = []
+
+    class FakeResponse:
+        def raise_for_status(self):
+            pass
+
+        def json(self):
+            return {"choices": [{"message": {"content": "reply"}}]}
+
+    class FakeSession:
+        def __init__(self):
+            self.posts = []
+            sessions.append(self)
+
+        def post(self, url, headers, json, timeout):
+            self.posts.append(url)
+            return FakeResponse()
+
+    monkeypatch.setattr(requests, "Session", FakeSession)
+    monkeypatch.setattr(backends, "_session", None)
+    monkeypatch.setenv("TAGSIEGE_API_KEY", "test-key")
+    backend = LLMBackend(LLMConfig(base_url="http://localhost:1/v1"), fallback=make_oracle())
+    assert backend._complete("first") == "reply"
+    assert backend._complete("second") == "reply"
+    assert len(sessions) == 1
+    assert sessions[0].posts == ["http://localhost:1/v1/chat/completions"] * 2

@@ -2,7 +2,7 @@ import pytest
 
 from tagsiege.baselines import flip_attack, rnd_attack
 from tagsiege.graph import TextAttributedGraph
-from tagsiege.plan import Budgets, apply_plan, edit_counts
+from tagsiege.plan import Budgets, PerturbationPlan, PlanEntry, apply_plan, edit_counts
 from tagsiege.seeding import substream
 
 
@@ -131,3 +131,95 @@ def test_flip_is_deterministic_and_applies():
     edge_edits, text_edits, _ = edit_counts(g, applied.graph)
     assert edge_edits == 2 * len(targets)
     assert text_edits == 0
+
+
+def reference_rnd(graph, targets, budgets, seed):
+    """Reference RND: non-neighbours found by a has_edge scan over all nodes."""
+    plan = PerturbationPlan()
+    spent = 0
+    for target in sorted(set(targets)):
+        local = budgets.per_node_edge_budget
+        rng = substream(seed, f"rnd-{target}")
+        neighbors = graph.neighbors(target)
+        delete = None
+        if local >= 2 and neighbors:
+            delete = int(neighbors[rng.integers(0, len(neighbors))])
+        non_neighbors = [
+            v for v in range(graph.node_count)
+            if v != target and not graph.has_edge(target, v)
+        ]
+        if local < 1 or not non_neighbors:
+            continue
+        insert = int(non_neighbors[rng.integers(0, len(non_neighbors))])
+        cost = 2 if delete is not None else 1
+        if spent + cost > budgets.global_edge_budget:
+            break
+        spent += cost
+        plan.add(PlanEntry(target=target, delete_neighbor=delete,
+                           add_influencer=insert, rationale="rnd baseline"))
+    return plan
+
+
+def reference_flip(graph, targets, budgets):
+    """Reference FLIP: min over a has_edge scan keyed by (-degree, id)."""
+    plan = PerturbationPlan()
+    spent = 0
+    degree = [graph.degree(v) for v in range(graph.node_count)]
+    for target in sorted(set(targets)):
+        local = budgets.per_node_edge_budget
+        neighbors = graph.neighbors(target)
+        delete = None
+        if local >= 2 and neighbors:
+            delete = min(neighbors, key=lambda v: (degree[v], v))
+        non_neighbors = [
+            v for v in range(graph.node_count)
+            if v != target and not graph.has_edge(target, v)
+        ]
+        if local < 1 or not non_neighbors:
+            continue
+        insert = min(non_neighbors, key=lambda v: (-degree[v], v))
+        cost = 2 if delete is not None else 1
+        if spent + cost > budgets.global_edge_budget:
+            break
+        spent += cost
+        plan.add(PlanEntry(target=target, delete_neighbor=delete,
+                           add_influencer=insert, rationale="flip baseline"))
+    return plan
+
+
+def random_graph(n, pairs, seed):
+    """Random graph whose node 0 is adjacent to every other node and whose
+    last node is isolated."""
+    rng = substream(seed, "baseline-oracle-graph")
+    edges = [(0, v) for v in range(1, n - 1)]
+    for _ in range(pairs):
+        u, v = sorted(rng.integers(1, n - 1, size=2).tolist())
+        if u != v:
+            edges.append((u, v))
+    return TextAttributedGraph.build(
+        texts=[f"node {i}" for i in range(n)], labels=[i % 3 for i in range(n)],
+        splits=["train"] * n, edges=edges,
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("per_node", [0, 1, 2])
+def test_baselines_equal_reference_scans(seed, per_node):
+    g = random_graph(25, 40, seed)
+    # 0 has no non-neighbours (apart from the isolated last node), 24 is isolated
+    targets = [0, 24, *range(1, 24, 3)]
+    budgets = Budgets(per_node_edge_budget=per_node, global_edge_budget=12)
+    assert rnd_attack(g, targets, budgets, seed=seed).entries == \
+        reference_rnd(g, targets, budgets, seed).entries
+    assert flip_attack(g, targets, budgets).entries == \
+        reference_flip(g, targets, budgets).entries
+
+
+def test_baselines_skip_target_adjacent_to_every_node():
+    g = TextAttributedGraph.build(
+        texts=["hub", "a", "b", "c"], labels=[0, 1, 1, 1], splits=["train"] * 4,
+        edges=[(0, 1), (0, 2), (0, 3)],
+    )
+    budgets = Budgets.for_targets(1)
+    assert len(rnd_attack(g, [0], budgets, seed=1)) == 0
+    assert len(flip_attack(g, [0], budgets)) == 0

@@ -271,3 +271,31 @@ def test_synergy_row_flags():
     assert not neither.synergy_hard
     d = both.as_dict()
     assert d["synergy_soft"] is True
+
+
+def reference_cosine(u, v):
+    nu = np.linalg.norm(u)
+    nv = np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return float(np.dot(u, v) / (nu * nv))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_homophily_equals_per_edge_cosine_reference(seed):
+    rng = substream(seed, "homophily-reference")
+    n = 40
+    edges = {tuple(sorted(rng.choice(n, size=2, replace=False).tolist())) for _ in range(90)}
+    g = TextAttributedGraph.build(
+        texts=[f"t{i}" for i in range(n)], labels=[0] * n,
+        splits=["train"] * n, edges=edges,
+    )
+    X = rng.normal(size=(n, 7))
+    X[[3, 11, 12]] = 0.0  # zero feature rows score 0.0 against everything
+    edge_ref = float(np.mean([reference_cosine(X[u], X[v]) for u, v in g.sorted_edges()]))
+    node_ref = float(np.mean([
+        float(np.mean([reference_cosine(X[i], X[j]) for j in g.neighbors(i)]))
+        for i in range(n) if g.neighbors(i)
+    ]))
+    assert homophily_edge(g, X) == edge_ref
+    assert homophily_node(g, X) == node_ref

@@ -100,3 +100,41 @@ def test_retrieve_all_and_roundtrip(tmp_path):
     assert back == sets
     save_influencers(back, tmp_path / "again.jsonl")
     assert path.read_bytes() == (tmp_path / "again.jsonl").read_bytes()
+
+
+@st.composite
+def tied_embeddings(draw):
+    """Small integer rows, many of them duplicates, so scores tie often.
+
+    Entries in [-2, 2] scale by 1 or 2, so every dot product is exact and
+    tied scores are equal whatever order a kernel sums in.
+    """
+    dim = draw(st.integers(1, 4))
+    base = draw(st.lists(
+        st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any),
+        min_size=1, max_size=4,
+    ))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=2, max_size=12))
+    return np.array([base[i] for i in picks], dtype=float)
+
+
+@given(tied_embeddings(), st.integers(1, 14))
+@settings(max_examples=200, deadline=None)
+def test_retrieve_all_matches_bruteforce_with_ties(Z, k):
+    n = len(Z)
+    sets = retrieve_all(Z, list(range(n)), k=k)
+    for target in range(n):
+        assert sets[target].candidates == brute_force_topk(Z, target, k)
+        assert retrieve_influencers(Z, target, k) == sets[target]
+
+
+def test_retrieve_all_zero_rows_score_one_and_warn():
+    # row 2 is zero: dissimilarity 1.0, between node 1 (cos 0) and node 3 (cos -1)
+    Z = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [-1.0, 0.0], [1.0, 0.0]])
+    with pytest.warns(DegenerateVectorWarning):
+        sets = retrieve_all(Z, [0, 2], k=4)
+    assert sets[0].candidates == (3, 1, 2, 4)
+    # every row scores 1.0 against a zero target, so ids come out in order
+    assert sets[2].candidates == (0, 1, 3, 4)
+    with pytest.warns(DegenerateVectorWarning):
+        assert retrieve_influencers(Z, 0, k=4) == sets[0]

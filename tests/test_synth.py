@@ -6,6 +6,7 @@ import pytest
 from tagsiege.errors import ConfigurationError
 from tagsiege.graph import load_graph, save_graph
 from tagsiege.metrics import homophily_edge, label_homophily_edge
+from tagsiege.seeding import substream
 from tagsiege.synth import SynthConfig, generate, summarize
 from tagsiege.text_features import Vocabulary, featurize, tokenize
 
@@ -103,3 +104,28 @@ def test_default_graph_roundtrips_bit_identically(tmp_path):
         assert (tmp_path / "d1" / name).read_bytes() == (
             tmp_path / "d2" / name
         ).read_bytes()
+
+
+def scalar_edges(config):
+    """Reference: one scalar draw per pair u < v, in row-major pair order."""
+    labels = [i % config.class_count for i in range(config.node_count)]
+    rng = substream(config.seed, "synth-edges")
+    edges = set()
+    for u in range(config.node_count):
+        for v in range(u + 1, config.node_count):
+            p = config.p_in if labels[u] == labels[v] else config.p_out
+            if rng.random() < p:
+                edges.add((u, v))
+    return edges
+
+
+@pytest.mark.parametrize("config", [
+    *(SynthConfig(node_count=120, seed=s) for s in (0, 1, 7, 23)),
+    SynthConfig(node_count=97, class_count=5, p_in=0.3, p_out=0.1, seed=4),
+    SynthConfig(node_count=2, class_count=1, p_in=0.6, p_out=0.0, seed=2),
+    SynthConfig(node_count=2, class_count=2, p_in=1.0, p_out=0.5, seed=3),
+    SynthConfig(node_count=40, class_count=1, p_in=0.2, p_out=0.0, seed=5),
+    SynthConfig(node_count=30, class_count=3, p_in=1.0, p_out=0.0, seed=6),
+])
+def test_edges_equal_scalar_pair_loop(config):
+    assert set(generate(config).edges) == scalar_edges(config)

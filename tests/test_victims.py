@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tagsiege.encoder import normalize_adjacency
+from tagsiege.encoder import EncoderParams, forward, normalize_adjacency
 from tagsiege.errors import ConfigurationError, DegenerateInputError, ShapeError
 from tagsiege.graph import TextAttributedGraph
 from tagsiege.seeding import substream
@@ -14,6 +14,7 @@ from tagsiege.victims import (
     mean_aggregation,
     predict,
     sage_loss_and_grads,
+    sage_logits,
     save_victim,
     sgc_logits,
     sgc_loss_and_grads,
@@ -265,3 +266,37 @@ def test_victim_checkpoint_roundtrip(tmp_path):
     for name in model.weights:
         np.testing.assert_array_equal(back.weights[name], model.weights[name])
     np.testing.assert_array_equal(predict(back, g, X), predict(model, g, X))
+
+
+@pytest.mark.parametrize("kind", ["gcn", "sgc", "sage_mean"])
+def test_propagation_built_once_per_graph_and_read_only(monkeypatch, kind):
+    import tagsiege.victims as victims
+
+    g = clustered_graph(n=22, seed=9)
+    X = block_features(g)
+    model = train_victim(kind, g, X, VictimConfig(epochs=5, seed=2))
+    builder = "mean_aggregation" if kind == "sage_mean" else "normalize_adjacency"
+    fresh = getattr(victims, builder)(g)
+    expected = {
+        "gcn": lambda: forward(EncoderParams(model.weights["w1"], model.weights["w2"]),
+                               fresh, X)[0],
+        "sgc": lambda: sgc_logits(fresh, X, model.weights["w"], model.config.sgc_steps),
+        "sage_mean": lambda: sage_logits(fresh, X, model.weights),
+    }[kind]()
+
+    builds = []
+    real = getattr(victims, builder)
+    monkeypatch.setattr(victims, builder, lambda graph: builds.append(graph) or real(graph))
+    for nodes in ([0, 1, 2], [5, 17], list(range(22))):
+        accuracy(model, g, X, nodes)
+    assert np.array_equal(victim_logits(model, g, X), expected)
+    assert builds == []  # training already built it for this graph
+
+    other = g.with_changes(edges=sorted(g.edges)[1:])
+    predict(model, other, X)
+    predict(model, other, X)
+    assert builds == [other]
+
+    cached = victims._propagation(kind, g)
+    with pytest.raises(ValueError):
+        cached.data[0] = 5.0
