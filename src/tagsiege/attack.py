@@ -5,11 +5,17 @@ For each target: retrieve dissimilar candidates, issue ONE topology query
 anchored on the chosen insertion node, then assemble a budget-respecting
 plan entry. Per-target failures land in the plan's skip list; the run only
 fails when nothing survives.
+
+Every query is built against the clean graph, so no target depends on
+another's answers: up to `backend.max_in_flight` targets run at once (one for
+the oracle, eight for an LLM). Their outcomes enter the plan in sorted
+target order, so the plan does not depend on the order replies arrive in.
 """
 
 from __future__ import annotations
 
 import logging
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -157,8 +163,8 @@ def attack(
     except ShapeError as exc:
         influencer_sets, retrieval_error = {}, str(exc)
 
-    for target in ordered:
-        queries_before = backend.query_count
+    def attack_target(target: int) -> PlanEntry | TagSiegeError:
+        backend.start_target()
         try:
             if retrieval_error is not None:
                 raise ShapeError(retrieval_error)
@@ -197,31 +203,41 @@ def attack(
                 graph.texts[anchor],
                 budgets.text_token_budget,
             )
-
-            intended = graph.labels[add_choice]
-            if intended == graph.labels[target]:
-                log.warning(
-                    "target %d: influencer %d shares its label; anchor is a no-op",
-                    target,
-                    add_choice,
-                )
-            plan.add(
-                PlanEntry(
-                    target=target,
-                    delete_neighbor=delete_choice,
-                    add_influencer=add_choice,
-                    keyword=keyword,
-                    new_text=new_text,
-                    rationale=decision.reasoning_summary,
-                    intended_label=intended,
-                )
+            return PlanEntry(
+                target=target,
+                delete_neighbor=delete_choice,
+                add_influencer=add_choice,
+                keyword=keyword,
+                new_text=new_text,
+                rationale=decision.reasoning_summary,
+                intended_label=graph.labels[add_choice],
             )
         except TagSiegeError as exc:
-            # a skipped target contributes no logical queries; roll back so
-            # query_count stays exactly two per completed target
-            backend.query_count = queries_before
-            log.warning("target %d skipped: %s", target, exc)
-            plan.skip(target, str(exc))
+            # a skipped target contributes no logical queries; roll back
+            # this target's own so query_count stays two per completed target
+            backend.uncount_target()
+            return exc
+
+    graph.adjacency  # build the cached neighbor lists before the workers share them
+    pool = ThreadPoolExecutor(backend.max_in_flight)
+    try:
+        outcomes = list(pool.map(attack_target, ordered))
+    finally:
+        # on an unexpected error, targets not yet started never start
+        pool.shutdown(cancel_futures=True)
+
+    for target, outcome in zip(ordered, outcomes):
+        if isinstance(outcome, TagSiegeError):
+            log.warning("target %d skipped: %s", target, outcome)
+            plan.skip(target, str(outcome))
+            continue
+        if outcome.intended_label == graph.labels[target]:
+            log.warning(
+                "target %d: influencer %d shares its label; anchor is a no-op",
+                target,
+                outcome.add_influencer,
+            )
+        plan.add(outcome)
 
     if targets and not plan.entries:
         raise BackendExhaustedError(

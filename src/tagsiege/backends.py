@@ -14,6 +14,7 @@ import json
 import logging
 import math
 import os
+import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -93,14 +94,39 @@ def validate_text_decision(
 
 
 class AttackerBackend(ABC):
-    """Answers topology and text prompts; counts every logical query."""
+    """Answers topology and text prompts; counts every logical query.
+
+    The counters may be updated from several threads at once: `attack` runs
+    up to `max_in_flight` targets concurrently.
+    """
 
     kind: str
+    max_in_flight = 1
 
     def __init__(self):
         self.query_count = 0
         self.retry_count = 0
         self.fallback_count = 0
+        self._lock = threading.Lock()
+        self._tally = threading.local()  # logical queries of this thread's target
+
+    def _count(self, queries: int = 0, retries: int = 0, fallbacks: int = 0) -> None:
+        with self._lock:
+            self.query_count += queries
+            self.retry_count += retries
+            self.fallback_count += fallbacks
+        self._tally.queries = getattr(self._tally, "queries", 0) + queries
+
+    def start_target(self) -> None:
+        """Start counting the calling thread's queries for one target."""
+        self._tally.queries = 0
+
+    def uncount_target(self) -> None:
+        """Remove the logical queries the calling thread counted since
+        `start_target`; retries and fallbacks stay counted."""
+        with self._lock:
+            self.query_count -= getattr(self._tally, "queries", 0)
+        self._tally.queries = 0
 
     @abstractmethod
     def topology_decision(self, prompt: TopologyPrompt) -> TopologyDecision: ...
@@ -124,6 +150,7 @@ class OracleBackend(AttackerBackend):
         self.graph = graph
         self.embeddings = np.asarray(embeddings, dtype=float)
         self.vocab = vocab
+        self._norms = [np.linalg.norm(row) for row in self.embeddings]
         self._class_tokens = self._collect_class_tokens(graph)
 
     @staticmethod
@@ -134,14 +161,13 @@ class OracleBackend(AttackerBackend):
         return out
 
     def _similarity(self, a: int, b: int) -> float:
-        va, vb = self.embeddings[a], self.embeddings[b]
-        na, nb = np.linalg.norm(va), np.linalg.norm(vb)
+        na, nb = self._norms[a], self._norms[b]
         if na == 0.0 or nb == 0.0:
             return 0.0
-        return float(np.dot(va, vb) / (na * nb))
+        return float(np.dot(self.embeddings[a], self.embeddings[b]) / (na * nb))
 
     def topology_decision(self, prompt: TopologyPrompt) -> TopologyDecision:
-        self.query_count += 1
+        self._count(queries=1)
         t = prompt.target
         delete_choice = None
         if prompt.neighbor_ids:
@@ -193,7 +219,7 @@ class OracleBackend(AttackerBackend):
         return outside[0] if outside else ranked[0]
 
     def text_decision(self, prompt: TextPrompt, budget: int) -> TextDecision:
-        self.query_count += 1
+        self._count(queries=1)
         original = self.graph.texts[prompt.target]
         influencer_text = self.graph.texts[prompt.influencer]
         label = self.graph.labels[prompt.target]
@@ -270,20 +296,21 @@ class LLMConfig:
         return self.base_url or os.environ.get(BASE_URL_ENV, DEFAULT_BASE_URL)
 
 
-_session = None
+_sessions = threading.local()
 
 
 def _default_transport(url: str, headers: dict, payload: dict, timeout: float) -> dict:
-    """POST through one process-wide `requests.Session`, so successive queries
-    reuse a kept-alive connection instead of opening one each. `requests` is
-    imported on first use, keeping it out of start-up for commands that never
-    query an LLM."""
-    global _session
-    if _session is None:
+    """POST through one `requests.Session` per thread, so successive queries
+    of a thread reuse its kept-alive connection instead of opening one each
+    (a session is not documented as safe to share between threads).
+    `requests` is imported on first use, keeping it out of start-up for
+    commands that never query an LLM."""
+    session = getattr(_sessions, "session", None)
+    if session is None:
         import requests
 
-        _session = requests.Session()
-    resp = _session.post(url, headers=headers, json=payload, timeout=timeout)
+        session = _sessions.session = requests.Session()
+    resp = session.post(url, headers=headers, json=payload, timeout=timeout)
     resp.raise_for_status()
     return resp.json()
 
@@ -310,10 +337,12 @@ class LLMBackend(AttackerBackend):
     """Chat-completions client with retries and oracle fallback.
 
     `transport` may be injected for tests; it receives (url, headers, payload,
-    timeout) and returns the decoded response body.
+    timeout) and returns the decoded response body. `attack` calls it from up
+    to `max_in_flight` threads at once.
     """
 
     kind = "llm"
+    max_in_flight = 8
 
     def __init__(
         self,
@@ -349,7 +378,7 @@ class LLMBackend(AttackerBackend):
         last_error: Exception | None = None
         for attempt in range(self.config.max_attempts):
             if attempt:
-                self.retry_count += 1
+                self._count(retries=1)
                 self.sleep(self.config.backoff_base * (2 ** (attempt - 1)))
             try:
                 body = self.transport(url, self._headers(), payload, self.config.timeout)
@@ -364,7 +393,7 @@ class LLMBackend(AttackerBackend):
         )
 
     def topology_decision(self, prompt: TopologyPrompt) -> TopologyDecision:
-        self.query_count += 1
+        self._count(queries=1)
         reason = ""
         text = prompt.text
         for _ in range(2):  # initial ask plus one corrective re-prompt
@@ -385,11 +414,11 @@ class LLMBackend(AttackerBackend):
                         reasoning_summary=str(obj.get("rationale", "")),
                         justifications=str(obj.get("rationale", "")),
                     )
-            self.retry_count += 1
+            self._count(retries=1)
             text = prompt.text + REPROMPT_SUFFIX.format(reason=reason)
-        self.fallback_count += 1
+        self._count(fallbacks=1)
         oracle = self.fallback.topology_decision(prompt)
-        self.fallback.query_count -= 1  # accounted under this backend's counter
+        self.fallback._count(queries=-1)  # accounted under this backend's counter
         return TopologyDecision(
             delete_choice=oracle.delete_choice,
             add_choice=oracle.add_choice,
@@ -399,7 +428,7 @@ class LLMBackend(AttackerBackend):
         )
 
     def text_decision(self, prompt: TextPrompt, budget: int) -> TextDecision:
-        self.query_count += 1
+        self._count(queries=1)
         original = self.fallback.graph.texts[prompt.target]
         reason = ""
         text = prompt.text
@@ -419,11 +448,11 @@ class LLMBackend(AttackerBackend):
                         rewritten_text=new_text,
                         rationale=str(obj.get("rationale", "")),
                     )
-            self.retry_count += 1
+            self._count(retries=1)
             text = prompt.text + REPROMPT_SUFFIX.format(reason=reason)
-        self.fallback_count += 1
+        self._count(fallbacks=1)
         oracle = self.fallback.text_decision(prompt, budget)
-        self.fallback.query_count -= 1
+        self.fallback._count(queries=-1)
         return TextDecision(
             keyword=oracle.keyword,
             rewritten_text=oracle.rewritten_text,

@@ -134,35 +134,31 @@ def apply_plan(
 ) -> AppliedPlan:
     """Validate a plan against the clean graph and budgets, then apply it.
 
-    All checks happen against the clean graph; every target is edited at most
-    once so entries cannot interact. An empty plan returns the graph unchanged.
+    All checks happen against the clean graph, and entries apply in target
+    order. Every target is edited at most once, but entries can still share
+    an edge: two targets that add (or delete) the edge between them, or a
+    deletion undone by a re-insertion. The edge budgets are therefore charged
+    for the edges that differ between the clean and the perturbed graph, each
+    to the first entry that names it; an entry's charge can fall below its
+    `edge_edit_count`. An empty plan returns the graph unchanged.
     """
     edges = set(graph.edges)
     texts = list(graph.texts)
-    per_node_edge: dict[int, int] = {}
+    first_named: dict[tuple[int, int], int] = {}
     per_node_text: dict[int, int] = {}
-    edge_total = 0
     text_total = 0
 
     for target in sorted(plan.entries):
         entry = plan.entries[target]
         _validate_entry(graph, entry)
 
-        cost = entry.edge_edit_count
-        if cost > budgets.per_node_edge_budget:
-            raise BudgetError(
-                f"{cost} edge edits exceed per-node budget {budgets.per_node_edge_budget}",
-                node=target,
-            )
-        if edge_total + cost > budgets.global_edge_budget:
-            raise BudgetError(
-                f"global edge budget {budgets.global_edge_budget} exhausted", node=target
-            )
         if entry.delete_neighbor is not None:
-            edges.discard(canonical_edge(target, entry.delete_neighbor))
-        edges.add(canonical_edge(target, entry.add_influencer))
-        per_node_edge[target] = cost
-        edge_total += cost
+            edge = canonical_edge(target, entry.delete_neighbor)
+            first_named.setdefault(edge, target)
+            edges.discard(edge)
+        edge = canonical_edge(target, entry.add_influencer)
+        first_named.setdefault(edge, target)
+        edges.add(edge)
 
         if entry.new_text is not None:
             dist = token_edit_distance(graph.texts[target], entry.new_text)
@@ -179,6 +175,23 @@ def apply_plan(
             texts[target] = entry.new_text
             per_node_text[target] = dist
             text_total += dist
+
+    per_node_edge = dict.fromkeys(sorted(plan.entries), 0)
+    for edge, target in first_named.items():
+        if (edge in graph.edges) != (edge in edges):
+            per_node_edge[target] += 1
+    edge_total = 0
+    for target, cost in per_node_edge.items():
+        if cost > budgets.per_node_edge_budget:
+            raise BudgetError(
+                f"{cost} edge edits exceed per-node budget {budgets.per_node_edge_budget}",
+                node=target,
+            )
+        if edge_total + cost > budgets.global_edge_budget:
+            raise BudgetError(
+                f"global edge budget {budgets.global_edge_budget} exhausted", node=target
+            )
+        edge_total += cost
 
     perturbed = graph.with_changes(edges=edges, texts=texts)
     audit = PlanAudit(

@@ -1,3 +1,11 @@
+import hashlib
+import json
+import random
+import re
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -7,7 +15,7 @@ from tagsiege.attack import (
     select_deletion,
     select_insertion,
 )
-from tagsiege.backends import OracleBackend, validate_text_decision
+from tagsiege.backends import LLMBackend, LLMConfig, OracleBackend, validate_text_decision
 from tagsiege.errors import (
     BackendError,
     BackendExhaustedError,
@@ -251,3 +259,159 @@ def test_generate_text_edit_guards():
         generate_text_edit(oracle, prompt, g.texts[0], "", 5)
     keyword, new_text = generate_text_edit(oracle, prompt, g.texts[0], g.texts[3], 8)
     assert keyword in set(tokenize(new_text))
+
+
+NODE_LINE = re.compile(r"^- node (\d+): ", re.M)
+
+
+def _ids_after(prompt, header):
+    """Node ids listed under `header` in a topology prompt."""
+    section = prompt.split(header, 1)[1].split("\n\n", 1)[0]
+    return [int(i) for i in NODE_LINE.findall(section)]
+
+
+class ScriptedLLM:
+    """Chat-completions transport answering from the prompt text alone.
+
+    Each call sleeps a random 0-5 ms, so replies arrive out of order when
+    queries overlap. With `malform`, a hash-selected quarter of first asks and
+    eighth of re-prompts get a reply with no JSON. A topology (text) call
+    whose target text holds a token in `dead_topology` (`dead_text`) raises.
+    `peak` is the most calls seen in flight at once.
+    """
+
+    def __init__(self, dead_topology=(), dead_text=(), malform=True,
+                 delay=lambda prompt: random.uniform(0.0, 0.005)):
+        self.dead_topology = set(dead_topology)
+        self.dead_text = set(dead_text)
+        self.malform = malform
+        self.delay = delay
+        self.calls = 0
+        self.peak = 0
+        self._in_flight = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, url, headers, payload, timeout):
+        prompt = payload["messages"][0]["content"]
+        with self._lock:
+            self.calls += 1
+            self._in_flight += 1
+            self.peak = max(self.peak, self._in_flight)
+        try:
+            time.sleep(self.delay(prompt))
+            return {"choices": [{"message": {"content": self.reply(prompt)}}]}
+        finally:
+            with self._lock:
+                self._in_flight -= 1
+
+    def reply(self, prompt):
+        digest = hashlib.sha256(prompt.encode()).digest()[0]
+        if self.malform and digest % (8 if "could not be used" in prompt else 4) == 0:
+            return "no JSON today"
+        if "Candidate List:" in prompt:
+            target_text = prompt.split("Target node: ", 1)[1].split("\n", 1)[0]
+            if self.dead_topology & set(tokenize(target_text)):
+                raise RuntimeError("connection reset")
+            neighbors = _ids_after(prompt, "Neighboring set:")
+            return json.dumps({
+                "delete_id": max(neighbors) if neighbors else None,
+                "add_id": min(_ids_after(prompt, "Candidate List:")),
+                "rationale": "scripted",
+            })
+        target_text = prompt.split("P1 titled ", 1)[1].split(", your task", 1)[0]
+        if self.dead_text & set(tokenize(target_text)):
+            raise RuntimeError("connection reset")
+        influencer = prompt.split("node titled ", 1)[1].split(", identify", 1)[0]
+        keyword = tokenize(influencer)[0]
+        return json.dumps({"keyword": keyword, "new_text": f"{target_text} {keyword}"})
+
+
+def scripted_attack(transport, n=40, targets=None):
+    g = demo_graph(n)
+    Z = embeddings_by_class(g)
+    backend = LLMBackend(
+        LLMConfig(), fallback=OracleBackend(g, Z, Vocabulary.from_texts(g.texts)),
+        transport=transport, sleep=lambda s: None,
+    )
+    targets = list(range(n)) if targets is None else targets
+    plan = attack(g, targets, Z, backend, Budgets.for_targets(len(targets)), seed=8)
+    return plan, backend
+
+
+def test_concurrent_llm_attack_matches_one_in_flight(monkeypatch):
+    # target 7 loses its text query after its topology query, 12 its topology query
+    concurrent_llm = ScriptedLLM(dead_topology={"id12"}, dead_text={"id7"})
+    concurrent, backend = scripted_attack(concurrent_llm)
+    assert concurrent_llm.peak > 1
+
+    monkeypatch.setattr(LLMBackend, "max_in_flight", 1)
+    serial_llm = ScriptedLLM(dead_topology={"id12"}, dead_text={"id7"})
+    serial, serial_backend = scripted_attack(serial_llm)
+    assert serial_llm.peak == 1
+
+    assert concurrent.entries == serial.entries
+    assert list(concurrent.entries) == sorted(concurrent.entries)
+    assert concurrent.skipped == serial.skipped
+    assert sorted(concurrent.skipped) == [7, 12]
+    counts = (backend.query_count, backend.retry_count, backend.fallback_count)
+    assert counts == (
+        serial_backend.query_count, serial_backend.retry_count, serial_backend.fallback_count
+    )
+    assert backend.query_count == 2 * len(concurrent.entries)
+    assert backend.retry_count > 0 and backend.fallback_count > 0
+    assert concurrent_llm.calls == serial_llm.calls
+
+
+def test_counters_lose_no_update_under_fast_thread_switching():
+    # eight workers on fewer cores, switching every microsecond: an unlocked
+    # read-modify-write of a counter would drop some of the 2 x 120 queries
+    llm = ScriptedLLM(malform=False, delay=lambda prompt: 0.0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        plan, backend = scripted_attack(llm, n=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(plan.entries) == 120
+    assert backend.query_count == llm.calls == 240
+    assert backend.retry_count == backend.fallback_count == 0
+
+
+def test_failed_target_rolls_back_only_its_own_queries():
+    # target 5's calls last long enough for every other target to count its
+    # queries meanwhile; its rollback must leave those in place
+    llm = ScriptedLLM(
+        dead_text={"id5"}, malform=False,
+        delay=lambda prompt: 0.05 if re.search(r"\bid5\b", prompt) else 0.0,
+    )
+    plan, backend = scripted_attack(llm, n=16)
+    assert sorted(plan.skipped) == [5]
+    assert "failed after 3 attempts" in plan.skipped[5]
+    assert backend.query_count == 2 * len(plan.entries) == 30
+    # its two retries stay counted; its topology and text queries do not
+    assert backend.retry_count == 2
+    assert llm.calls == backend.query_count + backend.retry_count + 2
+
+
+def test_unexpected_error_cancels_targets_not_started():
+    g, Z, _ = setup(n=16)
+    started = []
+
+    class Broken(OracleBackend):
+        max_in_flight = 2
+
+        def topology_decision(self, prompt):
+            started.append(prompt.target)
+            if prompt.target == 0:
+                raise RuntimeError("bug")
+            time.sleep(0.05)
+            return super().topology_decision(prompt)
+
+    backend = Broken(g, Z, Vocabulary.from_texts(g.texts))
+    targets = list(range(16))
+    with pytest.raises(RuntimeError, match="bug"):
+        attack(g, targets, Z, backend, Budgets.for_targets(len(targets)), seed=1)
+    ran = len(started)
+    assert ran <= 2 * backend.max_in_flight < len(targets)
+    time.sleep(0.1)
+    assert len(started) == ran  # no worker is left running

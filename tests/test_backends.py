@@ -307,6 +307,8 @@ def test_llm_base_url_from_env(monkeypatch):
 
 
 def test_default_transport_reuses_one_session(monkeypatch):
+    import threading
+
     import requests
 
     import tagsiege.backends as backends
@@ -330,10 +332,19 @@ def test_default_transport_reuses_one_session(monkeypatch):
             return FakeResponse()
 
     monkeypatch.setattr(requests, "Session", FakeSession)
-    monkeypatch.setattr(backends, "_session", None)
+    monkeypatch.setattr(backends, "_sessions", threading.local())
     monkeypatch.setenv("TAGSIEGE_API_KEY", "test-key")
     backend = LLMBackend(LLMConfig(base_url="http://localhost:1/v1"), fallback=make_oracle())
+    # two calls on one thread share its session
     assert backend._complete("first") == "reply"
     assert backend._complete("second") == "reply"
     assert len(sessions) == 1
     assert sessions[0].posts == ["http://localhost:1/v1/chat/completions"] * 2
+
+    # a second thread gets a session of its own
+    worker = threading.Thread(target=backend._complete, args=("third",))
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert len(sessions) == 2
+    assert [len(s.posts) for s in sessions] == [2, 1]

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tagsiege.errors import BudgetError, PlanInconsistencyError, ShapeError
 from tagsiege.graph import TextAttributedGraph
@@ -178,3 +180,61 @@ def test_plan_roundtrip(tmp_path):
     # deterministic bytes
     save_plan(loaded, tmp_path / "plan2.jsonl")
     assert path.read_bytes() == (tmp_path / "plan2.jsonl").read_bytes()
+
+
+def test_edge_shared_by_two_entries_is_charged_once():
+    g = path_graph()
+    plan = PerturbationPlan()
+    # both entries add (0, 3) and both delete (1, 2)
+    plan.add(PlanEntry(target=0, delete_neighbor=None, add_influencer=3))
+    plan.add(PlanEntry(target=1, delete_neighbor=2, add_influencer=4))
+    plan.add(PlanEntry(target=2, delete_neighbor=1, add_influencer=5))
+    plan.add(PlanEntry(target=3, delete_neighbor=None, add_influencer=0))
+    applied = apply_plan(g, plan, loose_budgets())
+    assert edit_counts(g, applied.graph)[0] == 4
+    assert applied.audit.edge_edits == 4
+    assert applied.audit.per_node_edge_edits == {0: 1, 1: 2, 2: 1, 3: 0}
+
+
+def test_round_trip_entry_is_charged_nothing():
+    plan = PerturbationPlan()
+    plan.add(PlanEntry(target=0, delete_neighbor=1, add_influencer=1))
+    applied = apply_plan(path_graph(), plan, loose_budgets())
+    assert applied.graph == path_graph()
+    assert applied.audit.edge_edits == 0
+    assert applied.audit.per_node_edge_edits == {0: 0}
+
+
+@st.composite
+def graphs_and_plans(draw):
+    """A small graph and a valid plan on it, dense enough that entries often
+    share an edge."""
+    n = draw(st.integers(3, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    g = TextAttributedGraph.build(
+        texts=[f"word{i}" for i in range(n)],
+        labels=[0] * n,
+        splits=["train"] * n,
+        edges=edges,
+    )
+    plan = PerturbationPlan()
+    for t in draw(st.lists(st.integers(0, n - 1), unique=True)):
+        delete = draw(st.sampled_from([None, *g.neighbors(t)]))
+        addable = [a for a in range(n) if a != t and (a == delete or not g.has_edge(t, a))]
+        if addable:
+            plan.add(PlanEntry(target=t, delete_neighbor=delete,
+                               add_influencer=draw(st.sampled_from(addable))))
+    return g, plan
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_and_plans())
+def test_audit_charges_equal_the_edge_diff(case):
+    g, plan = case
+    applied = apply_plan(g, plan, loose_budgets())
+    assert applied.audit.edge_edits == edit_counts(g, applied.graph)[0]
+    assert sum(applied.audit.per_node_edge_edits.values()) == applied.audit.edge_edits
+    assert sorted(applied.audit.per_node_edge_edits) == plan.targets()
+    for t, cost in applied.audit.per_node_edge_edits.items():
+        assert 0 <= cost <= plan.entries[t].edge_edit_count
