@@ -19,19 +19,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .backends import (
-    AttackerBackend,
-    TextDecision,
-    TopologyDecision,
-    validate_text_decision,
-    validate_topology_decision,
-)
+from .backends import AttackerBackend, validate_text_decision, validate_topology_decision
 from .errors import (
     BackendError,
     BackendExhaustedError,
     ConfigurationError,
-    IsolatedNodeError,
-    RetrievalExhaustedError,
     ShapeError,
     TagSiegeError,
 )
@@ -39,7 +31,6 @@ from .graph import TextAttributedGraph
 from .plan import Budgets, PerturbationPlan, PlanEntry
 from .prompts import (
     PromptTemplate,
-    TextPrompt,
     TopologyPrompt,
     build_text_prompt,
     build_topology_prompt,
@@ -50,70 +41,14 @@ from .seeding import substream
 log = logging.getLogger("tagsiege.attack")
 
 
-def select_deletion(
-    backend: AttackerBackend,
-    prompt: TopologyPrompt,
-    neighbor_ids: tuple[int, ...],
-    decision: TopologyDecision | None = None,
-) -> int | None:
-    """The neighbor to disconnect; reuses `decision` instead of re-querying.
-
-    Passing the decision from a prior select_insertion call keeps the run at
-    one topology query per target.
-    """
-    if not neighbor_ids:
-        raise IsolatedNodeError(f"target {prompt.target} has no neighbors")
-    decision = decision or backend.topology_decision(prompt)
-    reason = validate_topology_decision(prompt, decision.delete_choice, decision.add_choice)
-    if reason:
-        raise BackendError(f"target {prompt.target}: {reason}")
-    return decision.delete_choice
-
-
-def select_insertion(
-    backend: AttackerBackend,
-    prompt: TopologyPrompt,
-    candidate_ids: tuple[int, ...],
-    decision: TopologyDecision | None = None,
-) -> int:
-    """The candidate to wire in; reuses `decision` instead of re-querying."""
-    if not candidate_ids:
-        raise RetrievalExhaustedError(f"target {prompt.target}: no candidates")
-    decision = decision or backend.topology_decision(prompt)
-    reason = validate_topology_decision(prompt, decision.delete_choice, decision.add_choice)
-    if reason:
-        raise BackendError(f"target {prompt.target}: {reason}")
-    return decision.add_choice
-
-
-def generate_text_edit(
-    backend: AttackerBackend,
-    prompt: TextPrompt,
-    original_text: str,
-    influencer_text: str,
-    budget: int,
-    decision: TextDecision | None = None,
-) -> tuple[str, str]:
-    """(keyword, new_text) satisfying containment, retention and budget."""
-    if not influencer_text:
-        raise ConfigurationError("influencer text is empty")
-    if budget < 1:
-        raise ConfigurationError("text budget must allow at least one token edit")
-    decision = decision or backend.text_decision(prompt, budget)
-    reason = validate_text_decision(
-        original_text, decision.keyword, decision.rewritten_text, budget
-    )
-    if reason:
-        raise BackendError(f"target {prompt.target}: invalid rewrite: {reason}")
-    return decision.keyword, decision.rewritten_text
-
-
 def _next_best_candidate(
-    prompt: TopologyPrompt, chosen: int, embeddings: np.ndarray
+    prompt: TopologyPrompt, chosen: int, embeddings: np.ndarray, norms: np.ndarray
 ) -> int | None:
-    """Runner-up candidate by dissimilarity, for the anchor-mismatch ablation."""
+    """Runner-up candidate by dissimilarity, for the anchor-mismatch ablation.
+
+    `norms` holds the row norms of `embeddings`.
+    """
     t = prompt.target
-    norms = np.linalg.norm(embeddings, axis=1)
 
     def similarity(c: int) -> float:
         if norms[t] == 0.0 or norms[c] == 0.0:
@@ -159,9 +94,10 @@ def attack(
     # then fails every target, which the loop records as skips
     try:
         influencer_sets = retrieve_all(embeddings, ordered, k=k)
+        norms = np.linalg.norm(embeddings, axis=1) if anchor_mismatch else None
         retrieval_error = None
     except ShapeError as exc:
-        influencer_sets, retrieval_error = {}, str(exc)
+        influencer_sets, norms, retrieval_error = {}, None, str(exc)
 
     def attack_target(target: int) -> PlanEntry | TagSiegeError:
         backend.start_target()
@@ -170,47 +106,45 @@ def attack(
                 raise ShapeError(retrieval_error)
             influencers = influencer_sets[target]
             rng = substream(seed, f"candidates-{target}")
-            isolated = graph.degree(target) == 0
             prompt = build_topology_prompt(
                 graph,
                 target,
                 influencers,
                 template=topo_template,
                 rng=rng,
-                allow_isolated=isolated,
+                allow_isolated=graph.degree(target) == 0,
             )
             decision = backend.topology_decision(prompt)
-            delete_choice = (
-                None
-                if isolated
-                else select_deletion(backend, prompt, prompt.neighbor_ids, decision=decision)
+            reason = validate_topology_decision(
+                prompt, decision.delete_choice, decision.add_choice
             )
-            add_choice = select_insertion(
-                backend, prompt, prompt.candidate_ids, decision=decision
-            )
+            if reason:
+                raise BackendError(f"target {target}: {reason}")
 
-            anchor = add_choice
+            anchor = decision.add_choice
             if anchor_mismatch:
-                runner_up = _next_best_candidate(prompt, add_choice, embeddings)
+                runner_up = _next_best_candidate(prompt, anchor, embeddings, norms)
                 if runner_up is not None:
                     anchor = runner_up
 
+            budget = budgets.text_token_budget
+            if budget < 1:
+                raise ConfigurationError("text budget must allow at least one token edit")
             text_prompt = build_text_prompt(graph, target, anchor, template=text_template)
-            keyword, new_text = generate_text_edit(
-                backend,
-                text_prompt,
-                graph.texts[target],
-                graph.texts[anchor],
-                budgets.text_token_budget,
+            edit = backend.text_decision(text_prompt, budget)
+            reason = validate_text_decision(
+                graph.texts[target], edit.keyword, edit.rewritten_text, budget
             )
+            if reason:
+                raise BackendError(f"target {target}: invalid rewrite: {reason}")
             return PlanEntry(
                 target=target,
-                delete_neighbor=delete_choice,
-                add_influencer=add_choice,
-                keyword=keyword,
-                new_text=new_text,
+                delete_neighbor=decision.delete_choice,
+                add_influencer=decision.add_choice,
+                keyword=edit.keyword,
+                new_text=edit.rewritten_text,
                 rationale=decision.reasoning_summary,
-                intended_label=graph.labels[add_choice],
+                intended_label=graph.labels[decision.add_choice],
             )
         except TagSiegeError as exc:
             # a skipped target contributes no logical queries; roll back

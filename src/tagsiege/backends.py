@@ -5,7 +5,7 @@ cosine geometry over the surrogate embeddings and by TF-IDF weight for the
 keyword, so it is pure, reproducible and usable offline. The LLM backend
 speaks the common chat-completions JSON protocol; malformed or
 constraint-violating replies get one corrective re-prompt and then fall back
-to the oracle, with the entry marked.
+to the oracle; `fallback_count` counts those fallbacks.
 """
 
 from __future__ import annotations
@@ -396,7 +396,10 @@ class LLMBackend(AttackerBackend):
         self._count(queries=1)
         reason = ""
         text = prompt.text
-        for _ in range(2):  # initial ask plus one corrective re-prompt
+        for attempt in range(2):  # initial ask plus one corrective re-prompt
+            if attempt:
+                self._count(retries=1)
+                text = prompt.text + REPROMPT_SUFFIX.format(reason=reason)
             content = self._complete(text)
             try:
                 obj = extract_json_object(content)
@@ -414,8 +417,6 @@ class LLMBackend(AttackerBackend):
                         reasoning_summary=str(obj.get("rationale", "")),
                         justifications=str(obj.get("rationale", "")),
                     )
-            self._count(retries=1)
-            text = prompt.text + REPROMPT_SUFFIX.format(reason=reason)
         self._count(fallbacks=1)
         oracle = self.fallback.topology_decision(prompt)
         self.fallback._count(queries=-1)  # accounted under this backend's counter
@@ -432,7 +433,10 @@ class LLMBackend(AttackerBackend):
         original = self.fallback.graph.texts[prompt.target]
         reason = ""
         text = prompt.text
-        for _ in range(2):
+        for attempt in range(2):
+            if attempt:
+                self._count(retries=1)
+                text = prompt.text + REPROMPT_SUFFIX.format(reason=reason)
             content = self._complete(text)
             try:
                 obj = extract_json_object(content)
@@ -448,8 +452,6 @@ class LLMBackend(AttackerBackend):
                         rewritten_text=new_text,
                         rationale=str(obj.get("rationale", "")),
                     )
-            self._count(retries=1)
-            text = prompt.text + REPROMPT_SUFFIX.format(reason=reason)
         self._count(fallbacks=1)
         oracle = self.fallback.text_decision(prompt, budget)
         self.fallback._count(queries=-1)

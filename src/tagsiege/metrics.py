@@ -15,14 +15,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, ShapeError
 from .graph import TextAttributedGraph
-from .plan import (
-    Budgets,
-    PerturbationPlan,
-    apply_plan,
-    apply_text_only,
-    edit_counts,
-    structure_only,
-)
+from .plan import Budgets, PerturbationPlan, apply_plan, edit_counts
 from .text_features import token_edit_distance
 from .victims import VictimModel, accuracy
 
@@ -213,14 +206,13 @@ def synergy_test(
         }
     features_clean = featurize_fn(clean.texts)
 
-    struct_graph = apply_plan(clean, structure_only(plan), budgets).graph
-    text_graph = apply_text_only(clean, plan, budgets)
-    joint_graph = apply_plan(clean, plan, budgets).graph
-
+    # the single-modality graphs take one half of the joint perturbation each
+    joint = apply_plan(clean, plan, budgets).graph
+    features_joint = featurize_fn(joint.texts)
     variants = {
-        "struct": (struct_graph, features_clean),
-        "text": (text_graph, featurize_fn(text_graph.texts)),
-        "joint": (joint_graph, featurize_fn(joint_graph.texts)),
+        "struct": (clean.with_changes(edges=joint.edges), features_clean),
+        "text": (clean.with_changes(texts=joint.texts), features_joint),
+        "joint": (joint, features_joint),
     }
     out: dict[str, SynergyRow] = {}
     for name, model in victims.items():

@@ -65,10 +65,6 @@ class PlanEntry:
     def edge_edit_count(self) -> int:
         return (0 if self.delete_neighbor is None else 1) + 1
 
-    @property
-    def has_text_edit(self) -> bool:
-        return self.new_text is not None
-
 
 @dataclass
 class PerturbationPlan:
@@ -201,50 +197,6 @@ def apply_plan(
         per_node_text_edits=per_node_text,
     )
     return AppliedPlan(graph=perturbed, audit=audit)
-
-
-def structure_only(plan: PerturbationPlan) -> PerturbationPlan:
-    """The same plan with every text edit stripped."""
-    out = PerturbationPlan(skipped=dict(plan.skipped))
-    for entry in plan.entries.values():
-        out.add(PlanEntry(
-            target=entry.target,
-            delete_neighbor=entry.delete_neighbor,
-            add_influencer=entry.add_influencer,
-            rationale=entry.rationale,
-            intended_label=entry.intended_label,
-        ))
-    return out
-
-
-def apply_text_only(
-    graph: TextAttributedGraph,
-    plan: PerturbationPlan,
-    budgets: Budgets,
-) -> TextAttributedGraph:
-    """Apply just the text edits of a plan, with the same budget accounting."""
-    texts = list(graph.texts)
-    total = 0
-    for target in sorted(plan.entries):
-        entry = plan.entries[target]
-        if entry.new_text is None:
-            continue
-        if not entry.new_text.strip():
-            raise PlanInconsistencyError(f"target {target}: rewritten text is empty")
-        dist = token_edit_distance(graph.texts[target], entry.new_text)
-        if dist > budgets.text_token_budget:
-            raise BudgetError(
-                f"text edit distance {dist} exceeds per-node budget "
-                f"{budgets.text_token_budget}",
-                node=target,
-            )
-        if total + dist > budgets.global_text_budget:
-            raise BudgetError(
-                f"global text budget {budgets.global_text_budget} exhausted", node=target
-            )
-        texts[target] = entry.new_text
-        total += dist
-    return graph.with_changes(texts=texts)
 
 
 def edit_counts(

@@ -1,4 +1,4 @@
-"""Tokenization, TF-IDF features and text drift measurement.
+"""Tokenization, TF-IDF features and embedding files.
 
 The featurizer is deliberately simple and fully pinned down so that feature
 vectors are reproducible across runs and machines: lowercase alphanumeric
@@ -108,39 +108,6 @@ def featurize(
         norms = np.linalg.norm(out, axis=1, keepdims=True)
         np.divide(out, norms, out=out, where=norms > 0)
     return out
-
-
-def text_drift(x_old: np.ndarray, x_new: np.ndarray) -> float:
-    """L2 distance between two feature vectors of equal dimension."""
-    x_old = np.asarray(x_old, dtype=float)
-    x_new = np.asarray(x_new, dtype=float)
-    if x_old.shape != x_new.shape:
-        raise ShapeError(f"feature shapes differ: {x_old.shape} vs {x_new.shape}")
-    return float(np.linalg.norm(x_new - x_old))
-
-
-def estimate_lipschitz(
-    clean_texts: Sequence[str],
-    perturbed_texts: Sequence[str],
-    vocab: Vocabulary,
-) -> float:
-    """Max observed feature drift per token edit over the changed pairs."""
-    if len(clean_texts) != len(perturbed_texts):
-        raise ShapeError(
-            f"text lists differ in length: {len(clean_texts)} vs {len(perturbed_texts)}"
-        )
-    changed = [
-        (a, b) for a, b in zip(clean_texts, perturbed_texts) if a != b
-    ]
-    changed = [(a, b) for a, b in changed if token_edit_distance(a, b) > 0]
-    if not changed:
-        raise DegenerateInputError("no text pair differs; nothing to estimate")
-    best = 0.0
-    for old, new in changed:
-        xa = featurize([old], vocab)[0]
-        xb = featurize([new], vocab)[0]
-        best = max(best, text_drift(xa, xb) / token_edit_distance(old, new))
-    return best
 
 
 def save_embeddings(vectors: np.ndarray, path: str | Path) -> None:

@@ -5,26 +5,16 @@ import re
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tagsiege.attack import (
-    attack,
-    generate_text_edit,
-    select_deletion,
-    select_insertion,
-)
+from tagsiege.attack import attack
 from tagsiege.backends import LLMBackend, LLMConfig, OracleBackend, validate_text_decision
-from tagsiege.errors import (
-    BackendError,
-    BackendExhaustedError,
-    ConfigurationError,
-    IsolatedNodeError,
-)
+from tagsiege.errors import BackendError, BackendExhaustedError, ConfigurationError
 from tagsiege.graph import TextAttributedGraph
 from tagsiege.plan import Budgets, apply_plan
-from tagsiege.prompts import TextPrompt, TopologyPrompt, build_text_prompt
 from tagsiege.retrieval import cosine_dissimilarity
 from tagsiege.seeding import substream
 from tagsiege.text_features import Vocabulary, tokenize
@@ -159,22 +149,60 @@ def test_isolated_target_gets_insertion_only_entry():
     assert applied.audit.edge_edits == 1
 
 
+class TransportDown(OracleBackend):
+    def topology_decision(self, prompt):
+        if prompt.target == 5:
+            raise BackendError("transport down")
+        return super().topology_decision(prompt)
+
+
+class DeletesStranger(OracleBackend):
+    """Names a deletion outside the presented neighbours for target 5."""
+
+    def topology_decision(self, prompt):
+        decision = super().topology_decision(prompt)
+        if prompt.target == 5:
+            return replace(decision, delete_choice=99)
+        return decision
+
+
+class DropsKeyword(OracleBackend):
+    """Rewrites target 5's text without the keyword it names."""
+
+    def text_decision(self, prompt, budget):
+        decision = super().text_decision(prompt, budget)
+        if prompt.target == 5:
+            kept = [t for t in tokenize(decision.rewritten_text) if t != decision.keyword]
+            return replace(decision, rewritten_text=" ".join(kept))
+        return decision
+
+
 def test_failing_target_is_skipped_not_fatal():
-    g, Z, oracle = setup()
-
-    class Flaky(OracleBackend):
-        def topology_decision(self, prompt):
-            if prompt.target == 5:
-                raise BackendError("transport down")
-            return super().topology_decision(prompt)
-
-    flaky = Flaky(g, Z, Vocabulary.from_texts(g.texts))
+    g, Z, _ = setup()
+    vocab = Vocabulary.from_texts(g.texts)
     budgets = Budgets.for_targets(3)
-    plan = attack(g, [0, 5, 9], Z, flaky, budgets, seed=3)
-    assert sorted(plan.entries) == [0, 9]
-    assert 5 in plan.skipped
-    assert "transport down" in plan.skipped[5]
-    assert flaky.query_count == 2 * len(plan.entries)
+    for backend_cls, reason in [
+        (TransportDown, "transport down"),
+        (DeletesStranger, "target 5: delete_id 99 not in the presented neighbor list"),
+        (DropsKeyword,
+         "target 5: invalid rewrite: rewritten text does not contain the keyword"),
+    ]:
+        backend = backend_cls(g, Z, vocab)
+        plan = attack(g, [0, 5, 9], Z, backend, budgets, seed=3)
+        assert sorted(plan.entries) == [0, 9], backend_cls.__name__
+        assert plan.skipped == {5: reason}
+        assert backend.query_count == 2 * len(plan.entries)
+
+
+def test_zero_text_budget_skips_every_target_then_raises():
+    g, Z, oracle = setup()
+    budgets = Budgets(per_node_edge_budget=2, global_edge_budget=4)  # no text edits
+    with pytest.raises(BackendExhaustedError) as info:
+        attack(g, [0, 3], Z, oracle, budgets, seed=0)
+    assert info.value.plan.skipped == dict.fromkeys(
+        [0, 3], "text budget must allow at least one token edit"
+    )
+    assert oracle.query_count == 0
 
 
 def test_skip_after_topology_query_rolls_back_count():
@@ -238,27 +266,6 @@ def test_anchor_mismatch_breaks_keyword_alignment():
         aligned.entries[t].new_text != mismatched.entries[t].new_text for t in targets
     )
     assert moved > 0
-
-
-def test_select_helpers_validate_membership():
-    g, Z, oracle = setup()
-    prompt = TopologyPrompt(text="", target=0, neighbor_ids=(1, 15), candidate_ids=(8,))
-    with pytest.raises(IsolatedNodeError):
-        select_deletion(oracle, TopologyPrompt(text="", target=0, neighbor_ids=(),
-                                               candidate_ids=(8,)), ())
-    assert select_deletion(oracle, prompt, (1, 15)) in (1, 15)
-    assert select_insertion(oracle, prompt, (8,)) == 8
-
-
-def test_generate_text_edit_guards():
-    g, Z, oracle = setup()
-    prompt = build_text_prompt(g, 0, 3)
-    with pytest.raises(ConfigurationError):
-        generate_text_edit(oracle, prompt, g.texts[0], g.texts[3], 0)
-    with pytest.raises(ConfigurationError):
-        generate_text_edit(oracle, prompt, g.texts[0], "", 5)
-    keyword, new_text = generate_text_edit(oracle, prompt, g.texts[0], g.texts[3], 8)
-    assert keyword in set(tokenize(new_text))
 
 
 NODE_LINE = re.compile(r"^- node (\d+): ", re.M)
@@ -360,6 +367,10 @@ def test_concurrent_llm_attack_matches_one_in_flight(monkeypatch):
     assert backend.query_count == 2 * len(concurrent.entries)
     assert backend.retry_count > 0 and backend.fallback_count > 0
     assert concurrent_llm.calls == serial_llm.calls
+    # every request sent is a logical query, a re-sent one (transport retry or
+    # corrective re-prompt) or a rolled-back query of a skipped target: one
+    # for target 12 (topology), two for target 7 (topology, then text)
+    assert concurrent_llm.calls == backend.query_count + backend.retry_count + 1 + 2
 
 
 def test_counters_lose_no_update_under_fast_thread_switching():

@@ -250,7 +250,7 @@ def test_llm_reprompts_then_falls_back_to_oracle():
     assert decision.delete_choice in prompt.neighbor_ids
     assert decision.add_choice in prompt.candidate_ids
     assert backend.query_count == 1       # still one logical query
-    assert backend.retry_count == 2       # two rejected replies
+    assert backend.retry_count == 1       # one re-sent request before the fallback
     assert backend.fallback_count == 1
     assert "could not be used" in transport.calls[1]["payload"]["messages"][0]["content"]
 

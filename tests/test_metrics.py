@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,6 +150,17 @@ def test_bound_audit_reports_drift_components():
     assert audit["edge_ratio"] == 0.0
     assert audit["text_edits"] == 1.0
 
+    # by hand: adding one token moves its idf-weighted count from 0 to idf
+    corpus = ["alpha beta", "beta gamma", "gamma alpha"]
+    h = TextAttributedGraph.build(
+        texts=corpus, labels=[0, 0, 1], splits=["train"] * 3,
+        edges=[(0, 1), (1, 2), (0, 2)],
+    )
+    vocab = Vocabulary.from_texts(corpus)
+    h2 = h.with_changes(texts=["alpha beta gamma", "beta gamma", "gamma alpha"])
+    audit = bound_audit(h, h2, featurize(h.texts, vocab), featurize(h2.texts, vocab))
+    assert audit["lipschitz_est"] == pytest.approx(vocab.idf("gamma"))
+
 
 def test_aggregate_worked_example():
     out = aggregate([0.8, 0.6, 0.4])
@@ -246,9 +259,10 @@ def test_synergy_empty_plan_is_all_zero():
 
 def test_synergy_structure_only_plan_has_zero_text_drop():
     g, plan, budgets, victims, feats, targets = synergy_fixture()
-    from tagsiege.plan import structure_only
-
-    rows = synergy_test(g, structure_only(plan), budgets, victims, feats, targets)
+    stripped = PerturbationPlan(entries={
+        t: replace(e, keyword=None, new_text=None) for t, e in plan.entries.items()
+    })
+    rows = synergy_test(g, stripped, budgets, victims, feats, targets)
     for row in rows.values():
         assert row.drop_text == 0.0
         assert row.drop_struct == pytest.approx(row.drop_joint)

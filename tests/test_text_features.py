@@ -9,11 +9,9 @@ from tagsiege.errors import DegenerateInputError, ParseError, ShapeError
 from tagsiege.text_features import (
     Vocabulary,
     build_vocabulary,
-    estimate_lipschitz,
     featurize,
     load_embeddings,
     save_embeddings,
-    text_drift,
     token_edit_distance,
     tokenize,
 )
@@ -82,36 +80,6 @@ def test_featurize_normalized_rows_unit_norm():
     X = featurize(["a b", "zzz"], vocab, normalize=True)
     assert np.linalg.norm(X[0]) == pytest.approx(1.0)
     assert np.linalg.norm(X[1]) == 0.0
-
-
-def test_text_drift_is_l2():
-    assert text_drift(np.array([1.0, 0.0]), np.array([0.0, 0.0])) == pytest.approx(1.0)
-    with pytest.raises(ShapeError):
-        text_drift(np.zeros(2), np.zeros(3))
-
-
-@given(st.lists(st.floats(-5, 5), min_size=3, max_size=3),
-       st.lists(st.floats(-5, 5), min_size=3, max_size=3))
-def test_text_drift_nonnegative_and_symmetric(a, b):
-    a, b = np.array(a), np.array(b)
-    assert text_drift(a, b) >= 0
-    assert text_drift(a, b) == pytest.approx(text_drift(b, a))
-
-
-def test_estimate_lipschitz_matches_hand_computation():
-    corpus = ["alpha beta", "beta gamma", "gamma alpha"]
-    vocab = Vocabulary.from_texts(corpus)
-    perturbed = ["alpha beta gamma", "beta gamma", "gamma alpha"]
-    # one token added: drift == idf(gamma), distance == 1
-    expected = vocab.idf("gamma")
-    assert estimate_lipschitz(corpus, perturbed, vocab) == pytest.approx(expected)
-
-
-def test_estimate_lipschitz_needs_a_changed_pair():
-    corpus = ["alpha beta", "beta gamma"]
-    vocab = Vocabulary.from_texts(corpus)
-    with pytest.raises(DegenerateInputError):
-        estimate_lipschitz(corpus, list(corpus), vocab)
 
 
 def test_embeddings_roundtrip(tmp_path):
