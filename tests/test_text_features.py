@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tagsiege.errors import DegenerateInputError, ParseError, ShapeError
+from tagsiege.graph import TextAttributedGraph
+from tagsiege.metrics import bound_audit
 from tagsiege.text_features import (
     Vocabulary,
     build_vocabulary,
@@ -80,6 +82,22 @@ def test_featurize_normalized_rows_unit_norm():
     X = featurize(["a b", "zzz"], vocab, normalize=True)
     assert np.linalg.norm(X[0]) == pytest.approx(1.0)
     assert np.linalg.norm(X[1]) == 0.0
+
+
+def test_estimate_lipschitz_matches_hand_computation():
+    # the featurizer's per-token Lipschitz estimate is reported by bound_audit
+    corpus = ["alpha beta", "beta gamma", "gamma alpha"]
+    vocab = Vocabulary.from_texts(corpus)
+    perturbed = ["alpha beta gamma", "beta gamma", "gamma alpha"]
+    g = TextAttributedGraph.build(
+        texts=corpus, labels=[0, 0, 1], splits=["train"] * 3,
+        edges=[(0, 1), (1, 2), (0, 2)],
+    )
+    g2 = g.with_changes(texts=perturbed)
+    audit = bound_audit(g, g2, featurize(corpus, vocab), featurize(perturbed, vocab))
+    # one token added: drift == idf(gamma), distance == 1
+    expected = vocab.idf("gamma")
+    assert audit["lipschitz_est"] == pytest.approx(expected)
 
 
 def test_embeddings_roundtrip(tmp_path):
