@@ -247,6 +247,17 @@ def _train_embeddings(graph, features, cfg: dict):
     return trained, encode(trained, graph, features)
 
 
+def _counters(features, operand_forms: dict[str, dict[str, str]]) -> dict:
+    """Sparsity of the clean features and, per model, the form ("csr" or
+    "dense") each of its fixed training operands took."""
+    rows, cols = features.shape
+    return {
+        "features_nnz": features.nnz,
+        "features_density": features.nnz / (rows * cols),
+        "operand_forms": operand_forms,
+    }
+
+
 def _plan_budgets(plan, clean) -> Budgets:
     """Budgets wide enough to re-apply a stored plan to its clean graph."""
     entries = plan.entries.values()
@@ -302,6 +313,7 @@ def _run_encode(cfg: dict, out: Path):
         "vocab_size": len(vocab.index),
         "final_loss": trained.loss_history[-1],
         "timings": {"train_s": round(time.perf_counter() - started, 3)},
+        "counters": _counters(features, {"encoder": trained.operand_forms}),
     }
     print(f"encode: final loss {trained.loss_history[-1]:.4f} -> {out}")
     return _dataset_inputs(cfg["data"]), extra, EXIT_OK
@@ -337,7 +349,7 @@ def _run_attack(cfg: dict, out: Path):
     vocab = build_vocabulary(graph, cfg["max_vocab"])
     features = featurize(graph.texts, vocab)
     started = time.perf_counter()
-    _, embeddings = _train_embeddings(graph, features, cfg)
+    trained, embeddings = _train_embeddings(graph, features, cfg)
     train_s = time.perf_counter() - started
 
     budgets = Budgets.for_targets(
@@ -402,6 +414,7 @@ def _run_attack(cfg: dict, out: Path):
             "encoder_train_s": round(train_s, 3),
             "attack_s": round(attack_s, 3),
         },
+        "counters": _counters(features, {"encoder": trained.operand_forms}),
     }
     if cfg["backend"] == "llm":
         extra["cost_estimate_usd"] = round(COST_PER_NODE_USD * completed, 6)
@@ -529,7 +542,9 @@ def _run_evaluate(cfg: dict, out: Path):
         f"{k}={victims_out[k]['attackers'][label]['drop']:.3f}" for k in ordered
     )
     print(f"evaluate: drops {drops} -> {out}")
-    return inputs, {"seed": cfg["seed"], "victims": ordered}, EXIT_OK
+    forms = {kind: model.operand_forms for kind, model in victims.items()}
+    extra = {"seed": cfg["seed"], "victims": ordered, "counters": _counters(clean_x, forms)}
+    return inputs, extra, EXIT_OK
 
 
 def _run_audit(cfg: dict, out: Path):

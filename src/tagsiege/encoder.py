@@ -20,7 +20,9 @@ import scipy.sparse as sp
 
 from .errors import ConfigurationError, ParseError, ShapeError, TrainingError
 from .graph import TextAttributedGraph
-from .nnops import cross_entropy_with_grad, fit, glorot, relu
+from .nnops import (
+    as_dense, cross_entropy_with_grad, fit, glorot, operand_form, relu, training_operand,
+)
 from .seeding import substream
 
 
@@ -75,10 +77,11 @@ class TrainedEncoder:
     params: EncoderParams
     config: EncoderConfig
     loss_history: list[float] = field(default_factory=list)
+    operand_forms: dict[str, str] = field(default_factory=dict)  # "csr" or "dense"
 
 
 def forward(
-    params: EncoderParams, a_hat: sp.csr_matrix, features: np.ndarray
+    params: EncoderParams, a_hat: sp.csr_matrix, features: np.ndarray | sp.csr_matrix
 ) -> tuple[np.ndarray, np.ndarray]:
     """Return (logits, embeddings); embeddings are the post-relu hidden layer."""
     if features.shape[1] != params.w1.shape[0]:
@@ -94,13 +97,13 @@ def forward(
 def _loss_and_grads(
     params: EncoderParams,
     a_hat: sp.csr_matrix,
-    u: np.ndarray,
+    u: np.ndarray | sp.csr_matrix,
     labels: np.ndarray,
     train_rows: np.ndarray,
     weight_decay: float,
 ) -> Iterator[tuple[float, list[np.ndarray]]]:
     """Yield the loss and [dW1, dW2] at the current `params`, once per `next`;
-    `u` is the fixed first propagation a_hat @ features."""
+    `u` is the fixed first propagation a_hat @ features, dense or CSR."""
     while True:
         h_pre = u @ params.w1
         h = relu(h_pre)
@@ -132,17 +135,20 @@ def init_params(
 
 def train_encoder(
     graph: TextAttributedGraph,
-    features: np.ndarray,
+    features: np.ndarray | sp.csr_matrix,
     config: EncoderConfig | None = None,
 ) -> TrainedEncoder:
-    """Fit on the train split; deterministic given the config seed."""
+    """Fit on the train split; deterministic given the config seed.
+
+    `u` = a_hat @ features is kept in the form `nnops.training_operand`
+    picks for it, recorded in `operand_forms`."""
     config = config or EncoderConfig()
     train_rows = np.array(graph.split_nodes("train"), dtype=int)
     if train_rows.size == 0:
         raise TrainingError("graph has no train nodes")
     labels = np.array(graph.labels, dtype=int)
     a_hat = normalize_adjacency(graph)
-    u = a_hat @ features
+    u = training_operand(a_hat @ features)
     params = init_params(features.shape[1], config.hidden, graph.class_count, config.seed)
     history = fit(
         [params.w1, params.w2],
@@ -151,11 +157,12 @@ def train_encoder(
         config.learning_rate,
         "training loss",
     )
-    return TrainedEncoder(params=params, config=config, loss_history=history)
+    forms = {"u": operand_form(u)}
+    return TrainedEncoder(params, config, loss_history=history, operand_forms=forms)
 
 
 def encode(
-    trained: TrainedEncoder, graph: TextAttributedGraph, features: np.ndarray
+    trained: TrainedEncoder, graph: TextAttributedGraph, features: np.ndarray | sp.csr_matrix
 ) -> np.ndarray:
     _, z = forward(trained.params, normalize_adjacency(graph), features)
     return z
@@ -164,7 +171,7 @@ def encode(
 def gradient_check(
     params: EncoderParams,
     a_hat: sp.csr_matrix,
-    features: np.ndarray,
+    features: np.ndarray | sp.csr_matrix,
     labels: np.ndarray,
     train_rows: np.ndarray,
     weight_decay: float = 0.0,
@@ -178,7 +185,7 @@ def gradient_check(
     are skipped: the numeric difference is one-sided there and disagreement
     is expected rather than a bug.
     """
-    u = a_hat @ features
+    u = as_dense(a_hat @ features)
     h_pre = u @ params.w1
 
     def loss_at(p: EncoderParams) -> float:

@@ -15,13 +15,15 @@ import numpy as np
 
 from .errors import DegenerateInputError, ShapeError
 from .graph import TextAttributedGraph
+from .nnops import as_dense
 from .plan import Budgets, PerturbationPlan, apply_plan, edit_counts
 from .text_features import token_edit_distance
 from .victims import VictimModel, accuracy
 
 
-def _check_features(graph: TextAttributedGraph, features: np.ndarray) -> np.ndarray:
-    features = np.asarray(features, dtype=float)
+def _check_features(graph: TextAttributedGraph, features) -> np.ndarray:
+    """Dense float features (CSR input is densified) with one row per node."""
+    features = as_dense(features)
     if features.shape[0] != graph.node_count:
         raise ShapeError(
             f"feature rows {features.shape[0]} != node count {graph.node_count}"
@@ -91,7 +93,10 @@ def bound_audit(
     per-token Lipschitz estimate of the featurizer, and
     |ΔH_edge| / (Δ_E + L̂·τ_max) as `empirical_ratio` (0 when the denominator
     vanishes). Nothing is asserted here — the constants are unknown.
+    Features may be dense or CSR; both are made dense on entry.
     """
+    features_clean = as_dense(features_clean)
+    features_pert = as_dense(features_pert)
     h_edge_clean = homophily_edge(clean, features_clean)
     h_edge_pert = homophily_edge(perturbed, features_pert)
     h_node_clean = homophily_node(clean, features_clean)
@@ -100,8 +105,6 @@ def bound_audit(
 
     drifts: list[float] = []
     lipschitz = 0.0
-    features_clean = np.asarray(features_clean, dtype=float)
-    features_pert = np.asarray(features_pert, dtype=float)
     for i, (old, new) in enumerate(zip(clean.texts, perturbed.texts)):
         if old == new:
             continue

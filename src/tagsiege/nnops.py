@@ -1,7 +1,8 @@
-"""Small shared numerics: init, activations, the loss, and the training loop.
+"""Small shared numerics: init, activations, the loss, the training loop, and
+the dense-or-CSR choice for fixed training operands.
 
 `fit` is the one full-batch Adam loop that trains the surrogate encoder and
-every victim. Everything here is plain numpy on float64 so results are
+every victim. Everything here is plain numpy/scipy on float64 so results are
 bit-stable across runs on the same platform.
 """
 
@@ -10,8 +11,38 @@ from __future__ import annotations
 from typing import Iterator
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import TrainingError
+
+# A fixed training operand (a_hat @ X, X, m @ X, a_hat^K @ X) stays CSR when at
+# most this share of its entries is nonzero. Measured crossover of `u @ W1`
+# (u = a_hat @ X, h=64, one OpenBLAS thread, 2-vCPU VM), mean of 200 calls:
+#   n=1000, |V|=344: u 5.2% nonzero, CSR 0.63 ms, dense 1.18 ms
+#   n=500,  |V|=195: u 9.4% nonzero, CSR 0.35 ms, dense 0.41 ms
+#   n=300,  |V|=133: u 14% nonzero,  CSR 0.19 ms, dense 0.14 ms
+#   n=2000, |V|=64:  u 26% nonzero,  CSR 0.94 ms, dense 0.46 ms
+SPARSE_OPERAND_MAX_DENSITY = 0.10
+
+
+def as_dense(x: np.ndarray | sp.spmatrix) -> np.ndarray:
+    """`x` as a float ndarray, whether it came in dense or sparse."""
+    return x.toarray() if sp.issparse(x) else np.asarray(x, dtype=float)
+
+
+def training_operand(x: np.ndarray | sp.spmatrix) -> sp.csr_matrix | np.ndarray:
+    """`x` as CSR if at most SPARSE_OPERAND_MAX_DENSITY of its entries are
+    nonzero, else as a dense ndarray. Products with either form agree up to
+    float summation order."""
+    nnz = x.count_nonzero() if sp.issparse(x) else np.count_nonzero(x)
+    size = x.shape[0] * x.shape[1]
+    if size and nnz / size > SPARSE_OPERAND_MAX_DENSITY:
+        return as_dense(x)
+    return sp.csr_matrix(x)
+
+
+def operand_form(x: np.ndarray | sp.spmatrix) -> str:
+    return "csr" if sp.issparse(x) else "dense"
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

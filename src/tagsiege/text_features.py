@@ -13,12 +13,15 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .errors import DegenerateInputError, ParseError, ShapeError
 from .graph import TextAttributedGraph
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
 
@@ -87,27 +90,31 @@ def build_vocabulary(graph: TextAttributedGraph, max_size: int = 2000) -> Vocabu
     return Vocabulary.from_texts(graph.texts, max_size=max_size)
 
 
-def featurize(
-    texts: Sequence[str], vocab: Vocabulary, normalize: bool = False
-) -> np.ndarray:
-    """Dense (n, |V|) TF-IDF matrix: raw term count times smoothed idf.
+def featurize(texts: Sequence[str], vocab: Vocabulary) -> sp.csr_matrix:
+    """(n, |V|) TF-IDF matrix as CSR: raw term count times smoothed idf.
 
-    Terms outside the vocabulary are dropped; texts with no known terms get a
-    zero row. With normalize=True rows are scaled to unit L2 norm (zero rows
-    stay zero).
+    Terms outside the vocabulary are dropped; texts with no known terms get an
+    empty row. Column indices are sorted within each row and duplicate terms
+    are summed into one entry, so each value equals count * idf exactly.
     """
-    idf = vocab.idf_vector()
-    out = np.zeros((len(texts), len(vocab)))
+    # imported here: `plan` imports this module for token_edit_distance, and
+    # processes that never featurize (the RND/FLIP baselines) skip ~0.2 s
+    import scipy.sparse as sp
+
+    rows: list[int] = []
+    cols: list[int] = []
     for row, text in enumerate(texts):
         for term in tokenize(text):
             col = vocab.index.get(term)
             if col is not None:
-                out[row, col] += 1.0
-    out *= idf
-    if normalize:
-        norms = np.linalg.norm(out, axis=1, keepdims=True)
-        np.divide(out, norms, out=out, where=norms > 0)
-    return out
+                rows.append(row)
+                cols.append(col)
+    counts = sp.csr_matrix(
+        (np.ones(len(cols)), (rows, cols)), shape=(len(texts), len(vocab))
+    )
+    counts.sum_duplicates()
+    counts.data *= vocab.idf_vector()[counts.indices]
+    return counts
 
 
 def save_embeddings(vectors: np.ndarray, path: str | Path) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
@@ -29,7 +29,7 @@ from .encoder import (
 )
 from .errors import ConfigurationError, DegenerateInputError, ParseError, ShapeError, TrainingError
 from .graph import TextAttributedGraph
-from .nnops import cross_entropy_with_grad, fit, glorot, relu
+from .nnops import cross_entropy_with_grad, fit, glorot, operand_form, relu, training_operand
 from .seeding import substream
 
 VICTIM_KINDS = ("gcn", "sgc", "sage_mean")
@@ -57,6 +57,7 @@ class VictimModel:
     weights: dict[str, np.ndarray]
     config: VictimConfig
     val_accuracy: float | None = None
+    operand_forms: dict[str, str] = field(default_factory=dict)  # "csr" or "dense"
 
     def __post_init__(self):
         if self.kind not in VICTIM_KINDS:
@@ -104,18 +105,19 @@ def _propagation(kind: str, graph: TextAttributedGraph) -> sp.csr_matrix:
 
 
 def sgc_logits(
-    a_hat: sp.csr_matrix, features: np.ndarray, w: np.ndarray, steps: int
+    a_hat: sp.csr_matrix, features: np.ndarray | sp.csr_matrix, w: np.ndarray, steps: int
 ) -> np.ndarray:
-    """K propagation steps then one linear map."""
-    propagated = features
+    """a_hat^K @ features @ w, propagating the (n, C) product `features @ w`
+    rather than the (n, |V|) features."""
+    logits = features @ w
     for _ in range(steps):
-        propagated = a_hat @ propagated
-    return propagated @ w
+        logits = a_hat @ logits
+    return logits
 
 
 def sage_logits(
     m: sp.csr_matrix,
-    features: np.ndarray,
+    features: np.ndarray | sp.csr_matrix,
     weights: dict[str, np.ndarray],
 ) -> np.ndarray:
     """Mean-SAGE: each layer mixes the node's own signal with its mean neighbor."""
@@ -125,7 +127,7 @@ def sage_logits(
 
 
 def victim_logits(
-    model: VictimModel, graph: TextAttributedGraph, features: np.ndarray
+    model: VictimModel, graph: TextAttributedGraph, features: np.ndarray | sp.csr_matrix
 ) -> np.ndarray:
     """Forward pass with propagation taken from the *given* graph."""
     first = next(iter(model.weights.values()))
@@ -180,8 +182,11 @@ def sage_loss_and_grads(
         yield loss, [dws1, dwn1, dws2, dwn2]
 
 
-def _train_weights(kind, graph, X, labels, rows, cfg) -> dict[str, np.ndarray]:
-    """Initialise from the kind's seed substream, then fit on the train rows."""
+def _train_weights(kind, graph, X, labels, rows, cfg) -> tuple[dict, dict[str, str]]:
+    """Initialise from the kind's seed substream, then fit on the train rows.
+
+    Returns the weights and the form (`nnops.training_operand`) each fixed
+    operand took."""
     classes = int(labels.max()) + 1
     wd = cfg.weight_decay
     if kind == "gcn":
@@ -191,7 +196,8 @@ def _train_weights(kind, graph, X, labels, rows, cfg) -> dict[str, np.ndarray]:
         )
         weights = {"w1": params.w1, "w2": params.w2}
         a_hat = _propagation(kind, graph)
-        steps = _loss_and_grads(params, a_hat, a_hat @ X, labels, rows, wd)
+        operands = {"u": training_operand(a_hat @ X)}
+        steps = _loss_and_grads(params, a_hat, operands["u"], labels, rows, wd)
     elif kind == "sgc":
         rng = substream(cfg.seed, "victim-sgc")
         propagated = X
@@ -199,7 +205,8 @@ def _train_weights(kind, graph, X, labels, rows, cfg) -> dict[str, np.ndarray]:
         for _ in range(cfg.sgc_steps):
             propagated = a_hat @ propagated
         weights = {"w": glorot(rng, X.shape[1], classes)}
-        steps = sgc_loss_and_grads(weights["w"], propagated, labels, rows, wd)
+        operands = {"propagated": training_operand(propagated)}
+        steps = sgc_loss_and_grads(weights["w"], operands["propagated"], labels, rows, wd)
     else:
         rng = substream(cfg.seed, "victim-sage")
         weights = {
@@ -209,15 +216,16 @@ def _train_weights(kind, graph, X, labels, rows, cfg) -> dict[str, np.ndarray]:
             "wn2": glorot(rng, cfg.hidden, classes),
         }
         m = _propagation(kind, graph)
-        steps = sage_loss_and_grads(weights, m, X, m @ X, labels, rows, wd)
+        operands = {"x": training_operand(X), "x_nbr": training_operand(m @ X)}
+        steps = sage_loss_and_grads(weights, m, *operands.values(), labels, rows, wd)
     fit(list(weights.values()), steps, cfg.epochs, cfg.learning_rate, f"{kind} loss")
-    return weights
+    return weights, {name: operand_form(op) for name, op in operands.items()}
 
 
 def train_victim(
     kind: str,
     graph: TextAttributedGraph,
-    features: np.ndarray,
+    features: np.ndarray | sp.csr_matrix,
     config: VictimConfig | None = None,
 ) -> VictimModel:
     """Fit one victim on the clean graph's train split; deterministic by seed."""
@@ -233,8 +241,8 @@ def train_victim(
         raise TrainingError("graph has no train nodes")
     labels = np.array(graph.labels, dtype=int)
 
-    weights = _train_weights(kind, graph, features, labels, rows, config)
-    model = VictimModel(kind=kind, weights=weights, config=config)
+    weights, forms = _train_weights(kind, graph, features, labels, rows, config)
+    model = VictimModel(kind=kind, weights=weights, config=config, operand_forms=forms)
     val = graph.split_nodes("val")
     if val:
         model.val_accuracy = accuracy(model, graph, features, list(val))
@@ -242,7 +250,7 @@ def train_victim(
 
 
 def predict(
-    model: VictimModel, graph: TextAttributedGraph, features: np.ndarray
+    model: VictimModel, graph: TextAttributedGraph, features: np.ndarray | sp.csr_matrix
 ) -> np.ndarray:
     """Per-node argmax labels; ties resolve to the lowest class id."""
     logits = victim_logits(model, graph, features)
@@ -252,7 +260,7 @@ def predict(
 def accuracy(
     model: VictimModel,
     graph: TextAttributedGraph,
-    features: np.ndarray,
+    features: np.ndarray | sp.csr_matrix,
     node_set: list[int],
 ) -> float:
     if not node_set:

@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from tagsiege.cli import main
+from tagsiege.graph import load_graph
+from tagsiege.text_features import build_vocabulary, featurize
 
 SYNTH_FLAGS = ["--node-count", "120", "--class-count", "4", "--seed", "0"]
 
@@ -117,6 +119,30 @@ def test_attack_artifacts_and_query_accounting(attack_run):
     assert (attack_run / "plan.jsonl").exists()
     assert (attack_run / "perturbed" / "nodes.jsonl").exists()
     assert (attack_run / "perturbed" / "edges.csv").exists()
+
+
+def test_manifests_record_feature_sparsity_and_operand_forms(tmp_path, data_dir, attack_run):
+    graph = load_graph(data_dir)
+    X = featurize(graph.texts, build_vocabulary(graph))
+    out = tmp_path / "eval"
+    assert main([
+        "evaluate", "--clean", str(data_dir), "--perturbed", str(attack_run / "perturbed"),
+        "--plan", str(attack_run / "plan.jsonl"), "--out", str(out), "--seed", "1",
+    ]) == 0
+    expected_operands = {
+        attack_run: {"encoder": {"u"}},
+        out: {"gcn": {"u"}, "sgc": {"propagated"}, "sage_mean": {"x", "x_nbr"}},
+    }
+    for run, operands in expected_operands.items():
+        counters = read_manifest(run)["counters"]
+        assert counters["features_nnz"] == X.nnz
+        assert counters["features_density"] == X.nnz / (X.shape[0] * X.shape[1])
+        forms = counters["operand_forms"]
+        assert {model: set(f) for model, f in forms.items()} == operands
+        assert {form for f in forms.values() for form in f.values()} <= {"csr", "dense"}
+    # the raw features are themselves a training operand of the SAGE victim
+    x_form = "csr" if X.nnz <= 0.1 * X.shape[0] * X.shape[1] else "dense"
+    assert read_manifest(out)["counters"]["operand_forms"]["sage_mean"]["x"] == x_form
 
 
 def test_attack_conflicting_target_flags_exit_two(tmp_path, data_dir):

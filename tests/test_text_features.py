@@ -1,7 +1,10 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -71,17 +74,53 @@ def test_idf_formula():
 def test_featurize_counts_times_idf_and_drops_unknown():
     vocab = Vocabulary.from_texts(["a a b", "b"])
     X = featurize(["a a b zzz", "c"], vocab)
+    assert sp.isspmatrix_csr(X) and X.has_canonical_format
     assert X.shape == (2, 2)
     assert X[0, vocab.index["a"]] == pytest.approx(2 * vocab.idf("a"))
     assert X[0, vocab.index["b"]] == pytest.approx(1 * vocab.idf("b"))
-    assert np.all(X[1] == 0)  # all tokens unknown -> zero row
+    assert X.indptr[2] - X.indptr[1] == 0  # all tokens unknown -> empty row
+    assert X.nnz == 2  # "a a" is one summed entry
 
 
-def test_featurize_normalized_rows_unit_norm():
-    vocab = Vocabulary.from_texts(["a b", "a c"])
-    X = featurize(["a b", "zzz"], vocab, normalize=True)
-    assert np.linalg.norm(X[0]) == pytest.approx(1.0)
-    assert np.linalg.norm(X[1]) == 0.0
+def dense_featurize_reference(texts, vocab):
+    """The dense featurizer the CSR one replaced: count * idf, one cell at a time."""
+    idf = vocab.idf_vector()
+    out = np.zeros((len(texts), len(vocab)))
+    for row, text in enumerate(texts):
+        for term in tokenize(text):
+            col = vocab.index.get(term)
+            if col is not None:
+                out[row, col] += 1.0
+    out *= idf
+    return out
+
+
+# "a".."f" build the vocabulary; "x"/"y" never do, so they are out of vocabulary
+corpus_words = st.lists(st.sampled_from("abcdef"), min_size=1, max_size=6).map(" ".join)
+query_words = st.lists(st.sampled_from("abcdefxy"), min_size=0, max_size=10).map(" ".join)
+
+
+@given(
+    st.lists(corpus_words, min_size=1, max_size=6),
+    st.lists(query_words, min_size=0, max_size=8),
+    st.integers(min_value=1, max_value=6),
+)
+@settings(max_examples=200)
+def test_featurize_csr_equals_dense_reference(corpus, texts, max_size):
+    texts = texts + ["a a a b", "x y", ""]  # repeats, all-OOV and empty rows
+    vocab = Vocabulary.from_texts(corpus, max_size=max_size)
+    X = featurize(texts, vocab)
+    assert sp.isspmatrix_csr(X)
+    np.testing.assert_array_equal(X.toarray(), dense_featurize_reference(texts, vocab))
+
+
+def test_plan_and_baselines_import_without_scipy():
+    # `plan` imports text_features; only featurize itself needs scipy.sparse
+    code = (
+        "import sys, tagsiege.baselines, tagsiege.plan; "
+        "sys.exit('scipy.sparse' in sys.modules)"
+    )
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_estimate_lipschitz_matches_hand_computation():
