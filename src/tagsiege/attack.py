@@ -28,6 +28,7 @@ from .errors import (
     TagSiegeError,
 )
 from .graph import TextAttributedGraph
+from .nnops import pair_cosines, unit_rows
 from .plan import Budgets, PerturbationPlan, PlanEntry
 from .prompts import (
     PromptTemplate,
@@ -41,24 +42,15 @@ from .seeding import substream
 log = logging.getLogger("tagsiege.attack")
 
 
-def _next_best_candidate(
-    prompt: TopologyPrompt, chosen: int, embeddings: np.ndarray, norms: np.ndarray
-) -> int | None:
+def _next_best_candidate(prompt: TopologyPrompt, chosen: int, unit: np.ndarray) -> int | None:
     """Runner-up candidate by dissimilarity, for the anchor-mismatch ablation.
 
-    `norms` holds the row norms of `embeddings`.
+    `unit` holds the `unit_rows` of the embeddings.
     """
-    t = prompt.target
-
-    def similarity(c: int) -> float:
-        if norms[t] == 0.0 or norms[c] == 0.0:
-            return 0.0
-        return float(embeddings[t] @ embeddings[c] / (norms[t] * norms[c]))
-
     others = [c for c in prompt.candidate_ids if c != chosen]
     if not others:
         return None
-    return min(others, key=lambda c: (similarity(c), c))
+    return min(zip(pair_cosines(unit, prompt.target, others).tolist(), others))[1]
 
 
 def attack(
@@ -94,10 +86,10 @@ def attack(
     # then fails every target, which the loop records as skips
     try:
         influencer_sets = retrieve_all(embeddings, ordered, k=k)
-        norms = np.linalg.norm(embeddings, axis=1) if anchor_mismatch else None
+        unit = unit_rows(embeddings) if anchor_mismatch else None
         retrieval_error = None
     except ShapeError as exc:
-        influencer_sets, norms, retrieval_error = {}, None, str(exc)
+        influencer_sets, unit, retrieval_error = {}, None, str(exc)
 
     def attack_target(target: int) -> PlanEntry | TagSiegeError:
         backend.start_target()
@@ -123,7 +115,7 @@ def attack(
 
             anchor = decision.add_choice
             if anchor_mismatch:
-                runner_up = _next_best_candidate(prompt, anchor, embeddings, norms)
+                runner_up = _next_best_candidate(prompt, anchor, unit)
                 if runner_up is not None:
                     anchor = runner_up
 

@@ -11,23 +11,21 @@ to the oracle; `fallback_count` counts those fallbacks.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import os
 import threading
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import Callable, TypeVar
 
 import numpy as np
 
 from .errors import BackendError, ConfigurationError, RetrievalExhaustedError
 from .graph import TextAttributedGraph
+from .nnops import pair_cosines, unit_rows
 from .prompts import TextPrompt, TopologyPrompt
 from .text_features import Vocabulary, token_edit_distance, tokenize
-
-log = logging.getLogger("tagsiege.backend")
 
 API_KEY_ENV = "TAGSIEGE_API_KEY"
 BASE_URL_ENV = "TAGSIEGE_BASE_URL"
@@ -41,7 +39,6 @@ class TopologyDecision:
     delete_choice: int | None
     add_choice: int
     reasoning_summary: str
-    justifications: str = ""
     fallback: bool = False
 
 
@@ -51,6 +48,9 @@ class TextDecision:
     rewritten_text: str
     rationale: str = ""
     fallback: bool = False
+
+
+Decision = TypeVar("Decision", TopologyDecision, TextDecision)
 
 
 def validate_topology_decision(
@@ -150,7 +150,7 @@ class OracleBackend(AttackerBackend):
         self.graph = graph
         self.embeddings = np.asarray(embeddings, dtype=float)
         self.vocab = vocab
-        self._norms = [np.linalg.norm(row) for row in self.embeddings]
+        self._unit = unit_rows(self.embeddings)
         self._class_tokens = self._collect_class_tokens(graph)
 
     @staticmethod
@@ -160,26 +160,20 @@ class OracleBackend(AttackerBackend):
             out[label].update(tokenize(text))
         return out
 
-    def _similarity(self, a: int, b: int) -> float:
-        na, nb = self._norms[a], self._norms[b]
-        if na == 0.0 or nb == 0.0:
-            return 0.0
-        return float(np.dot(self.embeddings[a], self.embeddings[b]) / (na * nb))
-
     def topology_decision(self, prompt: TopologyPrompt) -> TopologyDecision:
         self._count(queries=1)
         t = prompt.target
+        neighbors, candidates = list(prompt.neighbor_ids), list(prompt.candidate_ids)
+        similarity = pair_cosines(self._unit, t, neighbors + candidates).tolist()
         delete_choice = None
-        if prompt.neighbor_ids:
+        if neighbors:
             # most relevant neighbor: highest similarity, ties to the lower id
-            delete_choice = max(
-                prompt.neighbor_ids, key=lambda n: (self._similarity(t, n), -n)
-            )
+            delete_choice = max(zip(similarity, neighbors), key=lambda sn: (sn[0], -sn[1]))[1]
         # least similar candidate first, ties to the lower id; skip any that
         # are already wired to the target (possible when the prompt was built
         # by hand rather than through build_topology_prompt)
         add_choice = None
-        for cand in sorted(prompt.candidate_ids, key=lambda c: (self._similarity(t, c), c)):
+        for _, cand in sorted(zip(similarity[len(neighbors):], candidates)):
             if cand != t and not self.graph.has_edge(t, cand):
                 add_choice = cand
                 break
@@ -191,15 +185,8 @@ class OracleBackend(AttackerBackend):
             f"neighbors of node {t} scored by embedding similarity; "
             f"candidates scored by embedding dissimilarity"
         )
-        just = (
-            f"delete {delete_choice} (most similar neighbor); "
-            f"add {add_choice} (least similar candidate)"
-        )
         return TopologyDecision(
-            delete_choice=delete_choice,
-            add_choice=add_choice,
-            reasoning_summary=summary,
-            justifications=just,
+            delete_choice=delete_choice, add_choice=add_choice, reasoning_summary=summary
         )
 
     def _ranked_terms(self, text: str) -> list[str]:
@@ -290,7 +277,6 @@ class LLMConfig:
     timeout: float = 60.0
     max_attempts: int = 3
     backoff_base: float = 0.5
-    trace: bool = False
 
     def resolved_base_url(self) -> str:
         return self.base_url or os.environ.get(BASE_URL_ENV, DEFAULT_BASE_URL)
@@ -373,8 +359,6 @@ class LLMBackend(AttackerBackend):
             "temperature": self.config.temperature,
             "messages": [{"role": "user", "content": prompt_text}],
         }
-        if self.config.trace:
-            log.info("request %s", json.dumps(payload)[:2000])
         last_error: Exception | None = None
         for attempt in range(self.config.max_attempts):
             if attempt:
@@ -382,82 +366,81 @@ class LLMBackend(AttackerBackend):
                 self.sleep(self.config.backoff_base * (2 ** (attempt - 1)))
             try:
                 body = self.transport(url, self._headers(), payload, self.config.timeout)
-                content = body["choices"][0]["message"]["content"]
-                if self.config.trace:
-                    log.info("response %s", json.dumps(content)[:2000])
-                return content
+                return body["choices"][0]["message"]["content"]
             except Exception as exc:  # transport or shape failure; retry
                 last_error = exc
         raise BackendError(
             f"backend failed after {self.config.max_attempts} attempts: {last_error}"
         )
 
-    def topology_decision(self, prompt: TopologyPrompt) -> TopologyDecision:
+    def _ask(
+        self,
+        prompt_text: str,
+        parse: Callable[[dict], tuple[str | None, Decision]],
+        fallback: Callable[[str], Decision],
+    ) -> Decision:
+        """One logical query: the ask plus at most one corrective re-prompt.
+
+        `parse` turns the reply's JSON object into (reason it is invalid or
+        None, decision), and may raise KeyError/TypeError/ValueError on a
+        malformed reply. After a second rejection `fallback(reason)` gives
+        the oracle's answer, which is counted under this backend only.
+        """
         self._count(queries=1)
         reason = ""
-        text = prompt.text
+        text = prompt_text
         for attempt in range(2):  # initial ask plus one corrective re-prompt
             if attempt:
                 self._count(retries=1)
-                text = prompt.text + REPROMPT_SUFFIX.format(reason=reason)
+                text = prompt_text + REPROMPT_SUFFIX.format(reason=reason)
             content = self._complete(text)
             try:
-                obj = extract_json_object(content)
-                delete_id = obj.get("delete_id")
-                delete_id = None if delete_id is None else int(delete_id)
-                add_id = int(obj["add_id"])
+                invalid, decision = parse(extract_json_object(content))
             except (KeyError, TypeError, ValueError) as exc:
                 reason = f"unparseable reply: {exc}"
             else:
-                reason = validate_topology_decision(prompt, delete_id, add_id) or ""
+                reason = invalid or ""
                 if not reason:
-                    return TopologyDecision(
-                        delete_choice=delete_id,
-                        add_choice=add_id,
-                        reasoning_summary=str(obj.get("rationale", "")),
-                        justifications=str(obj.get("rationale", "")),
-                    )
+                    return decision
         self._count(fallbacks=1)
-        oracle = self.fallback.topology_decision(prompt)
+        decision = fallback(reason)
         self.fallback._count(queries=-1)  # accounted under this backend's counter
-        return TopologyDecision(
-            delete_choice=oracle.delete_choice,
-            add_choice=oracle.add_choice,
-            reasoning_summary=oracle.reasoning_summary,
-            justifications=f"oracle fallback after: {reason}",
-            fallback=True,
+        return decision
+
+    def topology_decision(self, prompt: TopologyPrompt) -> TopologyDecision:
+        def parse(obj: dict) -> tuple[str | None, TopologyDecision]:
+            delete_id = obj.get("delete_id")
+            delete_id = None if delete_id is None else int(delete_id)
+            add_id = int(obj["add_id"])
+            rationale = str(obj.get("rationale", ""))
+            return (
+                validate_topology_decision(prompt, delete_id, add_id),
+                TopologyDecision(delete_id, add_id, rationale),
+            )
+
+        return self._ask(
+            prompt.text,
+            parse,
+            lambda reason: replace(self.fallback.topology_decision(prompt), fallback=True),
         )
 
     def text_decision(self, prompt: TextPrompt, budget: int) -> TextDecision:
-        self._count(queries=1)
         original = self.fallback.graph.texts[prompt.target]
-        reason = ""
-        text = prompt.text
-        for attempt in range(2):
-            if attempt:
-                self._count(retries=1)
-                text = prompt.text + REPROMPT_SUFFIX.format(reason=reason)
-            content = self._complete(text)
-            try:
-                obj = extract_json_object(content)
-                keyword = str(obj["keyword"])
-                new_text = str(obj["new_text"])
-            except (KeyError, TypeError, ValueError) as exc:
-                reason = f"unparseable reply: {exc}"
-            else:
-                reason = validate_text_decision(original, keyword, new_text, budget) or ""
-                if not reason:
-                    return TextDecision(
-                        keyword=keyword,
-                        rewritten_text=new_text,
-                        rationale=str(obj.get("rationale", "")),
-                    )
-        self._count(fallbacks=1)
-        oracle = self.fallback.text_decision(prompt, budget)
-        self.fallback._count(queries=-1)
-        return TextDecision(
-            keyword=oracle.keyword,
-            rewritten_text=oracle.rewritten_text,
-            rationale=f"oracle fallback after: {reason}",
-            fallback=True,
+
+        def parse(obj: dict) -> tuple[str | None, TextDecision]:
+            keyword, new_text = str(obj["keyword"]), str(obj["new_text"])
+            rationale = str(obj.get("rationale", ""))
+            return (
+                validate_text_decision(original, keyword, new_text, budget),
+                TextDecision(keyword, new_text, rationale),
+            )
+
+        return self._ask(
+            prompt.text,
+            parse,
+            lambda reason: replace(
+                self.fallback.text_decision(prompt, budget),
+                rationale=f"oracle fallback after: {reason}",
+                fallback=True,
+            ),
         )

@@ -1,9 +1,12 @@
 """Attack metrics: homophily, the stealth bound audit, aggregates, synergy.
 
 Homophily is measured as feature-cosine similarity (edge-level and
-node-centric). The bound audit never asserts the homophily inequality — its
-constants are existential — it reports every component plus the observed
-ratio so stealth regressions show up in review.
+node-centric), with the package's one cosine, `nnops.pair_cosines` over
+`nnops.unit_rows`: a zero feature row (say, an all-OOV text) has cosine 0.0
+with every row. Features may be dense or CSR and are never made dense. The
+bound audit never asserts the homophily inequality — its constants are
+existential — it reports every component plus the observed ratio so stealth
+regressions show up in review.
 """
 
 from __future__ import annotations
@@ -12,64 +15,50 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DegenerateInputError, ShapeError
 from .graph import TextAttributedGraph
-from .nnops import as_dense
+from .nnops import pair_cosines, unit_rows
 from .plan import Budgets, PerturbationPlan, apply_plan, edit_counts
 from .text_features import token_edit_distance
 from .victims import VictimModel, accuracy
 
 
-def _check_features(graph: TextAttributedGraph, features) -> np.ndarray:
-    """Dense float features (CSR input is densified) with one row per node."""
-    features = as_dense(features)
-    if features.shape[0] != graph.node_count:
+def _check_features(graph: TextAttributedGraph, features) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted (m, 2) edge array and the cosine of each edge's endpoint
+    features; the features (dense or CSR) need one row per node."""
+    unit = unit_rows(features)
+    if unit.shape[0] != graph.node_count:
         raise ShapeError(
-            f"feature rows {features.shape[0]} != node count {graph.node_count}"
+            f"feature rows {unit.shape[0]} != node count {graph.node_count}"
         )
     if not graph.edges:
         raise DegenerateInputError("homophily of an edgeless graph is undefined")
-    return features
-
-
-def _edge_cosines(graph: TextAttributedGraph, features: np.ndarray) -> dict:
-    """Cosine similarity of each edge's endpoint features, keyed by sorted edge.
-
-    One `np.linalg.norm` per node and one `np.dot` per edge; a zero row has
-    similarity 0.0 with everything.
-    """
-    rows = list(features)
-    norms = [np.linalg.norm(row) for row in rows]
-    cosines = {}
-    for u, v in graph.sorted_edges():
-        nu, nv = norms[u], norms[v]
-        if nu == 0.0 or nv == 0.0:
-            cosines[u, v] = 0.0
-        else:
-            cosines[u, v] = float(np.dot(rows[u], rows[v]) / (nu * nv))
-    return cosines
+    edges = np.array(graph.sorted_edges())
+    return edges, pair_cosines(unit, edges[:, 0], edges[:, 1])
 
 
 def homophily_edge(graph: TextAttributedGraph, features: np.ndarray) -> float:
     """Mean cosine similarity across edge endpoints."""
-    features = _check_features(graph, features)
-    return float(np.mean(list(_edge_cosines(graph, features).values())))
+    return float(np.mean(_check_features(graph, features)[1]))
 
 
 def homophily_node(graph: TextAttributedGraph, features: np.ndarray) -> float:
-    """Mean over non-isolated nodes of their mean neighbor cosine similarity."""
-    features = _check_features(graph, features)
-    cosines = _edge_cosines(graph, features)
-    values = []
-    for node in range(graph.node_count):
-        nbrs = graph.neighbors(node)
-        if not nbrs:
-            continue
-        values.append(float(np.mean([
-            cosines[(node, n) if node < n else (n, node)] for n in nbrs
-        ])))
-    return float(np.mean(values))
+    """Mean over non-isolated nodes of their mean neighbor cosine similarity.
+
+    Each node's cosines are summed over its neighbors in ascending id order,
+    left to right, then divided by its degree.
+    """
+    edges, cosines = _check_features(graph, features)
+    # larger endpoint first: a node meets its smaller neighbors, then its larger
+    ends = np.concatenate([edges[:, 1], edges[:, 0]])
+    sums = np.bincount(
+        ends, weights=np.concatenate([cosines, cosines]), minlength=graph.node_count
+    )
+    degree = np.bincount(ends, minlength=graph.node_count)
+    linked = degree > 0
+    return float(np.mean(sums[linked] / degree[linked]))
 
 
 def label_homophily_edge(graph: TextAttributedGraph) -> float:
@@ -93,29 +82,25 @@ def bound_audit(
     per-token Lipschitz estimate of the featurizer, and
     |ΔH_edge| / (Δ_E + L̂·τ_max) as `empirical_ratio` (0 when the denominator
     vanishes). Nothing is asserted here — the constants are unknown.
-    Features may be dense or CSR; both are made dense on entry.
+    Features may be dense or CSR and stay in that form.
     """
-    features_clean = as_dense(features_clean)
-    features_pert = as_dense(features_pert)
     h_edge_clean = homophily_edge(clean, features_clean)
     h_edge_pert = homophily_edge(perturbed, features_pert)
     h_node_clean = homophily_node(clean, features_clean)
     h_node_pert = homophily_node(perturbed, features_pert)
     edge_edits, text_edits, edge_ratio = edit_counts(clean, perturbed)
 
-    drifts: list[float] = []
+    changed = [i for i, (old, new) in enumerate(zip(clean.texts, perturbed.texts)) if old != new]
+    diff = sp.csr_matrix(features_pert[changed] - features_clean[changed])
+    drifts = np.sqrt(diff.multiply(diff) @ np.ones(diff.shape[1]))
     lipschitz = 0.0
-    for i, (old, new) in enumerate(zip(clean.texts, perturbed.texts)):
-        if old == new:
-            continue
-        drift = float(np.linalg.norm(features_pert[i] - features_clean[i]))
-        drifts.append(drift)
-        edits = token_edit_distance(old, new)
+    for i, drift in zip(changed, drifts.tolist()):
+        edits = token_edit_distance(clean.texts[i], perturbed.texts[i])
         if edits > 0:
             lipschitz = max(lipschitz, drift / edits)
 
-    tau_max = max(drifts) if drifts else 0.0
-    tau_mean = float(np.mean(drifts)) if drifts else 0.0
+    tau_max = float(drifts.max()) if changed else 0.0
+    tau_mean = float(drifts.mean()) if changed else 0.0
     delta_h_edge = h_edge_pert - h_edge_clean
     denominator = edge_ratio + lipschitz * tau_max
     ratio = abs(delta_h_edge) / denominator if denominator > 0 else 0.0

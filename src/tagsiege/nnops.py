@@ -1,5 +1,5 @@
-"""Small shared numerics: init, activations, the loss, the training loop, and
-the dense-or-CSR choice for fixed training operands.
+"""Small shared numerics: init, activations, the loss, the training loop, the
+dense-or-CSR choice for fixed training operands, and the package's one cosine.
 
 `fit` is the one full-batch Adam loop that trains the surrogate encoder and
 every victim. Everything here is plain numpy/scipy on float64 so results are
@@ -43,6 +43,54 @@ def training_operand(x: np.ndarray | sp.spmatrix) -> sp.csr_matrix | np.ndarray:
 
 def operand_form(x: np.ndarray | sp.spmatrix) -> str:
     return "csr" if sp.issparse(x) else "dense"
+
+
+def unit_rows(x: np.ndarray | sp.spmatrix) -> np.ndarray | sp.csr_matrix:
+    """Each row divided by its largest |entry|, then by its L2 norm.
+
+    The first division keeps the squares from under- or overflowing; the norm
+    is summed like `pair_cosines`. Zero rows stay zero, so they score cosine
+    0.0 against every row. Dense input gives a new ndarray, sparse input a new
+    CSR matrix with sorted column indices.
+    """
+    if sp.issparse(x):
+        x = sp.csr_matrix(x, dtype=float, copy=True)
+        x.sum_duplicates()  # sorted columns: every row sum runs left to right
+        values, scale = x.data, abs(x).max(axis=1).toarray().ravel()
+    else:
+        x = values = np.array(x, dtype=float)
+        scale = np.max(np.abs(x), axis=1, initial=0.0)
+
+    def divide_rows(divisor: np.ndarray) -> None:
+        divisor = np.where(divisor == 0.0, 1.0, divisor)
+        per_value = np.repeat(divisor, np.diff(x.indptr)) if sp.issparse(x) else divisor[:, None]
+        np.divide(values, per_value, out=values)
+
+    divide_rows(scale)
+    rows = np.arange(x.shape[0])
+    divide_rows(np.sqrt(pair_cosines(x, rows, rows)))
+    return x
+
+
+def pair_cosines(
+    unit: np.ndarray | sp.csr_matrix, a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """Cosine of rows `a[i]` and `b[i]` of `unit_rows` output: their dot,
+    summed left to right over the columns, starting from 0.0.
+
+    Each value depends only on its own two rows, so identical rows score
+    identically, and dense and CSR input give the same bits. `a` and `b` are
+    row ids of equal length; dense input also broadcasts them (one target
+    against many rows, or a block of targets against all rows).
+    """
+    a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
+    if sp.issparse(unit):
+        # csr_matvec keeps one running sum per row, in stored (column) order
+        return unit[a].multiply(unit[b]) @ np.ones(unit.shape[1])
+    out = np.zeros(np.broadcast(a, b).shape)
+    for column in unit.T:  # column by column, so every pair sums left to right
+        out += column[a] * column[b]
+    return out
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

@@ -20,9 +20,6 @@ from .errors import IsolatedNodeError, RetrievalExhaustedError, TemplateError
 from .graph import TextAttributedGraph
 from .retrieval import InfluencerSet
 
-TOPOLOGY_KEYS = ("delete_id", "add_id", "rationale")
-TEXT_KEYS = ("keyword", "new_text", "rationale")
-
 REQUIRED_PLACEHOLDERS = {
     "topology": ("target_text", "neighbor_list", "candidate_list"),
     "text": ("target_text", "influencer_text"),
@@ -71,7 +68,6 @@ TEXT_SCHEMA_INSTRUCTION = (
 class PromptTemplate:
     name: str
     text: str
-    response_schema: tuple[str, ...]
 
     def __post_init__(self):
         if self.name not in REQUIRED_PLACEHOLDERS:
@@ -101,18 +97,16 @@ class PromptTemplate:
 
 
 def default_topology_template() -> PromptTemplate:
-    return PromptTemplate("topology", DEFAULT_TOPOLOGY_TEMPLATE, TOPOLOGY_KEYS)
+    return PromptTemplate("topology", DEFAULT_TOPOLOGY_TEMPLATE)
 
 
 def default_text_template() -> PromptTemplate:
-    return PromptTemplate("text", DEFAULT_TEXT_TEMPLATE, TEXT_KEYS)
+    return PromptTemplate("text", DEFAULT_TEXT_TEMPLATE)
 
 
 def load_template(path: str | Path, name: str) -> PromptTemplate:
-    """Read template text from a file; schema keys follow the template name."""
-    text = Path(path).read_text()
-    schema = TOPOLOGY_KEYS if name == "topology" else TEXT_KEYS
-    return PromptTemplate(name, text, schema)
+    """Read template text from a file."""
+    return PromptTemplate(name, Path(path).read_text())
 
 
 def _node_lines(graph: TextAttributedGraph, ids: tuple[int, ...]) -> str:

@@ -5,19 +5,30 @@ import re
 import sys
 import threading
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tagsiege.attack import attack
+from tagsiege.attack import _next_best_candidate, attack
 from tagsiege.backends import LLMBackend, LLMConfig, OracleBackend, validate_text_decision
-from tagsiege.errors import BackendError, BackendExhaustedError, ConfigurationError
+from tagsiege.errors import (
+    BackendError,
+    BackendExhaustedError,
+    ConfigurationError,
+    DegenerateVectorWarning,
+)
 from tagsiege.graph import TextAttributedGraph
+from tagsiege.metrics import bound_audit
+from tagsiege.nnops import unit_rows
 from tagsiege.plan import Budgets, apply_plan
-from tagsiege.retrieval import cosine_dissimilarity
+from tagsiege.prompts import TopologyPrompt
+from tagsiege.retrieval import retrieve_all
 from tagsiege.seeding import substream
-from tagsiege.text_features import Vocabulary, tokenize
+from tagsiege.text_features import Vocabulary, featurize, tokenize
+
+from cosine_reference import cosine
 
 
 def demo_graph(n=16, classes=2, seed=5):
@@ -82,14 +93,14 @@ def test_plan_matches_step_by_step_rederivation():
     plan = attack(g, targets, Z, oracle, budgets, seed=4, k=5)
 
     def sim(i, j):
-        return 1.0 - cosine_dissimilarity(Z[i], Z[j])
+        return cosine(Z[i], Z[j])
 
     for t in targets:
         entry = plan.entries[t]
         # influencer pool: top-5 most dissimilar, minus self/neighbors
         ranked = sorted(
             (i for i in range(g.node_count) if i != t),
-            key=lambda i: (-cosine_dissimilarity(Z[t], Z[i]), i),
+            key=lambda i: (-(1.0 - sim(t, i)), i),
         )[:5]
         pool = [c for c in ranked if not g.has_edge(t, c)]
         expected_delete = max(g.neighbors(t), key=lambda v: (sim(t, v), -v))
@@ -266,6 +277,46 @@ def test_anchor_mismatch_breaks_keyword_alignment():
         aligned.entries[t].new_text != mismatched.entries[t].new_text for t in targets
     )
     assert moved > 0
+
+
+def test_zero_rows_score_cosine_zero_in_every_caller():
+    """A zero embedding or feature row has cosine 0.0 (dissimilarity 1.0) in
+    retrieval, the oracle, the anchor-mismatch runner-up and bound_audit;
+    nothing turns NaN, and only retrieval warns."""
+    # cosines to target 0: node 1 +0.71, nodes 2 and 4 zero rows, node 3 -0.71
+    Z = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 0.0], [-1.0, 1.0], [0.0, 0.0]])
+    g = TextAttributedGraph.build(
+        texts=["red apple", "red plum", "blue sky", "blue apple", "grey cloud"],
+        labels=[0, 0, 1, 1, 0], splits=["train"] * 5,
+        edges=[(0, 2), (0, 3), (1, 4)],
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sets = retrieve_all(Z, [0, 2], k=4)
+    assert [w.category for w in caught] == [DegenerateVectorWarning]
+    assert sets[0].candidates == (3, 2, 4, 1)  # 1.71, 1.0, 1.0, 0.29
+    assert sets[2].candidates == (0, 1, 3, 4)  # a zero target: all 1.0
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # any warning, NaN ones included, fails
+        oracle = OracleBackend(g, Z, Vocabulary.from_texts(g.texts))
+        prompt = TopologyPrompt(text="", target=0, neighbor_ids=(2, 3), candidate_ids=(1, 4))
+        decision = oracle.topology_decision(prompt)
+        assert decision.delete_choice == 2  # 0.0 beats -0.71
+        assert decision.add_choice == 4  # 0.0 is less similar than +0.71
+        assert _next_best_candidate(prompt, 1, unit_rows(Z)) == 4
+        assert _next_best_candidate(prompt, 4, unit_rows(Z)) == 1
+
+        # "zzz qqq" is out of vocabulary: node 3 gets a zero feature row
+        vocab = Vocabulary.from_texts(g.texts)
+        oov = g.with_changes(texts=["red apple", "red plum", "blue sky", "zzz qqq", "grey cloud"])
+        audit = bound_audit(g, oov, featurize(g.texts, vocab), featurize(oov.texts, vocab))
+    assert all(np.isfinite(v) for v in audit.values())
+    # only edge (0, 3) shares a token ("apple"), and node 3 lost it
+    assert audit["homophily_edge_clean"] > 0.0
+    assert audit["homophily_edge_perturbed"] == 0.0
+    assert audit["homophily_node_perturbed"] == 0.0
+    assert audit["tau_max"] > 0.0
 
 
 NODE_LINE = re.compile(r"^- node (\d+): ", re.M)

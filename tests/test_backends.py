@@ -18,9 +18,11 @@ from tagsiege.errors import (
 )
 from tagsiege.graph import TextAttributedGraph
 from tagsiege.prompts import TextPrompt, TopologyPrompt, build_text_prompt, build_topology_prompt
-from tagsiege.retrieval import InfluencerSet, cosine_dissimilarity
+from tagsiege.retrieval import InfluencerSet
 from tagsiege.seeding import substream
 from tagsiege.text_features import Vocabulary, token_edit_distance, tokenize
+
+from cosine_reference import cosine
 
 
 def two_class_graph():
@@ -93,7 +95,7 @@ def test_oracle_matches_bruteforce_on_random_instance():
     decision = oracle.topology_decision(topo_prompt(target, neighbors, candidates))
 
     def sim(i, j):
-        return 1.0 - cosine_dissimilarity(Z[i], Z[j])
+        return cosine(Z[i], Z[j])
 
     best_del = max(neighbors, key=lambda v: (sim(target, v), -v))
     best_add = min(candidates, key=lambda v: (sim(target, v), v))

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,10 +19,13 @@ from tagsiege.metrics import (
     label_homophily_edge,
     synergy_test,
 )
+from tagsiege.nnops import pair_cosines, unit_rows
 from tagsiege.plan import Budgets, PerturbationPlan, PlanEntry, apply_plan
 from tagsiege.seeding import substream
 from tagsiege.text_features import Vocabulary, featurize
 from tagsiege.victims import VictimConfig, train_victim
+
+from cosine_reference import cosine
 
 
 def triangle():
@@ -46,6 +50,11 @@ def test_homophily_triangle_one_hot_arithmetic():
     assert homophily_edge(g, ONE_HOTS) == pytest.approx(1 / 3)
     # node-centric: nodes 0 and 1 average (1+0)/2, node 2 averages 0
     assert homophily_node(g, ONE_HOTS) == pytest.approx((0.5 + 0.5 + 0.0) / 3)
+    # the cosine underneath: same, orthogonal, opposite and 45-degree rows
+    unit = unit_rows(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [1.0, 1.0]]))
+    assert pair_cosines(unit, [0, 0, 0, 0], [0, 1, 2, 3]) == pytest.approx(
+        [1.0, 0.0, -1.0, 1 / np.sqrt(2)]
+    )
 
 
 def test_homophily_matches_bruteforce_double_loop():
@@ -82,6 +91,10 @@ def test_homophily_scale_invariance():
     scales = np.array([[0.5], [3.0], [7.0]])
     assert homophily_edge(g, X * scales) == pytest.approx(homophily_edge(g, X))
     assert homophily_node(g, X * scales) == pytest.approx(homophily_node(g, X))
+    a, b = [0, 0, 1, 2], [1, 2, 2, 2]
+    assert pair_cosines(unit_rows(X * scales), a, b) == pytest.approx(
+        pair_cosines(unit_rows(X), a, b), abs=1e-12
+    )
 
 
 def test_homophily_requires_edges_and_shape():
@@ -276,14 +289,6 @@ def test_synergy_row_flags():
     assert d["synergy_soft"] is True
 
 
-def reference_cosine(u, v):
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv))
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_homophily_equals_per_edge_cosine_reference(seed):
     rng = substream(seed, "homophily-reference")
@@ -295,10 +300,15 @@ def test_homophily_equals_per_edge_cosine_reference(seed):
     )
     X = rng.normal(size=(n, 7))
     X[[3, 11, 12]] = 0.0  # zero feature rows score 0.0 against everything
-    edge_ref = float(np.mean([reference_cosine(X[u], X[v]) for u, v in g.sorted_edges()]))
-    node_ref = float(np.mean([
-        float(np.mean([reference_cosine(X[i], X[j]) for j in g.neighbors(i)]))
-        for i in range(n) if g.neighbors(i)
-    ]))
-    assert homophily_edge(g, X) == edge_ref
-    assert homophily_node(g, X) == node_ref
+    edge_ref = float(np.mean([cosine(X[u], X[v]) for u, v in g.sorted_edges()]))
+    node_means = []
+    for i in range(n):
+        if g.neighbors(i):
+            total = 0.0  # left to right over the sorted neighbors
+            for j in g.neighbors(i):
+                total += cosine(X[i], X[j])
+            node_means.append(total / len(g.neighbors(i)))
+    node_ref = float(np.mean(node_means))
+    for features in (X, sp.csr_matrix(X)):
+        assert homophily_edge(g, features) == edge_ref
+        assert homophily_node(g, features) == node_ref

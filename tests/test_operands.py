@@ -13,9 +13,12 @@ import scipy.sparse as sp
 import tagsiege.nnops as nnops
 from tagsiege.encoder import EncoderConfig, encode, forward, normalize_adjacency, train_encoder
 from tagsiege.graph import TextAttributedGraph
-from tagsiege.nnops import SPARSE_OPERAND_MAX_DENSITY, training_operand
+from tagsiege.nnops import SPARSE_OPERAND_MAX_DENSITY, pair_cosines, training_operand, unit_rows
+from tagsiege.seeding import substream
 from tagsiege.text_features import Vocabulary, featurize
 from tagsiege.victims import VICTIM_KINDS, VictimConfig, predict, train_victim, victim_logits
+
+from cosine_reference import cosine, unit_row
 
 TOL = 1e-9
 
@@ -144,3 +147,19 @@ def test_forced_operand_forms_train_the_same_victim(monkeypatch, kind):
         rtol=0, atol=TOL,
     )
     np.testing.assert_array_equal(predict(models["csr"], g, X), predict(models["dense"], g, X))
+
+
+def test_pair_cosines_equal_the_scalar_reference_in_both_forms():
+    """Dense and CSR rows give the same bits, and both equal the documented
+    arithmetic written out one float at a time."""
+    rng = substream(5, "pair-cosines")
+    X = rng.normal(size=(30, 12)) * (rng.random((30, 12)) < 0.3)
+    X[[4, 17]] = 0.0
+    a, b = rng.integers(0, 30, size=80), rng.integers(0, 30, size=80)
+    expected = [cosine(X[i], X[j]) for i, j in zip(a, b)]
+    dense, csr = unit_rows(X), unit_rows(sp.csr_matrix(X))
+    assert isinstance(dense, np.ndarray) and sp.issparse(csr)
+    assert dense.tolist() == [unit_row(row) for row in X]
+    assert csr.toarray().tolist() == dense.tolist()
+    assert pair_cosines(dense, a, b).tolist() == expected
+    assert pair_cosines(csr, a, b).tolist() == expected

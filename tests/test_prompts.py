@@ -40,13 +40,11 @@ def test_default_templates_validate():
 
 def test_template_rejects_missing_and_unknown_placeholders():
     with pytest.raises(TemplateError):
-        PromptTemplate("topology", "no placeholders at all", ("delete_id",))
+        PromptTemplate("topology", "no placeholders at all")
     with pytest.raises(TemplateError):
-        PromptTemplate(
-            "text", "{target_text} {influencer_text} {bogus}", ("keyword",)
-        )
+        PromptTemplate("text", "{target_text} {influencer_text} {bogus}")
     with pytest.raises(TemplateError):
-        PromptTemplate("other", "{target_text}", ())
+        PromptTemplate("other", "{target_text}")
 
 
 def test_topology_prompt_lists_neighbors_and_candidates():
