@@ -19,7 +19,6 @@ from tagsiege.metrics import (
     label_homophily_edge,
     synergy_test,
 )
-from tagsiege.nnops import pair_cosines, unit_rows
 from tagsiege.plan import Budgets, PerturbationPlan, PlanEntry, apply_plan
 from tagsiege.seeding import substream
 from tagsiege.text_features import Vocabulary, featurize
@@ -50,11 +49,6 @@ def test_homophily_triangle_one_hot_arithmetic():
     assert homophily_edge(g, ONE_HOTS) == pytest.approx(1 / 3)
     # node-centric: nodes 0 and 1 average (1+0)/2, node 2 averages 0
     assert homophily_node(g, ONE_HOTS) == pytest.approx((0.5 + 0.5 + 0.0) / 3)
-    # the cosine underneath: same, orthogonal, opposite and 45-degree rows
-    unit = unit_rows(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [1.0, 1.0]]))
-    assert pair_cosines(unit, [0, 0, 0, 0], [0, 1, 2, 3]) == pytest.approx(
-        [1.0, 0.0, -1.0, 1 / np.sqrt(2)]
-    )
 
 
 def test_homophily_matches_bruteforce_double_loop():
@@ -91,10 +85,6 @@ def test_homophily_scale_invariance():
     scales = np.array([[0.5], [3.0], [7.0]])
     assert homophily_edge(g, X * scales) == pytest.approx(homophily_edge(g, X))
     assert homophily_node(g, X * scales) == pytest.approx(homophily_node(g, X))
-    a, b = [0, 0, 1, 2], [1, 2, 2, 2]
-    assert pair_cosines(unit_rows(X * scales), a, b) == pytest.approx(
-        pair_cosines(unit_rows(X), a, b), abs=1e-12
-    )
 
 
 def test_homophily_requires_edges_and_shape():

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tagsiege.errors import DegenerateVectorWarning, ShapeError
+from tagsiege.nnops import pair_cosines, unit_rows
 from tagsiege.retrieval import (
     InfluencerSet,
     load_influencers,
@@ -25,6 +26,28 @@ def brute_force_topk(embeddings, target, k):
         scored.append((-(1.0 - cosine(embeddings[target], embeddings[i])), i))
     scored.sort()
     return tuple(i for _, i in scored[:k])
+
+
+def test_cosine_dissimilarity_known_values():
+    # same, orthogonal, opposite and 45-degree rows, scored as retrieval does
+    unit = unit_rows(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [1.0, 1.0]]))
+    assert 1.0 - pair_cosines(unit, [0, 0, 0, 0], [0, 1, 2, 3]) == pytest.approx(
+        [0.0, 1.0, 2.0, 1 - 1 / np.sqrt(2)]
+    )
+
+
+@given(st.lists(st.floats(-10, 10), min_size=2, max_size=5),
+       st.floats(0.1, 7.0))
+@settings(max_examples=60)
+def test_cosine_scale_invariant(vec, scale):
+    v = np.array(vec)
+    if np.linalg.norm(v) == 0:
+        return
+    w = np.ones_like(v)
+    a, b = [0, 2], [1, 1]  # v against w, scale * v against w
+    assert pair_cosines(unit_rows(np.stack([v, w, scale * v])), a, b) == pytest.approx(
+        pair_cosines(unit_rows(np.stack([v, w, v])), a, b), abs=1e-9
+    )
 
 
 def test_retrieval_matches_bruteforce_on_random_embeddings():
