@@ -29,7 +29,7 @@ from .errors import (
 )
 from .graph import TextAttributedGraph
 from .nnops import pair_cosines, unit_rows
-from .plan import Budgets, PerturbationPlan, PlanEntry
+from .plan import Budgets, PerturbationPlan, PlanEntry, ordered_targets
 from .prompts import (
     PromptTemplate,
     TopologyPrompt,
@@ -77,11 +77,7 @@ def attack(
     plan = PerturbationPlan()
     embeddings = np.asarray(embeddings, dtype=float)
 
-    for target in targets:
-        if not 0 <= target < graph.node_count:
-            raise ConfigurationError(f"target {target} is not a node")
-
-    ordered = sorted(set(targets))
+    ordered = ordered_targets(graph, targets)
     # an invalid k (or too few embedding rows) fails retrieval as a whole; it
     # then fails every target, which the loop records as skips
     try:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import TextAttributedGraph
-from .plan import Budgets, PerturbationPlan, PlanEntry
+from .plan import Budgets, PerturbationPlan, PlanEntry, ordered_targets
 from .seeding import substream
 
 
@@ -34,7 +34,7 @@ def rnd_attack(
     """
     plan = PerturbationPlan()
     spent = 0
-    for target in sorted(set(targets)):
+    for target in ordered_targets(graph, targets):
         local = budgets.per_node_edge_budget
         rng = substream(seed, f"rnd-{target}")
         neighbors = graph.neighbors(target)
@@ -71,7 +71,7 @@ def flip_attack(
     plan = PerturbationPlan()
     spent = 0
     degree = np.array([graph.degree(v) for v in range(graph.node_count)])
-    for target in sorted(set(targets)):
+    for target in ordered_targets(graph, targets):
         local = budgets.per_node_edge_budget
         neighbors = graph.neighbors(target)
         delete = None

@@ -33,9 +33,10 @@ from .errors import (
     TrainingError,
 )
 from .graph import load_graph, save_graph
-from .metrics import AttackReport, aggregate, bound_audit, synergy_test
+from .metrics import aggregate, bound_audit, synergy_test
 from .plan import Budgets, apply_plan, load_plan, save_plan
 from .prompts import load_template
+from .records import dumps, read_json, typed
 from .retrieval import DEFAULT_K, retrieve_all, save_influencers
 from .seeding import substream
 from .synth import SynthConfig, generate, summarize
@@ -152,11 +153,6 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _config_hash(config: dict) -> str:
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
 def _dataset_inputs(data_dir: str | Path) -> dict[str, str]:
     root = Path(data_dir)
     names = ("nodes.jsonl", "edges.csv", "edges.jsonl")
@@ -182,7 +178,7 @@ def _write_manifest(
         "version": __version__,
         "command": command,
         "config": config,
-        "config_sha256": _config_hash(config),
+        "config_sha256": hashlib.sha256(dumps(config).encode()).hexdigest(),
         "inputs": inputs,
         "outputs": outputs,
         **extra,
@@ -190,10 +186,6 @@ def _write_manifest(
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
-
-
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -497,33 +489,31 @@ def _run_evaluate(cfg: dict, out: Path):
         }
 
     ordered = sorted(victims)
-    report = AttackReport(
-        attacker=label,
+    synergy = synergy_test(
+        clean,
+        plan,
+        _plan_budgets(plan, clean),
+        victims,
+        lambda texts: featurize(texts, vocab),
         targets=targets,
-        query_count=2 * len(plan.entries),
-        victims=victims_out,
-        aggregates_clean=aggregate(
+    )
+    report = {
+        "attacker": label,
+        "targets": targets,
+        "query_count": 2 * len(plan.entries),
+        "victims": victims_out,
+        "aggregates_clean": aggregate(
             [victims_out[k]["attackers"][label]["clean_accuracy"] for k in ordered]
         ),
-        aggregates_perturbed=aggregate(
+        "aggregates_perturbed": aggregate(
             [victims_out[k]["attackers"][label]["perturbed_accuracy"] for k in ordered]
         ),
-        audit=bound_audit(clean, perturbed, clean_x, perturbed_x),
-        synergy={
-            kind: row.as_dict()
-            for kind, row in synergy_test(
-                clean,
-                plan,
-                _plan_budgets(plan, clean),
-                victims,
-                lambda texts: featurize(texts, vocab),
-                targets=targets,
-            ).items()
-        },
-        skipped=plan.skipped,
-        extra={"baselines": sorted(set(attackers) - {label})},
-    )
-    _write_json(out / "report.json", report.as_dict())
+        "audit": bound_audit(clean, perturbed, clean_x, perturbed_x),
+        "synergy": {kind: row.as_dict() for kind, row in synergy.items()},
+        "skipped": {str(t): r for t, r in sorted(plan.skipped.items())},
+        "extra": {"baselines": sorted(set(attackers) - {label})},
+    }
+    (out / "report.json").write_text(dumps(report) + "\n")
 
     lines = ["victim,attacker,clean_accuracy,perturbed_accuracy,drop"]
     for kind, name, clean_acc, perturbed_acc in sorted(rows):
@@ -560,10 +550,11 @@ def _run_audit(cfg: dict, out: Path):
     audit["edge_count_clean"] = clean.edge_count
     audit["edge_count_perturbed"] = perturbed.edge_count
     if cfg.get("report"):
-        report = json.loads(Path(cfg["report"]).read_text())
-        audit["average_accuracy_clean"] = report["aggregates_clean"]["average"]
-        audit["average_accuracy_perturbed"] = report["aggregates_perturbed"]["average"]
-    _write_json(out / "audit.json", audit)
+        averages = read_json(cfg["report"], lambda report: [
+            float(report[f"aggregates_{kind}"]["average"]) for kind in ("clean", "perturbed")
+        ])
+        audit["average_accuracy_clean"], audit["average_accuracy_perturbed"] = averages
+    (out / "audit.json").write_text(dumps(audit) + "\n")
     inputs = _dataset_inputs(cfg["clean"]) | _dataset_inputs(cfg["perturbed"])
     if cfg.get("report"):
         inputs |= _file_inputs(cfg["report"])
@@ -708,17 +699,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    manifest = json.loads(Path(args.manifest).read_text())
-    command = manifest.get("command")
+    command, inputs, config = read_json(args.manifest, lambda manifest: (
+        typed(manifest["command"], str),
+        typed(manifest.get("inputs", {}), dict),
+        typed(manifest["config"], dict),
+    ))
     if command not in _COMMANDS:
         raise ConfigurationError(f"manifest names unknown command {command!r}")
-    for path, digest in manifest.get("inputs", {}).items():
+    for path, digest in inputs.items():
         if not Path(path).exists():
             raise ConfigurationError(f"replay input missing: {path}")
         if _sha256_file(Path(path)) != digest:
             raise ConfigurationError(f"replay input changed since recording: {path}")
     spec, runner, _ = _COMMANDS[command]
-    config = manifest["config"]
     missing = [name for name, _, _, _ in spec if name not in config]
     if missing:
         raise ConfigurationError(f"manifest config lacks keys: {', '.join(missing)}")

@@ -10,7 +10,6 @@ victim is this same model, trained and run through `_loss_and_grads` and
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -18,11 +17,12 @@ from typing import Iterator
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigurationError, ParseError, ShapeError, TrainingError
+from .errors import ConfigurationError, ShapeError, TrainingError
 from .graph import TextAttributedGraph
 from .nnops import (
     as_dense, cross_entropy_with_grad, fit, glorot, operand_form, relu, training_operand,
 )
+from .records import dumps, read_json
 from .seeding import substream
 
 
@@ -220,28 +220,26 @@ def save_checkpoint(trained: TrainedEncoder, path: str | Path) -> None:
         "input_dim": trained.params.w1.shape[0],
         "class_count": trained.params.w2.shape[1],
         "seed": trained.config.seed,
-        "w1": [[float(x) for x in row] for row in trained.params.w1],
-        "w2": [[float(x) for x in row] for row in trained.params.w2],
+        "w1": trained.params.w1.tolist(),
+        "w2": trained.params.w2.tolist(),
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    Path(path).write_text(dumps(payload))
+
+
+def _checkpoint_record(rec: dict) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """(hidden, seed, w1, w2) of an encoder checkpoint."""
+    if rec["kind"] != "gcn-encoder":
+        raise ValueError(f"unexpected checkpoint kind {rec['kind']!r}")
+    w1 = np.array(rec["w1"], dtype=float)
+    w2 = np.array(rec["w2"], dtype=float)
+    return int(rec["hidden"]), int(rec.get("seed", 0)), w1, w2
 
 
 def load_checkpoint(path: str | Path) -> TrainedEncoder:
-    p = Path(path)
-    try:
-        payload = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", str(p), exc.lineno) from exc
-    for key in ("kind", "hidden", "w1", "w2"):
-        if key not in payload:
-            raise ParseError(f"checkpoint missing {key!r}", str(p), 0)
-    if payload["kind"] != "gcn-encoder":
-        raise ParseError(f"unexpected checkpoint kind {payload['kind']!r}", str(p), 0)
-    w1 = np.array(payload["w1"], dtype=float)
-    w2 = np.array(payload["w2"], dtype=float)
+    hidden, seed, w1, w2 = read_json(path, _checkpoint_record)
     if w1.ndim != 2 or w2.ndim != 2 or w1.shape[1] != w2.shape[0]:
         raise ShapeError(f"checkpoint weight shapes do not chain: {w1.shape}, {w2.shape}")
-    if w1.shape[1] != payload["hidden"]:
+    if w1.shape[1] != hidden:
         raise ShapeError("checkpoint hidden width disagrees with weight shape")
-    config = EncoderConfig(hidden=int(payload["hidden"]), seed=int(payload.get("seed", 0)))
+    config = EncoderConfig(hidden=hidden, seed=seed)
     return TrainedEncoder(params=EncoderParams(w1=w1, w2=w2), config=config)

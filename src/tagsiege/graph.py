@@ -7,13 +7,13 @@ after construction; every node carries a text, a class label and a split tag.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
 from .errors import GraphValidationError, ParseError
+from .records import read_jsonl, typed, write_jsonl
 
 Edge = tuple[int, int]
 
@@ -109,7 +109,8 @@ class TextAttributedGraph:
         return len(self.adjacency[node])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return canonical_edge(u, v) in self.edges
+        """False for u == v: a simple graph has no self-loops."""
+        return u != v and canonical_edge(u, v) in self.edges
 
     @property
     def edge_count(self) -> int:
@@ -138,32 +139,15 @@ EDGE_FILE_CSV = "edges.csv"
 EDGE_FILE_JSONL = "edges.jsonl"
 
 
-def _parse_node_line(raw: str, path: str, lineno: int) -> dict:
-    try:
-        rec = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", path, lineno) from exc
-    if not isinstance(rec, dict):
-        raise ParseError("node record is not an object", path, lineno)
-    for key in ("id", "text", "label", "split"):
-        if key not in rec:
-            raise ParseError(f"node record missing {key!r}", path, lineno)
-    return rec
+def _node_record(rec: dict) -> tuple[int, tuple[str, int, str]]:
+    """(id, (text, label, split)) of one nodes.jsonl object."""
+    return int(rec["id"]), (typed(rec["text"], str), int(rec["label"]), typed(rec["split"], str))
 
 
 def _read_edge_file(path: Path) -> list[tuple[int, int]]:
-    pairs: list[tuple[int, int]] = []
     if path.suffix == ".jsonl":
-        with path.open() as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                if not raw.strip():
-                    continue
-                try:
-                    rec = json.loads(raw)
-                    pairs.append((int(rec["src"]), int(rec["dst"])))
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                    raise ParseError(f"bad edge record: {exc}", str(path), lineno) from exc
-        return pairs
+        return [pair for _, pair in read_jsonl(path, lambda r: (int(r["src"]), int(r["dst"])))]
+    pairs: list[tuple[int, int]] = []
     with path.open(newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
@@ -186,23 +170,15 @@ def load_graph(path: str | Path) -> TextAttributedGraph:
     if not node_path.exists():
         raise ParseError(f"missing {NODE_FILE} under {root}", str(root), 0)
 
-    records: dict[int, dict] = {}
-    with node_path.open() as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            rec = _parse_node_line(raw, str(node_path), lineno)
-            try:
-                node_id = int(rec["id"])
-            except (TypeError, ValueError) as exc:
-                raise ParseError("node id is not an integer", str(node_path), lineno) from exc
-            if node_id in records:
-                raise ParseError(f"duplicate node id {node_id}", str(node_path), lineno)
-            records[node_id] = rec
-    if not records:
+    nodes: dict[int, tuple[str, int, str]] = {}
+    for lineno, (node_id, node) in read_jsonl(node_path, _node_record):
+        if node_id in nodes:
+            raise ParseError(f"duplicate node id {node_id}", str(node_path), lineno)
+        nodes[node_id] = node
+    if not nodes:
         raise ParseError("node file is empty", str(node_path), 0)
-    n = len(records)
-    if sorted(records) != list(range(n)):
+    n = len(nodes)
+    if sorted(nodes) != list(range(n)):
         raise GraphValidationError("node ids are not dense in [0, node_count)")
 
     edge_path = root / EDGE_FILE_CSV
@@ -210,17 +186,10 @@ def load_graph(path: str | Path) -> TextAttributedGraph:
         edge_path = root / EDGE_FILE_JSONL
     if not edge_path.exists():
         raise ParseError(f"missing {EDGE_FILE_CSV} or {EDGE_FILE_JSONL} under {root}", str(root), 0)
-    pairs = _read_edge_file(edge_path)
-    for u, v in pairs:
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphValidationError(f"edge ({u}, {v}) references a missing node")
-
-    ordered = [records[i] for i in range(n)]
+    # the constructor rejects edges to missing nodes
+    texts, labels, splits = zip(*(nodes[i] for i in range(n)))
     return TextAttributedGraph.build(
-        texts=(str(r["text"]) for r in ordered),
-        labels=(int(r["label"]) for r in ordered),
-        splits=(str(r["split"]) for r in ordered),
-        edges=pairs,
+        texts=texts, labels=labels, splits=splits, edges=_read_edge_file(edge_path)
     )
 
 
@@ -228,15 +197,10 @@ def save_graph(graph: TextAttributedGraph, path: str | Path) -> None:
     """Write the dataset directory (nodes.jsonl + edges.csv) with deterministic bytes."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    with (root / NODE_FILE).open("w") as fh:
-        for i in range(graph.node_count):
-            rec = {
-                "id": i,
-                "text": graph.texts[i],
-                "label": graph.labels[i],
-                "split": graph.splits[i],
-            }
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+    write_jsonl(root / NODE_FILE, (
+        {"id": i, "text": graph.texts[i], "label": graph.labels[i], "split": graph.splits[i]}
+        for i in range(graph.node_count)
+    ))
     with (root / EDGE_FILE_CSV).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["src", "dst"])

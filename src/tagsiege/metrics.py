@@ -11,7 +11,7 @@ regressions show up in review.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,14 +59,6 @@ def homophily_node(graph: TextAttributedGraph, features: np.ndarray) -> float:
     degree = np.bincount(ends, minlength=graph.node_count)
     linked = degree > 0
     return float(np.mean(sums[linked] / degree[linked]))
-
-
-def label_homophily_edge(graph: TextAttributedGraph) -> float:
-    """Fraction of edges joining same-label endpoints (diagnostics only)."""
-    if not graph.edges:
-        raise DegenerateInputError("homophily of an edgeless graph is undefined")
-    same = sum(1 for u, v in graph.edges if graph.labels[u] == graph.labels[v])
-    return same / graph.edge_count
 
 
 def bound_audit(
@@ -215,33 +207,3 @@ def synergy_test(
             drop_joint=drops["joint"],
         )
     return out
-
-
-@dataclass
-class AttackReport:
-    """Everything one evaluation run learned, ready for JSON serialization."""
-
-    attacker: str
-    targets: list[int]
-    query_count: int
-    victims: dict[str, dict] = field(default_factory=dict)
-    aggregates_clean: dict = field(default_factory=dict)
-    aggregates_perturbed: dict = field(default_factory=dict)
-    audit: dict = field(default_factory=dict)
-    synergy: dict[str, dict] = field(default_factory=dict)
-    skipped: dict[int, str] = field(default_factory=dict)
-    extra: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "attacker": self.attacker,
-            "targets": list(self.targets),
-            "query_count": self.query_count,
-            "victims": self.victims,
-            "aggregates_clean": self.aggregates_clean,
-            "aggregates_perturbed": self.aggregates_perturbed,
-            "audit": self.audit,
-            "synergy": self.synergy,
-            "skipped": {str(k): v for k, v in sorted(self.skipped.items())},
-            "extra": self.extra,
-        }

@@ -7,12 +7,13 @@ edits per node (token set symmetric difference) and globally.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import chain
 from pathlib import Path
 
-from .errors import BudgetError, ParseError, PlanInconsistencyError, ShapeError
+from .errors import BudgetError, ConfigurationError, PlanInconsistencyError, ShapeError
 from .graph import TextAttributedGraph, canonical_edge
+from .records import read_jsonl, typed, write_jsonl
 from .text_features import token_edit_distance
 
 
@@ -49,6 +50,14 @@ class Budgets:
             text_token_budget=text_token_budget,
             global_text_budget=text_token_budget * target_count,
         )
+
+
+def ordered_targets(graph: TextAttributedGraph, targets: list[int]) -> list[int]:
+    """Distinct targets in ascending order; each must be a node of the graph."""
+    for target in targets:
+        if not 0 <= target < graph.node_count:
+            raise ConfigurationError(f"target {target} is not a node")
+    return sorted(set(targets))
 
 
 @dataclass(frozen=True)
@@ -224,55 +233,36 @@ def edit_counts(
 
 def save_plan(plan: PerturbationPlan, path: str | Path) -> None:
     """One JSON object per line: entries sorted by target, then skips."""
-    with Path(path).open("w") as fh:
-        for target in sorted(plan.entries):
-            e = plan.entries[target]
-            rec = {
-                "target": e.target,
-                "delete_neighbor": e.delete_neighbor,
-                "add_influencer": e.add_influencer,
-                "keyword": e.keyword,
-                "new_text": e.new_text,
-                "rationale": e.rationale,
-                "intended_label": e.intended_label,
-            }
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
-        for target in sorted(plan.skipped):
-            rec = {"target": target, "skipped": plan.skipped[target]}
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+    entries = (asdict(plan.entries[t]) for t in sorted(plan.entries))
+    skips = ({"target": t, "skipped": plan.skipped[t]} for t in sorted(plan.skipped))
+    write_jsonl(path, chain(entries, skips))
+
+
+def _optional(rec: dict, key: str, convert):
+    value = rec.get(key)
+    return None if value is None else convert(value)
+
+
+def _plan_record(rec: dict) -> PlanEntry | tuple[int, str]:
+    """A PlanEntry, or (target, reason) for a skip record."""
+    if "skipped" in rec:
+        return int(rec["target"]), typed(rec["skipped"], str)
+    return PlanEntry(
+        target=int(rec["target"]),
+        delete_neighbor=_optional(rec, "delete_neighbor", int),
+        add_influencer=int(rec["add_influencer"]),
+        keyword=_optional(rec, "keyword", lambda v: typed(v, str)),
+        new_text=_optional(rec, "new_text", lambda v: typed(v, str)),
+        rationale=typed(rec.get("rationale", ""), str),
+        intended_label=_optional(rec, "intended_label", int),
+    )
 
 
 def load_plan(path: str | Path) -> PerturbationPlan:
     plan = PerturbationPlan()
-    p = Path(path)
-    with p.open() as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                rec = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", str(p), lineno) from exc
-            if "skipped" in rec:
-                plan.skip(int(rec["target"]), str(rec["skipped"]))
-                continue
-            try:
-                entry = PlanEntry(
-                    target=int(rec["target"]),
-                    delete_neighbor=(
-                        None if rec.get("delete_neighbor") is None
-                        else int(rec["delete_neighbor"])
-                    ),
-                    add_influencer=int(rec["add_influencer"]),
-                    keyword=rec.get("keyword"),
-                    new_text=rec.get("new_text"),
-                    rationale=rec.get("rationale", ""),
-                    intended_label=(
-                        None if rec.get("intended_label") is None
-                        else int(rec["intended_label"])
-                    ),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"bad plan record: {exc}", str(p), lineno) from exc
-            plan.add(entry)
+    for _, rec in read_jsonl(path, _plan_record):
+        if isinstance(rec, PlanEntry):
+            plan.add(rec)
+        else:
+            plan.skip(*rec)
     return plan

@@ -9,7 +9,6 @@ involving a zero row has cosine 0.0, so dissimilarity 1.0 (orthogonal).
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,6 +17,7 @@ import numpy as np
 
 from .errors import DegenerateVectorWarning, ParseError, ShapeError
 from .nnops import pair_cosines, unit_rows
+from .records import read_jsonl, typed, write_jsonl
 
 DEFAULT_K = 5
 
@@ -93,26 +93,22 @@ def retrieve_all(
 
 
 def save_influencers(sets: dict[int, InfluencerSet], path: str | Path) -> None:
-    with Path(path).open("w") as fh:
-        for target in sorted(sets):
-            rec = {"target": target, "candidates": list(sets[target].candidates)}
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+    write_jsonl(path, (
+        {"target": t, "candidates": list(sets[t].candidates)} for t in sorted(sets)
+    ))
+
+
+def _influencer_record(rec: dict) -> InfluencerSet:
+    return InfluencerSet(
+        target=int(rec["target"]),
+        candidates=tuple(int(c) for c in typed(rec["candidates"], list)),
+    )
 
 
 def load_influencers(path: str | Path) -> dict[int, InfluencerSet]:
-    p = Path(path)
     out: dict[int, InfluencerSet] = {}
-    with p.open() as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                rec = json.loads(raw)
-                target = int(rec["target"])
-                candidates = tuple(int(c) for c in rec["candidates"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"bad influencer record: {exc}", str(p), lineno) from exc
-            if target in out:
-                raise ParseError(f"duplicate target {target}", str(p), lineno)
-            out[target] = InfluencerSet(target=target, candidates=candidates)
+    for lineno, found in read_jsonl(path, _influencer_record):
+        if found.target in out:
+            raise ParseError(f"duplicate target {found.target}", str(path), lineno)
+        out[found.target] = found
     return out

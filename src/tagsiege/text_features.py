@@ -8,7 +8,6 @@ and smoothed-idf-weighted raw term counts with no length normalization.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, ParseError, ShapeError
 from .graph import TextAttributedGraph
+from .records import read_jsonl, typed, write_jsonl
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -120,41 +120,30 @@ def featurize(texts: Sequence[str], vocab: Vocabulary) -> sp.csr_matrix:
 def save_embeddings(vectors: np.ndarray, path: str | Path) -> None:
     """One {"id", "vec"} object per node per line."""
     vectors = np.asarray(vectors, dtype=float)
-    with Path(path).open("w") as fh:
-        for i, row in enumerate(vectors):
-            rec = {"id": i, "vec": [float(x) for x in row]}
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+    write_jsonl(path, ({"id": i, "vec": row.tolist()} for i, row in enumerate(vectors)))
+
+
+def _embedding_record(rec: dict) -> tuple[int, list[float]]:
+    return int(rec["id"]), [float(x) for x in typed(rec["vec"], list)]
 
 
 def load_embeddings(path: str | Path, node_count: int | None = None) -> np.ndarray:
     """Read an embedding JSONL back into a dense (n, d) array."""
-    p = Path(path)
     rows: dict[int, list[float]] = {}
     dim: int | None = None
-    with p.open() as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                rec = json.loads(raw)
-                node_id = int(rec["id"])
-                vec = [float(x) for x in rec["vec"]]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"bad embedding record: {exc}", str(p), lineno) from exc
-            if dim is None:
-                dim = len(vec)
-            elif len(vec) != dim:
-                raise ParseError(
-                    f"embedding dimension {len(vec)} != {dim}", str(p), lineno
-                )
-            if node_id in rows:
-                raise ParseError(f"duplicate embedding id {node_id}", str(p), lineno)
-            rows[node_id] = vec
+    for lineno, (node_id, vec) in read_jsonl(path, _embedding_record):
+        if dim is None:
+            dim = len(vec)
+        elif len(vec) != dim:
+            raise ParseError(f"embedding dimension {len(vec)} != {dim}", str(path), lineno)
+        if node_id in rows:
+            raise ParseError(f"duplicate embedding id {node_id}", str(path), lineno)
+        rows[node_id] = vec
     if not rows:
-        raise ParseError("embedding file is empty", str(p), 0)
+        raise ParseError("embedding file is empty", str(path), 0)
     n = len(rows)
     if sorted(rows) != list(range(n)):
-        raise ParseError("embedding ids are not dense in [0, n)", str(p), 0)
+        raise ParseError("embedding ids are not dense in [0, n)", str(path), 0)
     if node_count is not None and n != node_count:
         raise ShapeError(f"embedding file has {n} rows for {node_count} nodes")
     return np.array([rows[i] for i in range(n)], dtype=float)

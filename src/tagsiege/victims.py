@@ -11,10 +11,8 @@ backend with the attacker.
 
 from __future__ import annotations
 
-import json
 import weakref
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -27,7 +25,7 @@ from .encoder import (
     forward,
     normalize_adjacency,
 )
-from .errors import ConfigurationError, DegenerateInputError, ParseError, ShapeError, TrainingError
+from .errors import ConfigurationError, DegenerateInputError, ShapeError, TrainingError
 from .graph import TextAttributedGraph
 from .nnops import cross_entropy_with_grad, fit, glorot, operand_form, relu, training_operand
 from .seeding import substream
@@ -270,42 +268,3 @@ def accuracy(
     nodes = np.array(sorted(node_set), dtype=int)
     return float(np.mean(preds[nodes] == labels[nodes]))
 
-
-def save_victim(model: VictimModel, path: str | Path) -> None:
-    payload = {
-        "kind": model.kind,
-        "hidden": model.config.hidden,
-        "sgc_steps": model.config.sgc_steps,
-        "seed": model.config.seed,
-        "val_accuracy": model.val_accuracy,
-        "weights": {
-            name: [[float(x) for x in row] for row in w]
-            for name, w in sorted(model.weights.items())
-        },
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-
-
-def load_victim(path: str | Path) -> VictimModel:
-    p = Path(path)
-    try:
-        payload = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", str(p), exc.lineno) from exc
-    for key in ("kind", "weights"):
-        if key not in payload:
-            raise ParseError(f"victim checkpoint missing {key!r}", str(p), 0)
-    weights = {
-        name: np.array(w, dtype=float) for name, w in payload["weights"].items()
-    }
-    config = VictimConfig(
-        hidden=int(payload.get("hidden", 64)),
-        sgc_steps=int(payload.get("sgc_steps", 2)),
-        seed=int(payload.get("seed", 0)),
-    )
-    return VictimModel(
-        kind=payload["kind"],
-        weights=weights,
-        config=config,
-        val_accuracy=payload.get("val_accuracy"),
-    )

@@ -1,6 +1,7 @@
 import pytest
 
 from tagsiege.baselines import flip_attack, rnd_attack
+from tagsiege.errors import ConfigurationError
 from tagsiege.graph import TextAttributedGraph
 from tagsiege.plan import Budgets, PerturbationPlan, PlanEntry, apply_plan, edit_counts
 from tagsiege.seeding import substream
@@ -213,6 +214,16 @@ def test_baselines_equal_reference_scans(seed, per_node):
         reference_rnd(g, targets, budgets, seed).entries
     assert flip_attack(g, targets, budgets).entries == \
         reference_flip(g, targets, budgets).entries
+
+
+@pytest.mark.parametrize("target", [-1, 20])
+def test_baselines_reject_a_target_that_is_not_a_node(target):
+    g = wheel_graph()
+    budgets = Budgets.for_targets(2)
+    with pytest.raises(ConfigurationError, match=f"target {target} is not a node"):
+        rnd_attack(g, [1, target], budgets, seed=1)
+    with pytest.raises(ConfigurationError, match=f"target {target} is not a node"):
+        flip_attack(g, [1, target], budgets)
 
 
 def test_baselines_skip_target_adjacent_to_every_node():

@@ -319,6 +319,29 @@ def test_audit_node_count_mismatch_exits_two(tmp_path, data_dir):
     )
 
 
+@pytest.mark.parametrize(
+    "case", ["evaluate-plan", "replay-manifest", "audit-report-malformed", "audit-report-incomplete"]
+)
+def test_malformed_input_file_exits_two(tmp_path, capsys, data_dir, attack_run, case):
+    bad = tmp_path / "bad.json"
+    perturbed = str(attack_run / "perturbed")
+    if case == "evaluate-plan":
+        bad.write_text((attack_run / "plan.jsonl").read_text() + "5\n")
+        argv = ["evaluate", "--clean", str(data_dir), "--perturbed", perturbed,
+                "--plan", str(bad)]
+    elif case == "replay-manifest":
+        bad.write_text('{"command": "synth",')
+        argv = ["replay", str(bad)]
+    else:
+        bad.write_text(
+            '{"aggregates_clean": ' if case == "audit-report-malformed"
+            else '{"aggregates_clean": {"average": 0.5}}'
+        )
+        argv = ["audit", "--clean", str(data_dir), "--perturbed", perturbed, "--report", str(bad)]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}:")
+
+
 def test_encode_and_retrieve(tmp_path, data_dir):
     enc = tmp_path / "enc"
     assert main(["encode", "--data", str(data_dir), "--out", str(enc)]) == 0

@@ -16,7 +16,6 @@ from tagsiege.metrics import (
     bound_audit,
     homophily_edge,
     homophily_node,
-    label_homophily_edge,
     synergy_test,
 )
 from tagsiege.plan import Budgets, PerturbationPlan, PlanEntry, apply_plan
@@ -95,10 +94,6 @@ def test_homophily_requires_edges_and_shape():
         homophily_edge(g, np.ones((2, 2)))
     with pytest.raises(ShapeError):
         homophily_edge(triangle(), np.ones((5, 2)))
-
-
-def test_label_homophily():
-    assert label_homophily_edge(triangle()) == pytest.approx(1 / 3)
 
 
 def test_bound_audit_identical_inputs_all_zero():

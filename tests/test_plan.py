@@ -84,6 +84,15 @@ def test_delete_requires_existing_edge():
         apply_plan(path_graph(), plan, loose_budgets())
 
 
+def test_delete_of_the_target_itself_names_the_missing_edge():
+    g = path_graph()
+    assert not g.has_edge(2, 2)
+    plan = PerturbationPlan()
+    plan.add(PlanEntry(target=2, delete_neighbor=2, add_influencer=5))
+    with pytest.raises(PlanInconsistencyError, match="cannot delete edge to 2; no such edge"):
+        apply_plan(g, plan, loose_budgets())
+
+
 def test_insert_rejects_existing_edge_and_self_loop():
     plan = PerturbationPlan()
     plan.add(PlanEntry(target=0, delete_neighbor=1, add_influencer=1))

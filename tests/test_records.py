@@ -1,0 +1,77 @@
+"""Every file reader reports a malformed record as ParseError at path:line."""
+
+import pytest
+
+from tagsiege.encoder import load_checkpoint
+from tagsiege.errors import ParseError
+from tagsiege.graph import load_graph
+from tagsiege.plan import load_plan
+from tagsiege.records import dumps, read_jsonl, write_jsonl
+from tagsiege.retrieval import load_influencers
+from tagsiege.text_features import load_embeddings
+
+NODE_0 = '{"id":0,"label":0,"split":"train","text":"alpha beta"}'
+
+
+def graph_with_bad_nodes(root):
+    (root / "edges.csv").write_text("src,dst\n")
+    return load_graph(root)
+
+
+def graph_with_bad_edges(root):
+    (root / "nodes.jsonl").write_text(
+        NODE_0 + '\n{"id":1,"label":1,"split":"test","text":"gamma"}\n'
+    )
+    return load_graph(root)
+
+
+# reader -> (file it reads, a good line, a line with one wrong-typed field, load(dir))
+JSONL_READERS = {
+    "nodes": ("nodes.jsonl", NODE_0,
+              '{"id":1,"label":0,"split":"train","text":null}', graph_with_bad_nodes),
+    "edges": ("edges.jsonl", '{"dst":1,"src":0}', '{"dst":[1],"src":0}',
+              graph_with_bad_edges),
+    "plan": ("plan.jsonl", '{"add_influencer":3,"delete_neighbor":null,"target":1}',
+             '{"skipped":"isolated","target":"two"}', lambda d: load_plan(d / "plan.jsonl")),
+    "influencers": ("influencers.jsonl", '{"candidates":[2,3],"target":1}',
+                    '{"candidates":"23","target":2}',
+                    lambda d: load_influencers(d / "influencers.jsonl")),
+    "embeddings": ("embeddings.jsonl", '{"id":0,"vec":[1.0,2.0]}', '{"id":1,"vec":"12"}',
+                   lambda d: load_embeddings(d / "embeddings.jsonl")),
+}
+
+BAD_CHECKPOINT = '{"hidden":"four","kind":"gcn-encoder","w1":[[1.0]],"w2":[[1.0]]}'
+
+
+def reader_cases():
+    for reader, (name, good, wrong_type, load) in JSONL_READERS.items():
+        for kind, bad in (("invalid-json", "{not json"), ("non-object", "5"),
+                          ("missing-key", "{}"), ("wrong-type", wrong_type)):
+            # the blank line is skipped but still counted
+            yield pytest.param(name, f"{good}\n\n{bad}\n", load, 3, id=f"{reader}-{kind}")
+    def checkpoint(root):
+        return load_checkpoint(root / "encoder.json")
+
+    for kind, text, line in (("invalid-json", '{"kind":\n  not json}', 2),
+                             ("non-object", "[1, 2]", 0), ("missing-key", "{}", 0),
+                             ("wrong-type", BAD_CHECKPOINT, 0)):
+        yield pytest.param("encoder.json", text, checkpoint, line, id=f"checkpoint-{kind}")
+
+
+@pytest.mark.parametrize("name, text, load, line", reader_cases())
+def test_every_reader_reports_a_bad_record_at_path_and_line(tmp_path, name, text, load, line):
+    (tmp_path / name).write_text(text)
+    with pytest.raises(ParseError) as err:
+        load(tmp_path)
+    assert str(err.value).startswith(f"{tmp_path / name}:{line}: ")
+    assert (err.value.path, err.value.line) == (str(tmp_path / name), line)
+
+
+def test_jsonl_round_trip_is_compact_sorted_and_skips_blank_lines(tmp_path):
+    path = tmp_path / "r.jsonl"
+    write_jsonl(path, [{"b": 1, "a": [1.5, None]}, {"text": "é"}])
+    assert path.read_text() == '{"a":[1.5,null],"b":1}\n{"text":"\\u00e9"}\n'
+    path.write_text(path.read_text() + "\n  \n" + dumps({"a": 2}) + "\n")
+    assert list(read_jsonl(path, lambda rec: rec)) == [
+        (1, {"a": [1.5, None], "b": 1}), (2, {"text": "é"}), (5, {"a": 2}),
+    ]

@@ -5,7 +5,7 @@ import pytest
 
 from tagsiege.errors import ConfigurationError
 from tagsiege.graph import load_graph, save_graph
-from tagsiege.metrics import homophily_edge, label_homophily_edge
+from tagsiege.metrics import homophily_edge
 from tagsiege.seeding import substream
 from tagsiege.synth import SynthConfig, generate, summarize
 from tagsiege.text_features import Vocabulary, featurize, tokenize
@@ -50,7 +50,7 @@ def test_single_class_graph_is_all_intra():
     g = generate(SynthConfig(node_count=60, class_count=1, p_in=0.1, p_out=0.0,
                              noise_rate=0.0, class_vocab_size=4,
                              shared_vocab_size=0, seed=5))
-    assert label_homophily_edge(g) == 1.0
+    assert summarize(g)["inter_class_edges"] == 0
     # one class, one tiny vocabulary: endpoint texts overlap heavily
     vocab = Vocabulary.from_texts(g.texts)
     X = featurize(g.texts, vocab)
