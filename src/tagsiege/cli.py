@@ -15,8 +15,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -47,7 +49,7 @@ from .text_features import (
     load_embeddings,
     token_edit_distance,
 )
-from .victims import VICTIM_KINDS, VictimConfig, accuracy, train_victim
+from .victims import VICTIM_KINDS, VictimConfig, _propagation, accuracy, train_victim
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -421,6 +423,42 @@ def _run_attack(cfg: dict, out: Path):
     return _dataset_inputs(cfg["data"]), extra, EXIT_OK
 
 
+# submission order: the longest training first, so the others fill the
+# remaining workers around it
+_LONGEST_FIRST = ("sage_mean", "gcn", "sgc")
+
+
+def _train_victims(kinds: list[str], clean, clean_x, config: VictimConfig):
+    """Train each kind on the clean graph, concurrently on up to one thread
+    per available core; returns (victims, timings, worker count).
+
+    Each victim's training is deterministic and shares nothing mutable with
+    the others, so the results do not depend on the core count. The
+    propagation cache is filled before the pool starts, since two threads
+    must not fill it at once."""
+    kinds = sorted(set(kinds), key=_LONGEST_FIRST.index)
+    for kind in kinds:
+        _propagation(kind, clean)
+
+    def timed(kind: str):
+        started = time.perf_counter()
+        model = train_victim(kind, clean, clean_x, config)
+        return model, round(time.perf_counter() - started, 3)
+
+    workers = min(len(kinds), len(os.sched_getaffinity(0)))
+    started = time.perf_counter()
+    with ThreadPoolExecutor(workers) as pool:
+        futures = {kind: pool.submit(timed, kind) for kind in kinds}
+    timings = {"victims_wall_s": round(time.perf_counter() - started, 3)}
+    victims = {}
+    for kind in sorted(futures):
+        try:
+            victims[kind], timings[f"train_{kind}_s"] = futures[kind].result()
+        except TrainingError as exc:
+            raise TrainingError(f"victim {kind}: {exc}") from exc
+    return victims, timings, workers
+
+
 def _run_evaluate(cfg: dict, out: Path):
     clean = load_graph(cfg["clean"])
     perturbed = load_graph(cfg["perturbed"])
@@ -436,6 +474,8 @@ def _run_evaluate(cfg: dict, out: Path):
     perturbed_x = featurize(perturbed.texts, vocab)
 
     kinds = [k for k in cfg["victims"].split(",") if k]
+    if not kinds:
+        raise ConfigurationError("evaluate needs at least one victim kind")
     for kind in kinds:
         if kind not in VICTIM_KINDS:
             raise ConfigurationError(
@@ -449,12 +489,7 @@ def _run_evaluate(cfg: dict, out: Path):
         sgc_steps=cfg["sgc_steps"],
         seed=cfg["seed"],
     )
-    victims = {}
-    for kind in kinds:
-        try:
-            victims[kind] = train_victim(kind, clean, clean_x, victim_config)
-        except TrainingError as exc:
-            raise TrainingError(f"victim {kind}: {exc}") from exc
+    victims, timings, workers = _train_victims(kinds, clean, clean_x, victim_config)
 
     label = cfg["attacker_label"]
     attackers = {label: (perturbed, perturbed_x)}
@@ -533,7 +568,8 @@ def _run_evaluate(cfg: dict, out: Path):
     )
     print(f"evaluate: drops {drops} -> {out}")
     forms = {kind: model.operand_forms for kind, model in victims.items()}
-    extra = {"seed": cfg["seed"], "victims": ordered, "counters": _counters(clean_x, forms)}
+    counters = _counters(clean_x, forms) | {"victim_workers": workers}
+    extra = {"seed": cfg["seed"], "victims": ordered, "timings": timings, "counters": counters}
     return inputs, extra, EXIT_OK
 
 
@@ -698,6 +734,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the JSON types a recorded option of each kind may hold; a float option
+# also takes an integer, as `float()` would
+_RECORDED_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool, "list": list}
+
+
+def _check_recorded(name: str, kind: str, default, value) -> None:
+    """ConfigurationError unless a manifest's `value` for option `name` has
+    its kind's type; options whose default is None may also hold null."""
+    if value is None and default is None:
+        return
+    fits = isinstance(value, _RECORDED_TYPES[kind]) and isinstance(value, bool) == (kind == "bool")
+    if kind == "list" and fits:
+        fits = all(isinstance(item, str) for item in value)
+    if not fits:
+        raise ConfigurationError(
+            f"manifest config {name}: expected {kind}, got {type(value).__name__} {value!r}"
+        )
+
+
 def _cmd_replay(args: argparse.Namespace) -> int:
     command, inputs, config = read_json(args.manifest, lambda manifest: (
         typed(manifest["command"], str),
@@ -715,6 +770,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     missing = [name for name, _, _, _ in spec if name not in config]
     if missing:
         raise ConfigurationError(f"manifest config lacks keys: {', '.join(missing)}")
+    for name, kind, default, _ in spec:
+        _check_recorded(name, kind, default, config[name])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     inputs, extra, code = runner(config, out)

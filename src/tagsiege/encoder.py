@@ -20,9 +20,10 @@ import scipy.sparse as sp
 from .errors import ConfigurationError, ShapeError, TrainingError
 from .graph import TextAttributedGraph
 from .nnops import (
-    as_dense, cross_entropy_with_grad, fit, glorot, operand_form, relu, training_operand,
+    add_decay, as_dense, cross_entropy_with_grad, fit, glorot, l2_penalty, operand_form,
+    product, product_buffer, relu, training_operand,
 )
-from .records import dumps, read_json
+from .records import dumps, integer, read_json
 from .seeding import substream
 
 
@@ -103,23 +104,31 @@ def _loss_and_grads(
     weight_decay: float,
 ) -> Iterator[tuple[float, list[np.ndarray]]]:
     """Yield the loss and [dW1, dW2] at the current `params`, once per `next`;
-    `u` is the fixed first propagation a_hat @ features, dense or CSR."""
+    `u` is the fixed first propagation a_hat @ features, dense or CSR.
+
+    The dense activations and gradients live in buffers allocated once here,
+    so each `next` overwrites the gradients the previous one yielded."""
+    w1, w2 = params.w1, params.w2
+    n, hidden = u.shape[0], w1.shape[1]
+    h_out, dw1_out = product_buffer(u, hidden), product_buffer(u.T, hidden)
+    active = np.empty((n, hidden), dtype=bool)
+    logits, dw2 = np.empty((n, w2.shape[1])), np.empty(w2.shape)
+    scratch = [np.empty(w1.shape), np.empty(w2.shape)]
     while True:
-        h_pre = u @ params.w1
-        h = relu(h_pre)
+        h = product(u, w1, h_out)
+        np.greater(h, 0, out=active)  # the relu mask, taken before the relu
+        relu(h, out=h)
         q = a_hat @ h
-        logits = q @ params.w2
+        np.matmul(q, w2, out=logits)
 
         loss, dlogits = cross_entropy_with_grad(logits, labels, train_rows)
-        loss += 0.5 * weight_decay * (
-            float(np.sum(params.w1 ** 2)) + float(np.sum(params.w2 ** 2))
-        )
+        loss += 0.5 * weight_decay * l2_penalty([w1, w2], scratch)
 
-        dw2 = q.T @ dlogits + weight_decay * params.w2
-        dq = dlogits @ params.w2.T
+        add_decay(np.matmul(q.T, dlogits, out=dw2), w2, weight_decay, scratch[1])
+        dq = np.matmul(dlogits, w2.T, out=q)  # q is dead once dw2 is formed
         dh = a_hat @ dq                # a_hat is symmetric, so A^T == A
-        dh_pre = dh * (h_pre > 0)
-        dw1 = u.T @ dh_pre + weight_decay * params.w1
+        dh *= active
+        dw1 = add_decay(product(u.T, dh, dw1_out), w1, weight_decay, scratch[0])
         yield loss, [dw1, dw2]
 
 
@@ -232,7 +241,7 @@ def _checkpoint_record(rec: dict) -> tuple[int, int, np.ndarray, np.ndarray]:
         raise ValueError(f"unexpected checkpoint kind {rec['kind']!r}")
     w1 = np.array(rec["w1"], dtype=float)
     w2 = np.array(rec["w2"], dtype=float)
-    return int(rec["hidden"]), int(rec.get("seed", 0)), w1, w2
+    return integer(rec["hidden"]), integer(rec.get("seed", 0)), w1, w2
 
 
 def load_checkpoint(path: str | Path) -> TrainedEncoder:

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import GraphValidationError, ParseError
-from .records import read_jsonl, typed, write_jsonl
+from .records import integer, read_jsonl, typed, write_jsonl
 
 Edge = tuple[int, int]
 
@@ -141,12 +141,19 @@ EDGE_FILE_JSONL = "edges.jsonl"
 
 def _node_record(rec: dict) -> tuple[int, tuple[str, int, str]]:
     """(id, (text, label, split)) of one nodes.jsonl object."""
-    return int(rec["id"]), (typed(rec["text"], str), int(rec["label"]), typed(rec["split"], str))
+    return integer(rec["id"]), (
+        typed(rec["text"], str), integer(rec["label"]), typed(rec["split"], str)
+    )
+
+
+def _edge_record(rec: dict) -> tuple[int, int]:
+    """(src, dst) of one edges.jsonl object."""
+    return integer(rec["src"]), integer(rec["dst"])
 
 
 def _read_edge_file(path: Path) -> list[tuple[int, int]]:
     if path.suffix == ".jsonl":
-        return [pair for _, pair in read_jsonl(path, lambda r: (int(r["src"]), int(r["dst"])))]
+        return [pair for _, pair in read_jsonl(path, _edge_record)]
     pairs: list[tuple[int, int]] = []
     with path.open(newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):

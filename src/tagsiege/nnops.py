@@ -2,8 +2,11 @@
 dense-or-CSR choice for fixed training operands, and the package's one cosine.
 
 `fit` is the one full-batch Adam loop that trains the surrogate encoder and
-every victim. Everything here is plain numpy/scipy on float64 so results are
-bit-stable across runs on the same platform.
+every victim. Its losses write their dense activations and gradients into
+buffers they allocate once per training run (`product` into `out=`), and its
+Adam step does the same, so an epoch allocates only the results of scipy's
+sparse @ dense products. Everything here is plain numpy/scipy on float64 so
+results are bit-stable across runs on the same platform.
 """
 
 from __future__ import annotations
@@ -93,13 +96,39 @@ def pair_cosines(
     return out
 
 
+def product(
+    a: np.ndarray | sp.spmatrix, b: np.ndarray, out: np.ndarray | None
+) -> np.ndarray:
+    """a @ b, written into `out` when `a` is dense. scipy's sparse @ dense
+    takes no `out=`, so a sparse `a` ignores `out` and gives a new array."""
+    return a @ b if sp.issparse(a) else np.matmul(a, b, out=out)
+
+
+def product_buffer(a: np.ndarray | sp.spmatrix, columns: int) -> np.ndarray | None:
+    """The `out` for `product(a, b)` with `b` of `columns` columns: None for
+    a sparse `a`, else an uninitialised (rows of a, columns) array."""
+    return None if sp.issparse(a) else np.empty((a.shape[0], columns))
+
+
+def l2_penalty(weights: list[np.ndarray], scratch: list[np.ndarray]) -> float:
+    """The sum over `weights` of sum(w ** 2), each square written into the
+    matching `scratch` array."""
+    return sum(float(np.sum(np.square(w, out=s))) for w, s in zip(weights, scratch))
+
+
+def add_decay(grad: np.ndarray, w: np.ndarray, rate: float, scratch: np.ndarray) -> np.ndarray:
+    """grad + rate * w, in place in `grad`, with `scratch` holding rate * w."""
+    grad += np.multiply(w, rate, out=scratch)
+    return grad
+
+
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(x, 0.0, out=out)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -138,16 +167,19 @@ def fit(
     """Full-batch Adam on `params`, updated in place; returns the loss curve.
 
     Each `next(loss_and_grads)` evaluates the current `params` and gives the
-    loss and one gradient per parameter, in the same order. A non-finite loss
-    raises TrainingError naming `what`.
+    loss and one gradient per parameter, in the same order; the gradients may
+    be buffers that the next `next` overwrites. A non-finite loss raises
+    TrainingError naming `what`.
 
-    The losses are endless generators, not functions, so one epoch's
-    activations live until the next epoch replaces them. Freed all at once on
-    return, they let glibc trim the heap every epoch; at n=2000, hidden=64
-    the page faults on re-growing it took over half of the training time.
+    The losses are endless generators, not functions, so each allocates its
+    buffers once per run. The Adam step works in one scratch pair sized for
+    the largest parameter, in the same operations and order as
+    `p -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)`.
     """
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
+    largest = max(p.size for p in params)
+    scratch = np.empty(largest), np.empty(largest)
     history: list[float] = []
     for t in range(1, epochs + 1):
         loss, grads = next(loss_and_grads)
@@ -155,11 +187,18 @@ def fit(
             raise TrainingError(f"{what} is not finite ({loss})")
         history.append(loss)
         for p, g, m_p, v_p in zip(params, grads, m, v):
+            step, root = (s[:p.size].reshape(p.shape) for s in scratch)
             m_p *= BETA1
-            m_p += (1 - BETA1) * g
+            m_p += np.multiply(g, 1 - BETA1, out=step)
             v_p *= BETA2
-            v_p += (1 - BETA2) * (g * g)
-            m_hat = m_p / (1 - BETA1 ** t)
-            v_hat = v_p / (1 - BETA2 ** t)
-            p -= learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
+            np.multiply(g, g, out=step)
+            step *= 1 - BETA2
+            v_p += step
+            np.divide(m_p, 1 - BETA1 ** t, out=step)  # m_hat
+            step *= learning_rate
+            np.divide(v_p, 1 - BETA2 ** t, out=root)  # v_hat
+            np.sqrt(root, out=root)
+            root += EPS
+            step /= root
+            p -= step
     return history

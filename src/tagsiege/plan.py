@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .errors import BudgetError, ConfigurationError, PlanInconsistencyError, ShapeError
 from .graph import TextAttributedGraph, canonical_edge
-from .records import read_jsonl, typed, write_jsonl
+from .records import integer, read_jsonl, typed, write_jsonl
 from .text_features import token_edit_distance
 
 
@@ -246,15 +246,15 @@ def _optional(rec: dict, key: str, convert):
 def _plan_record(rec: dict) -> PlanEntry | tuple[int, str]:
     """A PlanEntry, or (target, reason) for a skip record."""
     if "skipped" in rec:
-        return int(rec["target"]), typed(rec["skipped"], str)
+        return integer(rec["target"]), typed(rec["skipped"], str)
     return PlanEntry(
-        target=int(rec["target"]),
-        delete_neighbor=_optional(rec, "delete_neighbor", int),
-        add_influencer=int(rec["add_influencer"]),
+        target=integer(rec["target"]),
+        delete_neighbor=_optional(rec, "delete_neighbor", integer),
+        add_influencer=integer(rec["add_influencer"]),
         keyword=_optional(rec, "keyword", lambda v: typed(v, str)),
         new_text=_optional(rec, "new_text", lambda v: typed(v, str)),
         rationale=typed(rec.get("rationale", ""), str),
-        intended_label=_optional(rec, "intended_label", int),
+        intended_label=_optional(rec, "intended_label", integer),
     )
 
 

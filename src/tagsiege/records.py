@@ -32,6 +32,15 @@ def typed(value, kind: type):
     return value
 
 
+def integer(value) -> int:
+    """`value` if it is a JSON integer, else TypeError: a float, a string or
+    a bool (which `isinstance(value, int)` alone would let through) is not
+    silently truncated or cast."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {type(value).__name__} {value!r}")
+    return value
+
+
 def _decode(text: str, convert: Callable[[dict], T], path: str, line: int) -> T:
     try:
         obj = json.loads(text)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateVectorWarning, ParseError, ShapeError
 from .nnops import pair_cosines, unit_rows
-from .records import read_jsonl, typed, write_jsonl
+from .records import integer, read_jsonl, typed, write_jsonl
 
 DEFAULT_K = 5
 
@@ -100,8 +100,8 @@ def save_influencers(sets: dict[int, InfluencerSet], path: str | Path) -> None:
 
 def _influencer_record(rec: dict) -> InfluencerSet:
     return InfluencerSet(
-        target=int(rec["target"]),
-        candidates=tuple(int(c) for c in typed(rec["candidates"], list)),
+        target=integer(rec["target"]),
+        candidates=tuple(integer(c) for c in typed(rec["candidates"], list)),
     )
 
 

@@ -7,6 +7,11 @@ built once per graph and reused across predictions. The `gcn` victim shares
 the surrogate's GCN code (`encoder.forward`, `encoder._loss_and_grads`) and
 all train with `nnops.fit`, but victims share no weights, embeddings, plan or
 backend with the attacker.
+
+Each training allocates its buffers once and shares nothing mutable with
+another, so several victims may train at once on separate threads, as
+`evaluate` does. The propagation cache is the one shared structure: build
+every entry a thread will need (`_propagation`) before starting the threads.
 """
 
 from __future__ import annotations
@@ -27,7 +32,10 @@ from .encoder import (
 )
 from .errors import ConfigurationError, DegenerateInputError, ShapeError, TrainingError
 from .graph import TextAttributedGraph
-from .nnops import cross_entropy_with_grad, fit, glorot, operand_form, relu, training_operand
+from .nnops import (
+    add_decay, cross_entropy_with_grad, fit, glorot, l2_penalty, operand_form, product,
+    product_buffer, relu, training_operand,
+)
 from .seeding import substream
 
 VICTIM_KINDS = ("gcn", "sgc", "sage_mean")
@@ -87,7 +95,8 @@ def _propagation(kind: str, graph: TextAttributedGraph) -> sp.csr_matrix:
     `normalize_adjacency` for gcn and sgc, `mean_aggregation` for sage_mean.
     An entry lives as long as its graph does. Its value and index arrays are
     read-only, so an in-place write raises instead of changing what later
-    calls are handed.
+    calls are handed. Reading the cache from several threads is safe;
+    filling it from two at once is not.
     """
     cache, build = (
         (_MEAN_AGGREGATION, mean_aggregation) if kind == "sage_mean"
@@ -143,40 +152,60 @@ def victim_logits(
 
 
 def sgc_loss_and_grads(
-    w: np.ndarray, propagated: np.ndarray, labels: np.ndarray, rows: np.ndarray,
-    weight_decay: float,
+    w: np.ndarray, propagated: np.ndarray | sp.csr_matrix, labels: np.ndarray,
+    rows: np.ndarray, weight_decay: float,
 ) -> Iterator[tuple[float, list[np.ndarray]]]:
     """Yield the SGC loss with L2 term and [dW] at the current `w`, once per
-    `next`; `propagated` is a_hat^K @ features."""
+    `next`, into buffers allocated once; `propagated` is a_hat^K @ features."""
+    logits_out = product_buffer(propagated, w.shape[1])
+    grad_out = product_buffer(propagated.T, w.shape[1])
+    scratch = np.empty(w.shape)
     while True:
-        loss, dlogits = cross_entropy_with_grad(propagated @ w, labels, rows)
-        loss += 0.5 * weight_decay * float(np.sum(w ** 2))
-        yield loss, [propagated.T @ dlogits + weight_decay * w]
+        logits = product(propagated, w, logits_out)
+        loss, dlogits = cross_entropy_with_grad(logits, labels, rows)
+        loss += 0.5 * weight_decay * l2_penalty([w], [scratch])
+        yield loss, [add_decay(product(propagated.T, dlogits, grad_out), w, weight_decay, scratch)]
 
 
 SAGE_WEIGHTS = ("ws1", "wn1", "ws2", "wn2")
 
 
 def sage_loss_and_grads(
-    weights: dict[str, np.ndarray], m: sp.csr_matrix, features: np.ndarray,
-    x_nbr: np.ndarray, labels: np.ndarray, rows: np.ndarray, weight_decay: float,
+    weights: dict[str, np.ndarray], m: sp.csr_matrix, features: np.ndarray | sp.csr_matrix,
+    x_nbr: np.ndarray | sp.csr_matrix, labels: np.ndarray, rows: np.ndarray,
+    weight_decay: float,
 ) -> Iterator[tuple[float, list[np.ndarray]]]:
     """Yield the mean-SAGE loss with L2 term and gradients in SAGE_WEIGHTS
     order at the current `weights`, once per `next`; `x_nbr` is the fixed
-    neighbour mean m @ features."""
+    neighbour mean m @ features. The dense activations and gradients live in
+    buffers allocated once here. Arrays are reused once their value is dead:
+    `dh` takes `h`'s (its relu mask is kept apart), and `h_nbr`'s also holds
+    x_nbr @ wn1 and dlogits @ wn2^T."""
+    ws1, wn1, ws2, wn2 = (weights[k] for k in SAGE_WEIGHTS)
+    n, hidden, classes = features.shape[0], ws1.shape[1], ws2.shape[1]
+    h_out, h_nbr = product_buffer(features, hidden), np.empty((n, hidden))
+    active = np.empty((n, hidden), dtype=bool)
+    logits, spare_logits = np.empty((n, classes)), np.empty((n, classes))
+    dws1_out, dwn1_out = product_buffer(features.T, hidden), product_buffer(x_nbr.T, hidden)
+    dws2, dwn2 = np.empty(ws2.shape), np.empty(wn2.shape)
+    scratch = [np.empty(w.shape) for w in (ws1, wn1, ws2, wn2)]
     while True:
-        h_pre = features @ weights["ws1"] + x_nbr @ weights["wn1"]
-        h = relu(h_pre)
+        h = product(features, ws1, h_out)
+        h += product(x_nbr, wn1, h_nbr)
+        np.greater(h, 0, out=active)  # the relu mask, taken before the relu
+        relu(h, out=h)
         h_nbr = m @ h
-        logits = h @ weights["ws2"] + h_nbr @ weights["wn2"]
+        np.matmul(h, ws2, out=logits)
+        logits += np.matmul(h_nbr, wn2, out=spare_logits)
         loss, dlogits = cross_entropy_with_grad(logits, labels, rows)
-        loss += 0.5 * weight_decay * sum(float(np.sum(weights[k] ** 2)) for k in SAGE_WEIGHTS)
-        dws2 = h.T @ dlogits + weight_decay * weights["ws2"]
-        dwn2 = h_nbr.T @ dlogits + weight_decay * weights["wn2"]
-        dh = dlogits @ weights["ws2"].T + m.T @ (dlogits @ weights["wn2"].T)
-        dh_pre = dh * (h_pre > 0)
-        dws1 = features.T @ dh_pre + weight_decay * weights["ws1"]
-        dwn1 = x_nbr.T @ dh_pre + weight_decay * weights["wn1"]
+        loss += 0.5 * weight_decay * l2_penalty([ws1, wn1, ws2, wn2], scratch)
+        add_decay(np.matmul(h.T, dlogits, out=dws2), ws2, weight_decay, scratch[2])
+        add_decay(np.matmul(h_nbr.T, dlogits, out=dwn2), wn2, weight_decay, scratch[3])
+        dh = np.matmul(dlogits, ws2.T, out=h)
+        dh += m.T @ np.matmul(dlogits, wn2.T, out=h_nbr)
+        dh *= active
+        dws1 = add_decay(product(features.T, dh, dws1_out), ws1, weight_decay, scratch[0])
+        dwn1 = add_decay(product(x_nbr.T, dh, dwn1_out), wn1, weight_decay, scratch[1])
         yield loss, [dws1, dwn1, dws2, dwn2]
 
 

@@ -1,0 +1,239 @@
+"""Training epochs that write into buffers allocated once per run give the
+same bits as the allocate-every-epoch code they replaced, and `evaluate`'s
+concurrently trained victims give the same outputs on any core count.
+
+The reference losses and Adam step below are the earlier bodies, kept
+verbatim as the oracle for the buffered ones.
+"""
+
+import json
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+import tagsiege.cli as cli
+import tagsiege.encoder as encoder
+import tagsiege.nnops as nnops
+import tagsiege.victims as victims
+from tagsiege.cli import main
+from tagsiege.encoder import EncoderConfig, train_encoder
+from tagsiege.errors import TrainingError
+from tagsiege.nnops import BETA1, BETA2, EPS, cross_entropy_with_grad, relu
+from tagsiege.victims import SAGE_WEIGHTS, VICTIM_KINDS, VictimConfig, train_victim
+
+from test_operands import FIXTURES, features_of
+
+
+def reference_fit(params, loss_and_grads, epochs, learning_rate, what):
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    history = []
+    for t in range(1, epochs + 1):
+        loss, grads = next(loss_and_grads)
+        if not np.isfinite(loss):
+            raise TrainingError(f"{what} is not finite ({loss})")
+        history.append(loss)
+        for p, g, m_p, v_p in zip(params, grads, m, v):
+            m_p *= BETA1
+            m_p += (1 - BETA1) * g
+            v_p *= BETA2
+            v_p += (1 - BETA2) * (g * g)
+            m_hat = m_p / (1 - BETA1 ** t)
+            v_hat = v_p / (1 - BETA2 ** t)
+            p -= learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
+    return history
+
+
+def reference_gcn_loss(params, a_hat, u, labels, train_rows, weight_decay):
+    while True:
+        h_pre = u @ params.w1
+        h = relu(h_pre)
+        q = a_hat @ h
+        logits = q @ params.w2
+        loss, dlogits = cross_entropy_with_grad(logits, labels, train_rows)
+        loss += 0.5 * weight_decay * (
+            float(np.sum(params.w1 ** 2)) + float(np.sum(params.w2 ** 2))
+        )
+        dw2 = q.T @ dlogits + weight_decay * params.w2
+        dq = dlogits @ params.w2.T
+        dh = a_hat @ dq
+        dh_pre = dh * (h_pre > 0)
+        dw1 = u.T @ dh_pre + weight_decay * params.w1
+        yield loss, [dw1, dw2]
+
+
+def reference_sgc_loss(w, propagated, labels, rows, weight_decay):
+    while True:
+        loss, dlogits = cross_entropy_with_grad(propagated @ w, labels, rows)
+        loss += 0.5 * weight_decay * float(np.sum(w ** 2))
+        yield loss, [propagated.T @ dlogits + weight_decay * w]
+
+
+def reference_sage_loss(weights, m, features, x_nbr, labels, rows, weight_decay):
+    while True:
+        h_pre = features @ weights["ws1"] + x_nbr @ weights["wn1"]
+        h = relu(h_pre)
+        h_nbr = m @ h
+        logits = h @ weights["ws2"] + h_nbr @ weights["wn2"]
+        loss, dlogits = cross_entropy_with_grad(logits, labels, rows)
+        loss += 0.5 * weight_decay * sum(float(np.sum(weights[k] ** 2)) for k in SAGE_WEIGHTS)
+        dws2 = h.T @ dlogits + weight_decay * weights["ws2"]
+        dwn2 = h_nbr.T @ dlogits + weight_decay * weights["wn2"]
+        dh = dlogits @ weights["ws2"].T + m.T @ (dlogits @ weights["wn2"].T)
+        dh_pre = dh * (h_pre > 0)
+        dws1 = features.T @ dh_pre + weight_decay * weights["ws1"]
+        dwn1 = x_nbr.T @ dh_pre + weight_decay * weights["wn1"]
+        yield loss, [dws1, dwn1, dws2, dwn2]
+
+
+def train_recorded(monkeypatch, model, graph, features, fit):
+    """(loss curves, final weights, operand forms) of one training through `fit`."""
+    curves = []
+
+    def recording(*args):
+        curves.append(fit(*args))
+        return curves[-1]
+
+    monkeypatch.setattr(encoder, "fit", recording)
+    monkeypatch.setattr(victims, "fit", recording)
+    if model == "encoder":
+        trained = train_encoder(graph, features, EncoderConfig(hidden=8, epochs=60, seed=3))
+        weights, forms = [trained.params.w1, trained.params.w2], trained.operand_forms
+    else:
+        trained = train_victim(model, graph, features, VictimConfig(hidden=8, epochs=60, seed=5))
+        weights, forms = list(trained.weights.values()), trained.operand_forms
+    return curves, weights, forms
+
+
+@pytest.mark.parametrize("model", ["encoder", *VICTIM_KINDS])
+@pytest.mark.parametrize("fixture", sorted(FIXTURES))
+@pytest.mark.parametrize("form, limit", [("csr", 1.0), ("dense", 0.0)])
+def test_buffered_training_matches_the_allocating_reference(
+    monkeypatch, model, fixture, form, limit
+):
+    monkeypatch.setattr(nnops, "SPARSE_OPERAND_MAX_DENSITY", limit)
+    graph = FIXTURES[fixture][0]()
+    features = features_of(graph)
+    with monkeypatch.context() as reference:
+        reference.setattr(encoder, "_loss_and_grads", reference_gcn_loss)
+        reference.setattr(victims, "_loss_and_grads", reference_gcn_loss)
+        reference.setattr(victims, "sgc_loss_and_grads", reference_sgc_loss)
+        reference.setattr(victims, "sage_loss_and_grads", reference_sage_loss)
+        expected = train_recorded(reference, model, graph, features, reference_fit)
+    curves, weights, forms = train_recorded(monkeypatch, model, graph, features, nnops.fit)
+    assert set(forms.values()) == {form} == set(expected[2].values())
+    assert len(curves) == 1 and len(curves[0]) == 60
+    assert curves == expected[0]
+    assert [w.tobytes() for w in weights] == [w.tobytes() for w in expected[1]]
+
+
+def test_victims_trained_on_more_threads_than_cores_match_serial_training(monkeypatch):
+    graph = FIXTURES["dense"][0]()
+    features = features_of(graph)
+    jobs = [(kind, VictimConfig(hidden=8, epochs=40, seed=seed))
+            for kind in VICTIM_KINDS for seed in range(3)]
+    serial = [train_victim(kind, graph, features, cfg) for kind, cfg in jobs]
+
+    def no_build(graph):
+        raise AssertionError("propagation cache filled from a worker thread")
+
+    # the serial pass filled the cache; the threads may only read it
+    monkeypatch.setattr(victims, "normalize_adjacency", no_build)
+    monkeypatch.setattr(victims, "mean_aggregation", no_build)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(jobs)) as pool:
+            futures = [pool.submit(train_victim, kind, graph, features, cfg) for kind, cfg in jobs]
+            threaded = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for alone, together in zip(serial, threaded):
+        assert [w.tobytes() for w in together.weights.values()] == [
+            w.tobytes() for w in alone.weights.values()
+        ]
+        assert together.val_accuracy == alone.val_accuracy
+
+
+SYNTH_FLAGS = ["--node-count", "120", "--class-count", "4", "--seed", "0"]
+
+
+@pytest.fixture(scope="module")
+def attack_run(tmp_path_factory):
+    data = tmp_path_factory.mktemp("dataset")
+    assert main(["synth", "--out", str(data), *SYNTH_FLAGS]) == 0
+    out = tmp_path_factory.mktemp("attack")
+    assert main(["attack", "--data", str(data), "--out", str(out),
+                 "--num-targets", "8", "--seed", "1"]) == 0
+    return data, out
+
+
+def evaluate(attack_run, out, *flags):
+    data, attack_out = attack_run
+    return main(["evaluate", "--clean", str(data), "--perturbed", str(attack_out / "perturbed"),
+                 "--plan", str(attack_out / "plan.jsonl"), "--out", str(out), "--seed", "2",
+                 *flags])
+
+
+def test_evaluate_outputs_do_not_depend_on_the_core_count(tmp_path, monkeypatch, attack_run):
+    outputs = {}
+    for cores in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+        out = tmp_path / f"cores{len(cores)}"
+        assert evaluate(attack_run, out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["counters"]["victim_workers"] == len(cores)
+        outputs[len(cores)] = [(out / n).read_bytes() for n in ("report.json", "summary.csv")]
+    assert outputs[1] == outputs[2]
+
+
+def test_evaluate_manifest_times_each_victim_and_the_pool(tmp_path, attack_run):
+    out = tmp_path / "eval"
+    assert evaluate(attack_run, out, "--victims", "sgc,gcn") == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    timings = manifest["timings"]
+    assert set(timings) == {"train_gcn_s", "train_sgc_s", "victims_wall_s"}
+    assert all(isinstance(s, float) and s >= 0.0 for s in timings.values())
+    workers = manifest["counters"]["victim_workers"]
+    assert workers == min(2, len(os.sched_getaffinity(0)))
+    report = (out / "report.json").read_text()
+    assert "victims_wall_s" not in report and "victim_workers" not in report
+
+
+def test_victims_are_submitted_longest_first(tmp_path, monkeypatch, attack_run):
+    started = []
+    real = cli.train_victim
+
+    def recording(kind, *args):
+        started.append(kind)
+        return real(kind, *args)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(cli, "train_victim", recording)
+    assert evaluate(attack_run, tmp_path / "eval", "--victims", "sgc,gcn,sage_mean") == 0
+    assert started == ["sage_mean", "gcn", "sgc"]
+
+
+def test_a_victim_failing_in_the_pool_exits_four_and_names_it(
+    tmp_path, monkeypatch, capsys, attack_run
+):
+    threads = {}
+    real = cli.train_victim
+
+    def failing(kind, *args):
+        threads[kind] = threading.current_thread()
+        if kind == "sgc":
+            raise TrainingError("sgc loss is not finite (nan)")
+        return real(kind, *args)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(cli, "train_victim", failing)
+    assert evaluate(attack_run, tmp_path / "eval") == 4
+    assert capsys.readouterr().err == "error: victim sgc: sgc loss is not finite (nan)\n"
+    assert set(threads) == set(VICTIM_KINDS)
+    assert threading.main_thread() not in threads.values()
+    assert not (tmp_path / "eval" / "report.json").exists()

@@ -188,6 +188,21 @@ def test_replay_detects_changed_input(tmp_path, data_dir, attack_run):
     assert main(["replay", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("node_count", "forty"), ("node_count", 40.0), ("node_count", True),
+    ("p_in", "0.05"), ("seed", None),
+])
+def test_replay_rejects_a_wrongly_typed_config_value(tmp_path, capsys, data_dir, key, value):
+    manifest = read_manifest(data_dir)
+    manifest["config"][key] = value
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(manifest))
+    assert main(["replay", str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: manifest config {key}: expected ")
+    assert not (tmp_path / "o" / "nodes.jsonl").exists()
+
+
 def test_evaluate_report_and_summary(tmp_path, data_dir, attack_run):
     out = tmp_path / "eval"
     code = main(
@@ -319,14 +334,17 @@ def test_audit_node_count_mismatch_exits_two(tmp_path, data_dir):
     )
 
 
-@pytest.mark.parametrize(
-    "case", ["evaluate-plan", "replay-manifest", "audit-report-malformed", "audit-report-incomplete"]
-)
+@pytest.mark.parametrize("case", [
+    "evaluate-plan", "evaluate-plan-non-integer", "replay-manifest",
+    "audit-report-malformed", "audit-report-incomplete",
+])
 def test_malformed_input_file_exits_two(tmp_path, capsys, data_dir, attack_run, case):
     bad = tmp_path / "bad.json"
     perturbed = str(attack_run / "perturbed")
-    if case == "evaluate-plan":
-        bad.write_text((attack_run / "plan.jsonl").read_text() + "5\n")
+    if case.startswith("evaluate-plan"):
+        extra = ('{"target":2.9,"add_influencer":true,"delete_neighbor":null}'
+                 if case.endswith("non-integer") else "5")
+        bad.write_text((attack_run / "plan.jsonl").read_text() + extra + "\n")
         argv = ["evaluate", "--clean", str(data_dir), "--perturbed", perturbed,
                 "--plan", str(bad)]
     elif case == "replay-manifest":

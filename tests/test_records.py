@@ -6,7 +6,7 @@ from tagsiege.encoder import load_checkpoint
 from tagsiege.errors import ParseError
 from tagsiege.graph import load_graph
 from tagsiege.plan import load_plan
-from tagsiege.records import dumps, read_jsonl, write_jsonl
+from tagsiege.records import dumps, integer, read_jsonl, write_jsonl
 from tagsiege.retrieval import load_influencers
 from tagsiege.text_features import load_embeddings
 
@@ -25,36 +25,57 @@ def graph_with_bad_edges(root):
     return load_graph(root)
 
 
-# reader -> (file it reads, a good line, a line with one wrong-typed field, load(dir))
+# reader -> (file it reads, a good line, a line with one wrong-typed field,
+#            lines with a bool, float or string where an integer belongs, load(dir))
 JSONL_READERS = {
     "nodes": ("nodes.jsonl", NODE_0,
-              '{"id":1,"label":0,"split":"train","text":null}', graph_with_bad_nodes),
+              '{"id":1,"label":0,"split":"train","text":null}',
+              ['{"id":true,"label":0,"split":"train","text":"a"}',
+               '{"id":1,"label":0.0,"split":"train","text":"a"}'],
+              graph_with_bad_nodes),
     "edges": ("edges.jsonl", '{"dst":1,"src":0}', '{"dst":[1],"src":0}',
+              ['{"dst":1,"src":false}', '{"dst":1.0,"src":0}', '{"dst":"1","src":0}'],
               graph_with_bad_edges),
     "plan": ("plan.jsonl", '{"add_influencer":3,"delete_neighbor":null,"target":1}',
-             '{"skipped":"isolated","target":"two"}', lambda d: load_plan(d / "plan.jsonl")),
+             '{"skipped":"isolated","target":"two"}',
+             ['{"target":2.9,"add_influencer":true,"delete_neighbor":null}',
+              '{"add_influencer":3,"delete_neighbor":true,"target":2}',
+              '{"add_influencer":3,"delete_neighbor":null,"target":"2"}',
+              '{"skipped":"isolated","target":2.0}'],
+             lambda d: load_plan(d / "plan.jsonl")),
     "influencers": ("influencers.jsonl", '{"candidates":[2,3],"target":1}',
                     '{"candidates":"23","target":2}',
+                    ['{"candidates":[2,true],"target":2}', '{"candidates":[2],"target":2.0}'],
                     lambda d: load_influencers(d / "influencers.jsonl")),
     "embeddings": ("embeddings.jsonl", '{"id":0,"vec":[1.0,2.0]}', '{"id":1,"vec":"12"}',
+                   ['{"id":1.0,"vec":[1.0,2.0]}', '{"id":true,"vec":[1.0,2.0]}'],
                    lambda d: load_embeddings(d / "embeddings.jsonl")),
 }
 
 BAD_CHECKPOINT = '{"hidden":"four","kind":"gcn-encoder","w1":[[1.0]],"w2":[[1.0]]}'
+NON_INTEGER_CHECKPOINTS = [
+    '{"hidden":1.0,"kind":"gcn-encoder","w1":[[1.0]],"w2":[[1.0]]}',
+    '{"hidden":true,"kind":"gcn-encoder","w1":[[1.0]],"w2":[[1.0]]}',
+    '{"hidden":1,"kind":"gcn-encoder","seed":2.5,"w1":[[1.0]],"w2":[[1.0]]}',
+]
 
 
 def reader_cases():
-    for reader, (name, good, wrong_type, load) in JSONL_READERS.items():
-        for kind, bad in (("invalid-json", "{not json"), ("non-object", "5"),
-                          ("missing-key", "{}"), ("wrong-type", wrong_type)):
+    for reader, (name, good, wrong_type, non_integers, load) in JSONL_READERS.items():
+        cases = [("invalid-json", "{not json"), ("non-object", "5"),
+                 ("missing-key", "{}"), ("wrong-type", wrong_type)]
+        cases += [(f"non-integer-{i}", line) for i, line in enumerate(non_integers)]
+        for kind, bad in cases:
             # the blank line is skipped but still counted
             yield pytest.param(name, f"{good}\n\n{bad}\n", load, 3, id=f"{reader}-{kind}")
     def checkpoint(root):
         return load_checkpoint(root / "encoder.json")
 
-    for kind, text, line in (("invalid-json", '{"kind":\n  not json}', 2),
-                             ("non-object", "[1, 2]", 0), ("missing-key", "{}", 0),
-                             ("wrong-type", BAD_CHECKPOINT, 0)):
+    cases = [("invalid-json", '{"kind":\n  not json}', 2),
+             ("non-object", "[1, 2]", 0), ("missing-key", "{}", 0),
+             ("wrong-type", BAD_CHECKPOINT, 0)]
+    cases += [(f"non-integer-{i}", text, 0) for i, text in enumerate(NON_INTEGER_CHECKPOINTS)]
+    for kind, text, line in cases:
         yield pytest.param("encoder.json", text, checkpoint, line, id=f"checkpoint-{kind}")
 
 
@@ -75,3 +96,22 @@ def test_jsonl_round_trip_is_compact_sorted_and_skips_blank_lines(tmp_path):
     assert list(read_jsonl(path, lambda rec: rec)) == [
         (1, {"a": [1.5, None], "b": 1}), (2, {"text": "é"}), (5, {"a": 2}),
     ]
+
+
+@pytest.mark.parametrize("value", [True, False, 2.9, 2.0, "2", None, [2]])
+def test_integer_rejects_everything_but_a_json_integer(value):
+    with pytest.raises(TypeError, match="expected an integer"):
+        integer(value)
+
+
+@pytest.mark.parametrize("value", [0, -3, 2 ** 70])
+def test_integer_passes_integers_through(value):
+    assert integer(value) is value
+
+
+def test_plan_line_with_float_target_and_bool_influencer_is_rejected(tmp_path):
+    path = tmp_path / "plan.jsonl"
+    path.write_text('{"target":2.9,"add_influencer":true,"delete_neighbor":null}\n')
+    with pytest.raises(ParseError) as err:
+        load_plan(path)
+    assert str(err.value).startswith(f"{path}:1: bad record: expected an integer")

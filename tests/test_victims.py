@@ -153,7 +153,8 @@ def sampled_numeric_grad_check(kind, n_coords=12):
             loss, (dw,) = next(steps)
             return loss, {"w": dw}
 
-    _, analytic = loss_and_grads()
+    # copied: the generator overwrites its gradient buffers on every next()
+    analytic = {name: grad.copy() for name, grad in loss_and_grads()[1].items()}
     worst = 0.0
     h_step = 1e-5
     for name, w in weights.items():
