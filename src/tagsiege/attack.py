@@ -29,14 +29,14 @@ from .errors import (
 )
 from .graph import TextAttributedGraph
 from .nnops import pair_cosines, unit_rows
-from .plan import Budgets, PerturbationPlan, PlanEntry, ordered_targets
+from .plan import DEFAULT_K, Budgets, PerturbationPlan, PlanEntry, ordered_targets
 from .prompts import (
     PromptTemplate,
     TopologyPrompt,
     build_text_prompt,
     build_topology_prompt,
 )
-from .retrieval import DEFAULT_K, retrieve_all
+from .retrieval import retrieve_all
 from .seeding import substream
 
 log = logging.getLogger("tagsiege.attack")

@@ -8,6 +8,12 @@ bit-identically with ``tagsiege replay``.
 Option precedence: CLI flags > ``--config`` file (flat ``key=value`` lines,
 ``#`` comments) > built-in defaults. Exit codes: 0 ok, 2 config/validation,
 3 backend, 4 training.
+
+Module level imports only what parsing, manifests, ``replay``'s checks and
+``synth`` need, none of which loads scipy; every other layer (features,
+encoder, retrieval, backends, attack, victims, metrics) is imported by the
+runner or helper that uses it. So ``synth``, ``--help`` and a replayed
+``synth`` start without importing scipy.
 """
 
 from __future__ import annotations
@@ -22,9 +28,6 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
-from .attack import attack
-from .backends import LLMBackend, LLMConfig, OracleBackend
-from .encoder import EncoderConfig, encode, save_checkpoint, train_encoder
 from .errors import (
     BackendError,
     BackendExhaustedError,
@@ -35,21 +38,10 @@ from .errors import (
     TrainingError,
 )
 from .graph import load_graph, save_graph
-from .metrics import aggregate, bound_audit, synergy_test
-from .plan import Budgets, apply_plan, load_plan, save_plan
-from .prompts import load_template
-from .records import dumps, read_json, typed
-from .retrieval import DEFAULT_K, retrieve_all, save_influencers
+from .plan import DEFAULT_K, Budgets, apply_plan, load_plan, save_plan
+from .records import dumps, number, read_json, typed
 from .seeding import substream
 from .synth import SynthConfig, generate, summarize
-from .text_features import (
-    build_vocabulary,
-    featurize,
-    save_embeddings,
-    load_embeddings,
-    token_edit_distance,
-)
-from .victims import VICTIM_KINDS, VictimConfig, _propagation, accuracy, train_victim
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -230,6 +222,8 @@ def _resolve_targets(cfg: dict, graph) -> list[int] | None:
 
 
 def _train_embeddings(graph, features, cfg: dict):
+    from .encoder import EncoderConfig, encode, train_encoder
+
     config = EncoderConfig(
         hidden=cfg["hidden"],
         learning_rate=cfg["learning_rate"],
@@ -254,6 +248,8 @@ def _counters(features, operand_forms: dict[str, dict[str, str]]) -> dict:
 
 def _plan_budgets(plan, clean) -> Budgets:
     """Budgets wide enough to re-apply a stored plan to its clean graph."""
+    from .text_features import token_edit_distance
+
     entries = plan.entries.values()
     text_edits = [
         token_edit_distance(clean.texts[e.target], e.new_text)
@@ -295,6 +291,9 @@ def _run_synth(cfg: dict, out: Path):
 
 
 def _run_encode(cfg: dict, out: Path):
+    from .encoder import save_checkpoint
+    from .text_features import build_vocabulary, featurize, save_embeddings
+
     graph = load_graph(cfg["data"])
     vocab = build_vocabulary(graph, cfg["max_vocab"])
     features = featurize(graph.texts, vocab)
@@ -314,6 +313,9 @@ def _run_encode(cfg: dict, out: Path):
 
 
 def _run_retrieve(cfg: dict, out: Path):
+    from .retrieval import retrieve_all, save_influencers
+    from .text_features import load_embeddings
+
     graph = load_graph(cfg["data"])
     embeddings = load_embeddings(cfg["embeddings"], graph.node_count)
     targets = _resolve_targets(cfg, graph)
@@ -327,6 +329,8 @@ def _run_retrieve(cfg: dict, out: Path):
 
 
 def _load_templates(cfg: dict):
+    from .prompts import load_template
+
     templates = {}
     if cfg.get("topology_template"):
         templates["topology"] = load_template(cfg["topology_template"], "topology")
@@ -336,6 +340,10 @@ def _load_templates(cfg: dict):
 
 
 def _run_attack(cfg: dict, out: Path):
+    from .attack import attack
+    from .backends import LLMBackend, LLMConfig, OracleBackend
+    from .text_features import build_vocabulary, featurize
+
     graph = load_graph(cfg["data"])
     targets = _resolve_targets(cfg, graph)
     if targets is None:
@@ -428,7 +436,7 @@ def _run_attack(cfg: dict, out: Path):
 _LONGEST_FIRST = ("sage_mean", "gcn", "sgc")
 
 
-def _train_victims(kinds: list[str], clean, clean_x, config: VictimConfig):
+def _train_victims(kinds: list[str], clean, clean_x, config):
     """Train each kind on the clean graph, concurrently on up to one thread
     per available core; returns (victims, timings, worker count).
 
@@ -436,6 +444,8 @@ def _train_victims(kinds: list[str], clean, clean_x, config: VictimConfig):
     the others, so the results do not depend on the core count. The
     propagation cache is filled before the pool starts, since two threads
     must not fill it at once."""
+    from .victims import _propagation, train_victim
+
     kinds = sorted(set(kinds), key=_LONGEST_FIRST.index)
     for kind in kinds:
         _propagation(kind, clean)
@@ -460,6 +470,10 @@ def _train_victims(kinds: list[str], clean, clean_x, config: VictimConfig):
 
 
 def _run_evaluate(cfg: dict, out: Path):
+    from .metrics import aggregate, bound_audit, synergy_test
+    from .text_features import build_vocabulary, featurize
+    from .victims import VICTIM_KINDS, VictimConfig, accuracy
+
     clean = load_graph(cfg["clean"])
     perturbed = load_graph(cfg["perturbed"])
     plan = load_plan(cfg["plan"])
@@ -574,6 +588,9 @@ def _run_evaluate(cfg: dict, out: Path):
 
 
 def _run_audit(cfg: dict, out: Path):
+    from .metrics import bound_audit
+    from .text_features import build_vocabulary, featurize
+
     clean = load_graph(cfg["clean"])
     perturbed = load_graph(cfg["perturbed"])
     vocab = build_vocabulary(clean, cfg["max_vocab"])
@@ -587,7 +604,7 @@ def _run_audit(cfg: dict, out: Path):
     audit["edge_count_perturbed"] = perturbed.edge_count
     if cfg.get("report"):
         averages = read_json(cfg["report"], lambda report: [
-            float(report[f"aggregates_{kind}"]["average"]) for kind in ("clean", "perturbed")
+            number(report[f"aggregates_{kind}"]["average"]) for kind in ("clean", "perturbed")
         ])
         audit["average_accuracy_clean"], audit["average_accuracy_perturbed"] = averages
     (out / "audit.json").write_text(dumps(audit) + "\n")

@@ -23,7 +23,7 @@ from .nnops import (
     add_decay, as_dense, cross_entropy_with_grad, fit, glorot, l2_penalty, operand_form,
     product, product_buffer, relu, training_operand,
 )
-from .records import dumps, integer, read_json
+from .records import dumps
 from .seeding import substream
 
 
@@ -234,21 +234,3 @@ def save_checkpoint(trained: TrainedEncoder, path: str | Path) -> None:
     }
     Path(path).write_text(dumps(payload))
 
-
-def _checkpoint_record(rec: dict) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """(hidden, seed, w1, w2) of an encoder checkpoint."""
-    if rec["kind"] != "gcn-encoder":
-        raise ValueError(f"unexpected checkpoint kind {rec['kind']!r}")
-    w1 = np.array(rec["w1"], dtype=float)
-    w2 = np.array(rec["w2"], dtype=float)
-    return integer(rec["hidden"]), integer(rec.get("seed", 0)), w1, w2
-
-
-def load_checkpoint(path: str | Path) -> TrainedEncoder:
-    hidden, seed, w1, w2 = read_json(path, _checkpoint_record)
-    if w1.ndim != 2 or w2.ndim != 2 or w1.shape[1] != w2.shape[0]:
-        raise ShapeError(f"checkpoint weight shapes do not chain: {w1.shape}, {w2.shape}")
-    if w1.shape[1] != hidden:
-        raise ShapeError("checkpoint hidden width disagrees with weight shape")
-    config = EncoderConfig(hidden=hidden, seed=seed)
-    return TrainedEncoder(params=EncoderParams(w1=w1, w2=w2), config=config)

@@ -16,6 +16,9 @@ from .graph import TextAttributedGraph, canonical_edge
 from .records import integer, read_jsonl, typed, write_jsonl
 from .text_features import token_edit_distance
 
+# influencer candidates retrieved per target, offered to each topology query
+DEFAULT_K = 5
+
 
 @dataclass(frozen=True)
 class Budgets:

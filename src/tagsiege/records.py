@@ -11,6 +11,7 @@ the CLI turns into exit code 2.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -39,6 +40,20 @@ def integer(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected an integer, got {type(value).__name__} {value!r}")
     return value
+
+
+def number(value) -> float:
+    """`value` as a float if it is a finite JSON number, else TypeError: a
+    string or a bool (which `float()` would cast) and the NaN or Infinity
+    that Python's json reads are not passed on."""
+    try:
+        finite = (not isinstance(value, bool) and isinstance(value, (int, float))
+                  and math.isfinite(value))
+    except OverflowError:  # an integer beyond float range
+        finite = False
+    if not finite:
+        raise TypeError(f"expected a finite number, got {type(value).__name__} {value!r}")
+    return float(value)
 
 
 def _decode(text: str, convert: Callable[[dict], T], path: str, line: int) -> T:

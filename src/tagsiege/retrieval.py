@@ -15,11 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateVectorWarning, ParseError, ShapeError
+from .errors import DegenerateVectorWarning, ShapeError
 from .nnops import pair_cosines, unit_rows
-from .records import integer, read_jsonl, typed, write_jsonl
-
-DEFAULT_K = 5
+from .plan import DEFAULT_K
+from .records import write_jsonl
 
 # targets scored together: at most this many (target, node) cosines at once
 SCORE_BLOCK = 1 << 16
@@ -96,19 +95,3 @@ def save_influencers(sets: dict[int, InfluencerSet], path: str | Path) -> None:
     write_jsonl(path, (
         {"target": t, "candidates": list(sets[t].candidates)} for t in sorted(sets)
     ))
-
-
-def _influencer_record(rec: dict) -> InfluencerSet:
-    return InfluencerSet(
-        target=integer(rec["target"]),
-        candidates=tuple(integer(c) for c in typed(rec["candidates"], list)),
-    )
-
-
-def load_influencers(path: str | Path) -> dict[int, InfluencerSet]:
-    out: dict[int, InfluencerSet] = {}
-    for lineno, found in read_jsonl(path, _influencer_record):
-        if found.target in out:
-            raise ParseError(f"duplicate target {found.target}", str(path), lineno)
-        out[found.target] = found
-    return out

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, ParseError, ShapeError
 from .graph import TextAttributedGraph
-from .records import integer, read_jsonl, typed, write_jsonl
+from .records import integer, number, read_jsonl, typed, write_jsonl
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -124,7 +124,7 @@ def save_embeddings(vectors: np.ndarray, path: str | Path) -> None:
 
 
 def _embedding_record(rec: dict) -> tuple[int, list[float]]:
-    return integer(rec["id"]), [float(x) for x in typed(rec["vec"], list)]
+    return integer(rec["id"]), [number(x) for x in typed(rec["vec"], list)]
 
 
 def load_embeddings(path: str | Path, node_count: int | None = None) -> np.ndarray:

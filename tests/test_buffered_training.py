@@ -15,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-import tagsiege.cli as cli
 import tagsiege.encoder as encoder
 import tagsiege.nnops as nnops
 import tagsiege.victims as victims
@@ -206,14 +205,14 @@ def test_evaluate_manifest_times_each_victim_and_the_pool(tmp_path, attack_run):
 
 def test_victims_are_submitted_longest_first(tmp_path, monkeypatch, attack_run):
     started = []
-    real = cli.train_victim
+    real = victims.train_victim
 
     def recording(kind, *args):
         started.append(kind)
         return real(kind, *args)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(cli, "train_victim", recording)
+    monkeypatch.setattr(victims, "train_victim", recording)
     assert evaluate(attack_run, tmp_path / "eval", "--victims", "sgc,gcn,sage_mean") == 0
     assert started == ["sage_mean", "gcn", "sgc"]
 
@@ -222,7 +221,7 @@ def test_a_victim_failing_in_the_pool_exits_four_and_names_it(
     tmp_path, monkeypatch, capsys, attack_run
 ):
     threads = {}
-    real = cli.train_victim
+    real = victims.train_victim
 
     def failing(kind, *args):
         threads[kind] = threading.current_thread()
@@ -231,7 +230,7 @@ def test_a_victim_failing_in_the_pool_exits_four_and_names_it(
         return real(kind, *args)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(cli, "train_victim", failing)
+    monkeypatch.setattr(victims, "train_victim", failing)
     assert evaluate(attack_run, tmp_path / "eval") == 4
     assert capsys.readouterr().err == "error: victim sgc: sgc loss is not finite (nan)\n"
     assert set(threads) == set(VICTIM_KINDS)

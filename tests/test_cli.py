@@ -337,6 +337,7 @@ def test_audit_node_count_mismatch_exits_two(tmp_path, data_dir):
 @pytest.mark.parametrize("case", [
     "evaluate-plan", "evaluate-plan-non-integer", "replay-manifest",
     "audit-report-malformed", "audit-report-incomplete",
+    "audit-report-string-average", "audit-report-bool-average",
 ])
 def test_malformed_input_file_exits_two(tmp_path, capsys, data_dir, attack_run, case):
     bad = tmp_path / "bad.json"
@@ -351,13 +352,20 @@ def test_malformed_input_file_exits_two(tmp_path, capsys, data_dir, attack_run, 
         bad.write_text('{"command": "synth",')
         argv = ["replay", str(bad)]
     else:
-        bad.write_text(
-            '{"aggregates_clean": ' if case == "audit-report-malformed"
-            else '{"aggregates_clean": {"average": 0.5}}'
-        )
+        bad.write_text({
+            "audit-report-malformed": '{"aggregates_clean": ',
+            "audit-report-incomplete": '{"aggregates_clean": {"average": 0.5}}',
+            "audit-report-string-average": '{"aggregates_clean": {"average": "0.75"}, '
+                                           '"aggregates_perturbed": {"average": 0.5}}',
+            "audit-report-bool-average": '{"aggregates_clean": {"average": 0.75}, '
+                                         '"aggregates_perturbed": {"average": true}}',
+        }[case])
         argv = ["audit", "--clean", str(data_dir), "--perturbed", perturbed, "--report", str(bad)]
     assert main([*argv, "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {bad}:")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:")
+    if case.endswith("-average"):
+        assert err.startswith(f"error: {bad}:0: bad record: expected a finite number")
 
 
 def test_encode_and_retrieve(tmp_path, data_dir):

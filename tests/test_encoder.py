@@ -9,9 +9,7 @@ from tagsiege.encoder import (
     forward,
     gradient_check,
     init_params,
-    load_checkpoint,
     normalize_adjacency,
-    save_checkpoint,
     train_encoder,
 )
 from tagsiege.errors import ConfigurationError, ShapeError, TrainingError
@@ -127,17 +125,3 @@ def test_training_requires_train_nodes():
     with pytest.raises(TrainingError):
         train_encoder(g, np.ones((2, 3)), EncoderConfig(hidden=2, epochs=1))
 
-
-def test_checkpoint_roundtrip(tmp_path):
-    g = ring_graph()
-    X = random_features(g)
-    trained = train_encoder(g, X, EncoderConfig(hidden=4, epochs=3, seed=9))
-    path = tmp_path / "enc.json"
-    save_checkpoint(trained, path)
-    back = load_checkpoint(path)
-    np.testing.assert_array_equal(back.params.w1, trained.params.w1)
-    np.testing.assert_array_equal(back.params.w2, trained.params.w2)
-    assert back.config.hidden == 4
-    # determinstic bytes
-    save_checkpoint(back, tmp_path / "enc2.json")
-    assert path.read_bytes() == (tmp_path / "enc2.json").read_bytes()

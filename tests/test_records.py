@@ -2,12 +2,10 @@
 
 import pytest
 
-from tagsiege.encoder import load_checkpoint
 from tagsiege.errors import ParseError
 from tagsiege.graph import load_graph
 from tagsiege.plan import load_plan
-from tagsiege.records import dumps, integer, read_jsonl, write_jsonl
-from tagsiege.retrieval import load_influencers
+from tagsiege.records import dumps, integer, number, read_jsonl, write_jsonl
 from tagsiege.text_features import load_embeddings
 
 NODE_0 = '{"id":0,"label":0,"split":"train","text":"alpha beta"}'
@@ -43,21 +41,10 @@ JSONL_READERS = {
               '{"add_influencer":3,"delete_neighbor":null,"target":"2"}',
               '{"skipped":"isolated","target":2.0}'],
              lambda d: load_plan(d / "plan.jsonl")),
-    "influencers": ("influencers.jsonl", '{"candidates":[2,3],"target":1}',
-                    '{"candidates":"23","target":2}',
-                    ['{"candidates":[2,true],"target":2}', '{"candidates":[2],"target":2.0}'],
-                    lambda d: load_influencers(d / "influencers.jsonl")),
     "embeddings": ("embeddings.jsonl", '{"id":0,"vec":[1.0,2.0]}', '{"id":1,"vec":"12"}',
                    ['{"id":1.0,"vec":[1.0,2.0]}', '{"id":true,"vec":[1.0,2.0]}'],
                    lambda d: load_embeddings(d / "embeddings.jsonl")),
 }
-
-BAD_CHECKPOINT = '{"hidden":"four","kind":"gcn-encoder","w1":[[1.0]],"w2":[[1.0]]}'
-NON_INTEGER_CHECKPOINTS = [
-    '{"hidden":1.0,"kind":"gcn-encoder","w1":[[1.0]],"w2":[[1.0]]}',
-    '{"hidden":true,"kind":"gcn-encoder","w1":[[1.0]],"w2":[[1.0]]}',
-    '{"hidden":1,"kind":"gcn-encoder","seed":2.5,"w1":[[1.0]],"w2":[[1.0]]}',
-]
 
 
 def reader_cases():
@@ -68,15 +55,6 @@ def reader_cases():
         for kind, bad in cases:
             # the blank line is skipped but still counted
             yield pytest.param(name, f"{good}\n\n{bad}\n", load, 3, id=f"{reader}-{kind}")
-    def checkpoint(root):
-        return load_checkpoint(root / "encoder.json")
-
-    cases = [("invalid-json", '{"kind":\n  not json}', 2),
-             ("non-object", "[1, 2]", 0), ("missing-key", "{}", 0),
-             ("wrong-type", BAD_CHECKPOINT, 0)]
-    cases += [(f"non-integer-{i}", text, 0) for i, text in enumerate(NON_INTEGER_CHECKPOINTS)]
-    for kind, text, line in cases:
-        yield pytest.param("encoder.json", text, checkpoint, line, id=f"checkpoint-{kind}")
 
 
 @pytest.mark.parametrize("name, text, load, line", reader_cases())
@@ -107,6 +85,29 @@ def test_integer_rejects_everything_but_a_json_integer(value):
 @pytest.mark.parametrize("value", [0, -3, 2 ** 70])
 def test_integer_passes_integers_through(value):
     assert integer(value) is value
+
+
+@pytest.mark.parametrize("value", [True, False, "1.5", None, [1.5],
+                                   float("nan"), float("inf"), -float("inf"), 10 ** 400])
+def test_number_rejects_everything_but_a_finite_json_number(value):
+    with pytest.raises(TypeError, match="expected a finite number"):
+        number(value)
+
+
+@pytest.mark.parametrize("value, want", [(0, 0.0), (-3, -3.0), (0.75, 0.75), (1e300, 1e300)])
+def test_number_passes_finite_numbers_as_floats(value, want):
+    got = number(value)
+    assert type(got) is float and got == want
+
+
+@pytest.mark.parametrize("vec", ['["1.5",true]', "[1.5,true]", '[1.5,"2"]', "[NaN,1.0]",
+                                 "[1.0,Infinity]"])
+def test_embedding_line_with_a_non_number_is_rejected(tmp_path, vec):
+    path = tmp_path / "embeddings.jsonl"
+    path.write_text(f'{{"id":0,"vec":[1.0,2.0]}}\n{{"id":1,"vec":{vec}}}\n')
+    with pytest.raises(ParseError) as err:
+        load_embeddings(path)
+    assert str(err.value).startswith(f"{path}:2: bad record: expected a finite number")
 
 
 def test_plan_line_with_float_target_and_bool_influencer_is_rejected(tmp_path):

@@ -7,10 +7,8 @@ from tagsiege.errors import DegenerateVectorWarning, ShapeError
 from tagsiege.nnops import pair_cosines, unit_rows
 from tagsiege.retrieval import (
     InfluencerSet,
-    load_influencers,
     retrieve_all,
     retrieve_influencers,
-    save_influencers,
 )
 from tagsiege.seeding import substream
 
@@ -80,18 +78,6 @@ def test_retrieval_excludes_target_and_validates():
         retrieve_influencers(Z, 9, k=2)
     with pytest.raises(ShapeError):
         retrieve_influencers(Z, 0, k=0)
-
-
-def test_retrieve_all_and_roundtrip(tmp_path):
-    rng = substream(7, "retrieval-roundtrip")
-    Z = rng.normal(size=(20, 4))
-    sets = retrieve_all(Z, [3, 11, 15], k=4)
-    path = tmp_path / "influencers.jsonl"
-    save_influencers(sets, path)
-    back = load_influencers(path)
-    assert back == sets
-    save_influencers(back, tmp_path / "again.jsonl")
-    assert path.read_bytes() == (tmp_path / "again.jsonl").read_bytes()
 
 
 @st.composite

@@ -1,0 +1,56 @@
+"""Commands that do no numerical work start without scipy.
+
+`cli` imports each scipy-backed layer inside the runner that uses it, so
+`synth`, `--help` and a replayed `synth` never pay scipy's import. Each case
+runs in a fresh interpreter, since this test process has scipy loaded.
+"""
+
+import subprocess
+import sys
+
+
+def imported_modules(*args: str) -> set[str]:
+    """Every module that `python -X importtime -m tagsiege ARGS` imports."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "tagsiege", *args],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {
+        line.rpartition("|")[2].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+def loads_scipy(modules) -> bool:
+    return any(name.split(".")[0] == "scipy" for name in modules)
+
+
+def test_synth_and_help_start_without_scipy(tmp_path):
+    synth = imported_modules("synth", "--out", str(tmp_path / "data"), "--node-count", "60")
+    assert "tagsiege.synth" in synth
+    assert not loads_scipy(synth)
+    help_ = imported_modules("--help")
+    assert "tagsiege.cli" in help_
+    assert not loads_scipy(help_)
+
+
+def test_replay_of_a_synth_manifest_starts_without_scipy(tmp_path):
+    imported_modules("synth", "--out", str(tmp_path / "data"), "--node-count", "60")
+    code = (
+        "import sys\n"
+        "from tagsiege.cli import main\n"
+        "code = main(['replay', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(code, 'scipy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "data" / "manifest.json"),
+         str(tmp_path / "again")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    for name in ("nodes.jsonl", "edges.csv"):
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "data" / name).read_bytes()
+
