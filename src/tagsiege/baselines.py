@@ -6,6 +6,8 @@ untouched, so evaluation rows compare like for like.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .graph import TextAttributedGraph
@@ -21,6 +23,33 @@ def _non_neighbors(graph: TextAttributedGraph, target: int) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
+def _edge_baseline(
+    graph: TextAttributedGraph,
+    targets: list[int],
+    budgets: Budgets,
+    rationale: str,
+    pick: Callable[[int, tuple[int, ...], np.ndarray], tuple[int | None, int]],
+) -> PerturbationPlan:
+    """One insertion per target in ascending order, plus one deletion where the
+    per-node budget is 2 or more; budget 0 buys nothing. `pick(target,
+    deletable, non_neighbors)` returns the deleted neighbor (None when nothing
+    is deletable) and the inserted non-neighbor. The first target the global
+    budget cannot pay for ends the plan."""
+    plan = PerturbationPlan()
+    spent = 0
+    local = budgets.per_node_edge_budget
+    for target in ordered_targets(graph, targets):
+        non_neighbors = _non_neighbors(graph, target)
+        if local < 1 or not non_neighbors.size:
+            continue
+        delete, insert = pick(target, graph.neighbors(target) if local >= 2 else (), non_neighbors)
+        spent += 1 if delete is None else 2
+        if spent > budgets.global_edge_budget:
+            break
+        plan.add(PlanEntry(target, delete, insert, rationale=rationale))
+    return plan
+
+
 def rnd_attack(
     graph: TextAttributedGraph,
     targets: list[int],
@@ -29,33 +58,15 @@ def rnd_attack(
 ) -> PerturbationPlan:
     """Random deletion among neighbors plus random insertion to a non-neighbor.
 
-    Per-node budget 1 buys the insertion only; 0 buys nothing. Deterministic
-    given the seed (one substream per target).
+    Deterministic given the seed: each target draws its deletion, then its
+    insertion, from its own substream.
     """
-    plan = PerturbationPlan()
-    spent = 0
-    for target in ordered_targets(graph, targets):
-        local = budgets.per_node_edge_budget
+    def pick(target, deletable, non_neighbors):
         rng = substream(seed, f"rnd-{target}")
-        neighbors = graph.neighbors(target)
-        delete = None
-        if local >= 2 and neighbors:
-            delete = int(neighbors[rng.integers(0, len(neighbors))])
-        non_neighbors = _non_neighbors(graph, target)
-        if local < 1 or not non_neighbors.size:
-            continue
-        insert = int(non_neighbors[rng.integers(0, non_neighbors.size)])
-        cost = (2 if delete is not None else 1)
-        if spent + cost > budgets.global_edge_budget:
-            break
-        spent += cost
-        plan.add(PlanEntry(
-            target=target,
-            delete_neighbor=delete,
-            add_influencer=insert,
-            rationale="rnd baseline",
-        ))
-    return plan
+        delete = int(deletable[rng.integers(0, len(deletable))]) if deletable else None
+        return delete, int(non_neighbors[rng.integers(0, non_neighbors.size)])
+
+    return _edge_baseline(graph, targets, budgets, "rnd baseline", pick)
 
 
 def flip_attack(
@@ -68,28 +79,11 @@ def flip_attack(
     All ties break toward the lower node id; degrees are read off the clean
     graph. Fully deterministic, no randomness involved.
     """
-    plan = PerturbationPlan()
-    spent = 0
     degree = np.array([graph.degree(v) for v in range(graph.node_count)])
-    for target in ordered_targets(graph, targets):
-        local = budgets.per_node_edge_budget
-        neighbors = graph.neighbors(target)
-        delete = None
-        if local >= 2 and neighbors:
-            delete = min(neighbors, key=lambda v: (degree[v], v))
-        non_neighbors = _non_neighbors(graph, target)
-        if local < 1 or not non_neighbors.size:
-            continue
+
+    def pick(target, deletable, non_neighbors):
+        delete = min(deletable, key=lambda v: (degree[v], v), default=None)
         # argmax returns the first maximum, i.e. the lowest id among ties
-        insert = int(non_neighbors[np.argmax(degree[non_neighbors])])
-        cost = (2 if delete is not None else 1)
-        if spent + cost > budgets.global_edge_budget:
-            break
-        spent += cost
-        plan.add(PlanEntry(
-            target=target,
-            delete_neighbor=delete,
-            add_influencer=insert,
-            rationale="flip baseline",
-        ))
-    return plan
+        return delete, int(non_neighbors[np.argmax(degree[non_neighbors])])
+
+    return _edge_baseline(graph, targets, budgets, "flip baseline", pick)

@@ -475,17 +475,38 @@ def _run_evaluate(cfg: dict, out: Path):
     from .victims import VICTIM_KINDS, VictimConfig, accuracy
 
     clean = load_graph(cfg["clean"])
-    perturbed = load_graph(cfg["perturbed"])
     plan = load_plan(cfg["plan"])
     targets = plan.targets()
     if not targets:
         raise ConfigurationError("plan has no completed targets to evaluate")
+    label = cfg["attacker_label"]
+    plans = {label: plan}
+    for spec in cfg["baseline"] or []:
+        name, sep, path = spec.partition("=")
+        if not sep or not name or not path:
+            raise ConfigurationError(
+                f"baseline must look like NAME=PLAN_PATH, got {spec!r}"
+            )
+        if name in plans:
+            raise ConfigurationError(f"attacker row {name!r} is named twice")
+        plans[name] = load_plan(path)
 
-    # the vocabulary is frozen on the clean corpus; perturbed text is
-    # featurized against it so victims never see attacker-invented terms
+    # each row's graph is its plan applied to the clean graph; the vocabulary
+    # is frozen on the clean corpus and perturbed text is featurized against
+    # it, so victims never see attacker-invented terms
     vocab = build_vocabulary(clean, cfg["max_vocab"])
     clean_x = featurize(clean.texts, vocab)
-    perturbed_x = featurize(perturbed.texts, vocab)
+    attackers = {}
+    for name, attacker_plan in plans.items():
+        graph = apply_plan(clean, attacker_plan, _plan_budgets(attacker_plan, clean)).graph
+        attackers[name] = (graph, featurize(graph.texts, vocab))
+    joint, joint_x = attackers[label]
+    perturbed = load_graph(cfg["perturbed"])
+    if (perturbed.edges, perturbed.texts) != (joint.edges, joint.texts):
+        raise PlanInconsistencyError(
+            f"--perturbed {cfg['perturbed']} is not the graph --plan {cfg['plan']} "
+            f"makes of --clean {cfg['clean']}"
+        )
 
     kinds = [k for k in cfg["victims"].split(",") if k]
     if not kinds:
@@ -504,18 +525,6 @@ def _run_evaluate(cfg: dict, out: Path):
         seed=cfg["seed"],
     )
     victims, timings, workers = _train_victims(kinds, clean, clean_x, victim_config)
-
-    label = cfg["attacker_label"]
-    attackers = {label: (perturbed, perturbed_x)}
-    for spec in cfg["baseline"] or []:
-        name, sep, path = spec.partition("=")
-        if not sep or not name or not path:
-            raise ConfigurationError(
-                f"baseline must look like NAME=PLAN_PATH, got {spec!r}"
-            )
-        baseline_plan = load_plan(path)
-        applied = apply_plan(clean, baseline_plan, _plan_budgets(baseline_plan, clean))
-        attackers[name] = (applied.graph, featurize(applied.graph.texts, vocab))
 
     rows = []
     victims_out = {}
@@ -538,26 +547,20 @@ def _run_evaluate(cfg: dict, out: Path):
         }
 
     ordered = sorted(victims)
+    main_rows = {k: victims_out[k]["attackers"][label] for k in ordered}
     synergy = synergy_test(
-        clean,
-        plan,
-        _plan_budgets(plan, clean),
-        victims,
-        lambda texts: featurize(texts, vocab),
-        targets=targets,
+        clean, joint, clean_x, joint_x, victims, targets,
+        {k: row["clean_accuracy"] for k, row in main_rows.items()},
+        {k: row["perturbed_accuracy"] for k, row in main_rows.items()},
     )
     report = {
         "attacker": label,
         "targets": targets,
         "query_count": 2 * len(plan.entries),
         "victims": victims_out,
-        "aggregates_clean": aggregate(
-            [victims_out[k]["attackers"][label]["clean_accuracy"] for k in ordered]
-        ),
-        "aggregates_perturbed": aggregate(
-            [victims_out[k]["attackers"][label]["perturbed_accuracy"] for k in ordered]
-        ),
-        "audit": bound_audit(clean, perturbed, clean_x, perturbed_x),
+        "aggregates_clean": aggregate([r["clean_accuracy"] for r in main_rows.values()]),
+        "aggregates_perturbed": aggregate([r["perturbed_accuracy"] for r in main_rows.values()]),
+        "audit": bound_audit(clean, joint, clean_x, joint_x),
         "synergy": {kind: row.as_dict() for kind, row in synergy.items()},
         "skipped": {str(t): r for t, r in sorted(plan.skipped.items())},
         "extra": {"baselines": sorted(set(attackers) - {label})},
@@ -577,9 +580,7 @@ def _run_evaluate(cfg: dict, out: Path):
         | _dataset_inputs(cfg["perturbed"])
         | _file_inputs(cfg["plan"])
     )
-    drops = ", ".join(
-        f"{k}={victims_out[k]['attackers'][label]['drop']:.3f}" for k in ordered
-    )
+    drops = ", ".join(f"{k}={row['drop']:.3f}" for k, row in main_rows.items())
     print(f"evaluate: drops {drops} -> {out}")
     forms = {kind: model.operand_forms for kind, model in victims.items()}
     counters = _counters(clean_x, forms) | {"victim_workers": workers}

@@ -6,13 +6,15 @@ node-centric), with the package's one cosine, `nnops.pair_cosines` over
 with every row. Features may be dense or CSR and are never made dense. The
 bound audit never asserts the homophily inequality — its constants are
 existential — it reports every component plus the observed ratio so stealth
-regressions show up in review.
+regressions show up in review. The synergy table only measures: it takes
+the clean graph, the joint graph a plan makes of it, their features and the
+victims' accuracies on both, and predicts the two single-modality halves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,7 +22,7 @@ import scipy.sparse as sp
 from .errors import DegenerateInputError, ShapeError
 from .graph import TextAttributedGraph
 from .nnops import pair_cosines, unit_rows
-from .plan import Budgets, PerturbationPlan, apply_plan, edit_counts
+from .plan import edit_counts
 from .text_features import token_edit_distance
 from .victims import VictimModel, accuracy
 
@@ -167,43 +169,34 @@ class SynergyRow:
 
 def synergy_test(
     clean: TextAttributedGraph,
-    plan: PerturbationPlan,
-    budgets: Budgets,
+    joint: TextAttributedGraph,
+    features_clean: np.ndarray,
+    features_joint: np.ndarray,
     victims: dict[str, VictimModel],
-    featurize_fn: Callable[[Sequence[str]], np.ndarray],
-    targets: list[int] | None = None,
+    targets: list[int],
+    clean_accuracy: dict[str, float],
+    joint_accuracy: dict[str, float],
 ) -> dict[str, SynergyRow]:
     """Accuracy drops under structure-only, text-only and joint perturbation.
 
-    Victims stay frozen; only the graph they are evaluated on changes. Drops
-    are measured on the plan's target nodes unless `targets` overrides that.
+    `joint` is the graph a plan makes of `clean`; each single-modality graph
+    takes one half of it. Victims stay frozen, and `clean_accuracy` and
+    `joint_accuracy` are each victim's accuracies on `targets` that the caller
+    has already measured, so only the two halves are predicted here.
     """
-    if targets is None:
-        targets = plan.targets()
-    if not targets:
-        return {
-            name: SynergyRow(0.0, 0.0, 0.0) for name in victims
-        }
-    features_clean = featurize_fn(clean.texts)
-
-    # the single-modality graphs take one half of the joint perturbation each
-    joint = apply_plan(clean, plan, budgets).graph
-    features_joint = featurize_fn(joint.texts)
-    variants = {
-        "struct": (clean.with_changes(edges=joint.edges), features_clean),
-        "text": (clean.with_changes(texts=joint.texts), features_joint),
-        "joint": (joint, features_joint),
-    }
+    halves = (
+        (clean.with_changes(edges=joint.edges), features_clean),
+        (clean.with_changes(texts=joint.texts), features_joint),
+    )
     out: dict[str, SynergyRow] = {}
     for name, model in victims.items():
-        clean_acc = accuracy(model, clean, features_clean, targets)
-        drops = {
-            key: clean_acc - accuracy(model, graph, feats, targets)
-            for key, (graph, feats) in variants.items()
-        }
+        base = clean_accuracy[name]
+        drop_struct, drop_text = (
+            base - accuracy(model, graph, feats, targets) for graph, feats in halves
+        )
         out[name] = SynergyRow(
-            drop_struct=drops["struct"],
-            drop_text=drops["text"],
-            drop_joint=drops["joint"],
+            drop_struct=drop_struct,
+            drop_text=drop_text,
+            drop_joint=base - joint_accuracy[name],
         )
     return out

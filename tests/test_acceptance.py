@@ -211,13 +211,15 @@ def experiment():
     def featurize_fn(texts):
         return featurize(texts, vocab)
 
-    drops = {}
-    for kind, model in victims.items():
-        clean_acc = accuracy(model, graph, features, targets)
-        pert_acc = accuracy(
-            model, perturbed, featurize_fn(perturbed.texts), targets
-        )
-        drops[kind] = clean_acc - pert_acc
+    perturbed_features = featurize_fn(perturbed.texts)
+    clean_accuracy = {
+        kind: accuracy(model, graph, features, targets) for kind, model in victims.items()
+    }
+    perturbed_accuracy = {
+        kind: accuracy(model, perturbed, perturbed_features, targets)
+        for kind, model in victims.items()
+    }
+    drops = {kind: clean_accuracy[kind] - perturbed_accuracy[kind] for kind in victims}
 
     return SimpleNamespace(
         graph=graph,
@@ -230,7 +232,10 @@ def experiment():
         backend=backend,
         plan=plan,
         perturbed=perturbed,
+        perturbed_features=perturbed_features,
         featurize_fn=featurize_fn,
+        clean_accuracy=clean_accuracy,
+        perturbed_accuracy=perturbed_accuracy,
         drops=drops,
         elapsed=time.perf_counter() - started,
     )
@@ -274,7 +279,8 @@ def test_criterion_2_synthetic_efficacy(experiment):
 def test_criterion_3_synergy(experiment):
     e = experiment
     rows = synergy_test(
-        e.graph, e.plan, e.budgets, e.victims, e.featurize_fn, targets=e.targets
+        e.graph, e.perturbed, e.features, e.perturbed_features, e.victims, e.targets,
+        e.clean_accuracy, e.perturbed_accuracy,
     )
     hard_all = all(row.synergy_hard for row in rows.values())
     soft_count = sum(row.synergy_soft for row in rows.values())

@@ -11,8 +11,11 @@ from pathlib import Path
 
 import pytest
 
+from tagsiege import victims
+from tagsiege.baselines import rnd_attack
 from tagsiege.cli import main
 from tagsiege.graph import load_graph
+from tagsiege.plan import Budgets, load_plan, save_plan
 from tagsiege.text_features import build_vocabulary, featurize
 
 SYNTH_FLAGS = ["--node-count", "120", "--class-count", "4", "--seed", "0"]
@@ -231,23 +234,87 @@ def test_evaluate_report_and_summary(tmp_path, data_dir, attack_run):
     assert len(lines) == 1 + 3  # one row per (victim, attacker)
 
 
-def test_evaluate_identical_inputs_zero_drops(tmp_path, data_dir, attack_run):
-    out = tmp_path / "selfeval"
-    code = main(
-        [
-            "evaluate",
-            "--clean", str(data_dir),
-            "--perturbed", str(data_dir),
-            "--plan", str(attack_run / "plan.jsonl"),
-            "--out", str(out),
-        ]
-    )
+@pytest.mark.parametrize("case", ["clean-as-perturbed", "other-seed-plan"])
+def test_evaluate_rejects_a_perturbed_graph_its_plan_does_not_make(
+    tmp_path, capsys, data_dir, attack_run, case
+):
+    if case == "clean-as-perturbed":
+        perturbed, plan = data_dir, attack_run / "plan.jsonl"
+    else:
+        other = tmp_path / "other-attack"
+        assert main([
+            "attack", "--data", str(data_dir), "--out", str(other),
+            "--num-targets", "8", "--seed", "2",
+        ]) == 0
+        perturbed, plan = attack_run / "perturbed", other / "plan.jsonl"
+    capsys.readouterr()
+    out = tmp_path / "eval"
+    code = main([
+        "evaluate", "--clean", str(data_dir), "--perturbed", str(perturbed),
+        "--plan", str(plan), "--out", str(out),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --perturbed ")
+    for path in (perturbed, plan, data_dir):
+        assert str(path) in err
+    assert not (out / "report.json").exists()
+
+
+def test_evaluate_rejects_a_baseline_named_like_another_row(tmp_path, capsys, data_dir, attack_run):
+    plan = str(attack_run / "plan.jsonl")
+    code = main([
+        "evaluate", "--clean", str(data_dir), "--perturbed", str(attack_run / "perturbed"),
+        "--plan", plan, "--baseline", f"tagsiege={plan}", "--out", str(tmp_path / "o"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == "error: attacker row 'tagsiege' is named twice\n"
+
+
+def test_audit_identical_inputs_zero_deltas(tmp_path, data_dir):
+    out = tmp_path / "selfaudit"
+    code = main([
+        "audit", "--clean", str(data_dir), "--perturbed", str(data_dir), "--out", str(out),
+    ])
     assert code == 0
+    audit = json.loads((out / "audit.json").read_text())
+    assert audit["delta_H_edge"] == 0.0
+    assert audit["edge_edits"] == 0.0
+
+
+def test_evaluate_synergy_joint_is_the_attacker_row(tmp_path, monkeypatch):
+    """On the README quickstart, the synergy table's joint drop is the main
+    attacker's drop, and each victim predicts once on validation, once clean,
+    once per attacker row and once per single-modality half."""
+    data, atk = tmp_path / "data", tmp_path / "atk"
+    assert main(["synth", "--out", str(data), "--seed", "0"]) == 0
+    assert main([
+        "attack", "--out", str(atk), "--data", str(data), "--num-targets", "30", "--seed", "1",
+    ]) == 0
+    clean = load_graph(data)
+    targets = load_plan(atk / "plan.jsonl").targets()
+    rnd = tmp_path / "rnd.jsonl"
+    save_plan(rnd_attack(clean, targets, Budgets.for_targets(len(targets)), seed=4), rnd)
+
+    calls = []
+    predict = victims.predict
+
+    def counting(model, graph, features):
+        calls.append(model.kind)
+        return predict(model, graph, features)
+
+    monkeypatch.setattr(victims, "predict", counting)
+    out = tmp_path / "eval"
+    assert main([
+        "evaluate", "--out", str(out), "--clean", str(data),
+        "--perturbed", str(atk / "perturbed"), "--plan", str(atk / "plan.jsonl"),
+        "--baseline", f"rnd={rnd}",
+    ]) == 0
     report = json.loads((out / "report.json").read_text())
-    for kind in report["victims"]:
-        assert report["victims"][kind]["attackers"]["tagsiege"]["drop"] == 0.0
-    assert report["audit"]["delta_H_edge"] == 0.0
-    assert report["audit"]["edge_edits"] == 0.0
+    assert set(report["synergy"]) == set(victims.VICTIM_KINDS)
+    for kind, row in report["synergy"].items():
+        assert row["drop_joint"] == report["victims"][kind]["attackers"]["tagsiege"]["drop"]
+        assert calls.count(kind) == 1 + 1 + 2 + 2
 
 
 def test_evaluate_baseline_rows(tmp_path, data_dir, attack_run):

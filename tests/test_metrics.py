@@ -21,7 +21,7 @@ from tagsiege.metrics import (
 from tagsiege.plan import Budgets, PerturbationPlan, PlanEntry, apply_plan
 from tagsiege.seeding import substream
 from tagsiege.text_features import Vocabulary, featurize
-from tagsiege.victims import VictimConfig, train_victim
+from tagsiege.victims import VictimConfig, accuracy, train_victim
 
 from cosine_reference import cosine
 
@@ -235,9 +235,23 @@ def synergy_fixture():
     return g, plan, budgets, victims, feats, targets
 
 
+def measured_synergy(g, joint, victims, feats, targets):
+    """synergy_test on `joint`, given the clean and joint accuracies it takes."""
+    x_clean, x_joint = feats(g.texts), feats(joint.texts)
+
+    def accuracies(graph, x):
+        return {kind: accuracy(model, graph, x, targets) for kind, model in victims.items()}
+
+    return synergy_test(
+        g, joint, x_clean, x_joint, victims, targets,
+        accuracies(g, x_clean), accuracies(joint, x_joint),
+    )
+
+
 def test_synergy_empty_plan_is_all_zero():
-    g, _, budgets, victims, feats, _ = synergy_fixture()
-    rows = synergy_test(g, PerturbationPlan(), budgets, victims, feats)
+    g, _, _, victims, feats, targets = synergy_fixture()
+    # an empty plan leaves the joint graph equal to the clean one
+    rows = measured_synergy(g, g, victims, feats, targets)
     for row in rows.values():
         assert row.drop_struct == row.drop_text == row.drop_joint == 0.0
         assert row.synergy_hard
@@ -249,7 +263,8 @@ def test_synergy_structure_only_plan_has_zero_text_drop():
     stripped = PerturbationPlan(entries={
         t: replace(e, keyword=None, new_text=None) for t, e in plan.entries.items()
     })
-    rows = synergy_test(g, stripped, budgets, victims, feats, targets)
+    joint = apply_plan(g, stripped, budgets).graph
+    rows = measured_synergy(g, joint, victims, feats, targets)
     for row in rows.values():
         assert row.drop_text == 0.0
         assert row.drop_struct == pytest.approx(row.drop_joint)
@@ -257,7 +272,7 @@ def test_synergy_structure_only_plan_has_zero_text_drop():
 
 def test_synergy_joint_dominates_each_modality():
     g, plan, budgets, victims, feats, targets = synergy_fixture()
-    rows = synergy_test(g, plan, budgets, victims, feats, targets)
+    rows = measured_synergy(g, apply_plan(g, plan, budgets).graph, victims, feats, targets)
     assert set(rows) == set(victims)
     for row in rows.values():
         assert row.synergy_hard
