@@ -95,12 +95,7 @@ def attack(
             influencers = influencer_sets[target]
             rng = substream(seed, f"candidates-{target}")
             prompt = build_topology_prompt(
-                graph,
-                target,
-                influencers,
-                template=topo_template,
-                rng=rng,
-                allow_isolated=graph.degree(target) == 0,
+                graph, target, influencers, template=topo_template, rng=rng
             )
             decision = backend.topology_decision(prompt)
             reason = validate_topology_decision(

@@ -30,6 +30,7 @@ from .text_features import Vocabulary, token_edit_distance, tokenize
 API_KEY_ENV = "TAGSIEGE_API_KEY"
 BASE_URL_ENV = "TAGSIEGE_BASE_URL"
 DEFAULT_BASE_URL = "https://api.openai.com/v1"
+BACKOFF_BASE_S = 0.5  # the n-th retry of a query waits BACKOFF_BASE_S * 2^(n-1) s
 
 RETENTION_FLOOR = 0.3
 
@@ -137,8 +138,6 @@ class AttackerBackend(ABC):
 
 class OracleBackend(AttackerBackend):
     """Resolves both prompt kinds from embeddings and TF-IDF weights alone."""
-
-    kind = "oracle"
 
     def __init__(
         self,
@@ -276,7 +275,6 @@ class LLMConfig:
     temperature: float = 0.0
     timeout: float = 60.0
     max_attempts: int = 3
-    backoff_base: float = 0.5
 
     def resolved_base_url(self) -> str:
         return self.base_url or os.environ.get(BASE_URL_ENV, DEFAULT_BASE_URL)
@@ -327,7 +325,6 @@ class LLMBackend(AttackerBackend):
     to `max_in_flight` threads at once.
     """
 
-    kind = "llm"
     max_in_flight = 8
 
     def __init__(
@@ -363,7 +360,7 @@ class LLMBackend(AttackerBackend):
         for attempt in range(self.config.max_attempts):
             if attempt:
                 self._count(retries=1)
-                self.sleep(self.config.backoff_base * (2 ** (attempt - 1)))
+                self.sleep(BACKOFF_BASE_S * (2 ** (attempt - 1)))
             try:
                 body = self.transport(url, self._headers(), payload, self.config.timeout)
                 return body["choices"][0]["message"]["content"]

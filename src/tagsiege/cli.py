@@ -622,11 +622,12 @@ def _run_audit(cfg: dict, out: Path):
 # ---------------------------------------------------------------------------
 # command table and entry point
 
-_ENCODER_FLAGS = [
-    ("hidden", "int", 64, "encoder hidden width"),
-    ("learning_rate", "float", 0.01, "encoder Adam learning rate"),
-    ("epochs", "int", 200, "encoder training epochs"),
-    ("weight_decay", "float", 5e-4, "encoder L2 weight decay"),
+# the surrogate encoder in encode and attack, the victims in evaluate
+_TRAINING_FLAGS = [
+    ("hidden", "int", 64, "hidden layer width"),
+    ("learning_rate", "float", 0.01, "Adam learning rate"),
+    ("epochs", "int", 200, "training epochs"),
+    ("weight_decay", "float", 5e-4, "L2 weight decay"),
 ]
 
 _TARGET_FLAGS = [
@@ -659,7 +660,7 @@ _COMMANDS = {
             ("data", "str", _REQUIRED, "dataset directory"),
             ("max_vocab", "int", 2000, "vocabulary size cap"),
             ("seed", "int", 0, "training seed"),
-            *_ENCODER_FLAGS,
+            *_TRAINING_FLAGS,
         ],
         _run_encode,
         "train the surrogate encoder and dump embeddings",
@@ -694,7 +695,7 @@ _COMMANDS = {
             ("anchor_mismatch", "bool", False, "ablation: mis-anchor the text step"),
             ("allow_partial", "bool", False, "write perturbed graph even if exhausted"),
             *_TARGET_FLAGS,
-            *_ENCODER_FLAGS,
+            *_TRAINING_FLAGS,
         ],
         _run_attack,
         "plan and apply a cross-modal attack",
@@ -710,7 +711,7 @@ _COMMANDS = {
             ("max_vocab", "int", 2000, "vocabulary size cap"),
             ("seed", "int", 0, "victim training seed"),
             ("sgc_steps", "int", 2, "SGC propagation steps"),
-            *_ENCODER_FLAGS,
+            *_TRAINING_FLAGS,
         ],
         _run_evaluate,
         "train victims on the clean graph and report drops",

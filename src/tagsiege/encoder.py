@@ -3,9 +3,11 @@
 The attacker owns this model outright (it never touches the victim), so it is
 kept small and auditable: symmetric-normalized propagation, relu, full-batch
 Adam, and a finite-difference gradient check over every weight coordinate.
-Node embeddings are the penultimate (post-relu) hidden activations. The `gcn`
-victim is this same model, trained and run through `_loss_and_grads` and
-`forward` with its own seed and weights.
+Node embeddings are the penultimate (post-relu) hidden activations.
+
+The `gcn` victim is this same model: `train_gcn` initialises and fits both,
+each from its own seed substream ("encoder-init" here, "victim-gcn" there),
+and both hold their weights in one `{"w1", "w2"}` dict that `forward` runs.
 """
 
 from __future__ import annotations
@@ -65,50 +67,39 @@ class EncoderConfig:
 
 
 @dataclass
-class EncoderParams:
-    w1: np.ndarray  # (input_dim, hidden)
-    w2: np.ndarray  # (hidden, class_count)
-
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(self.w1.copy(), self.w2.copy())
-
-
-@dataclass
 class TrainedEncoder:
-    params: EncoderParams
+    weights: dict[str, np.ndarray]  # w1 (input_dim, hidden), w2 (hidden, class_count)
     config: EncoderConfig
     loss_history: list[float] = field(default_factory=list)
     operand_forms: dict[str, str] = field(default_factory=dict)  # "csr" or "dense"
 
 
 def forward(
-    params: EncoderParams, a_hat: sp.csr_matrix, features: np.ndarray | sp.csr_matrix
+    weights: dict[str, np.ndarray], a_hat: sp.csr_matrix, features: np.ndarray | sp.csr_matrix
 ) -> tuple[np.ndarray, np.ndarray]:
     """Return (logits, embeddings); embeddings are the post-relu hidden layer."""
-    if features.shape[1] != params.w1.shape[0]:
-        raise ShapeError(
-            f"feature dim {features.shape[1]} != weight fan-in {params.w1.shape[0]}"
-        )
-    h_pre = a_hat @ (features @ params.w1)
-    h = relu(h_pre)
-    logits = a_hat @ (h @ params.w2)
+    w1, w2 = weights["w1"], weights["w2"]
+    if features.shape[1] != w1.shape[0]:
+        raise ShapeError(f"feature dim {features.shape[1]} != weight fan-in {w1.shape[0]}")
+    h = relu(a_hat @ (features @ w1))
+    logits = a_hat @ (h @ w2)
     return logits, h
 
 
 def _loss_and_grads(
-    params: EncoderParams,
+    weights: dict[str, np.ndarray],
     a_hat: sp.csr_matrix,
     u: np.ndarray | sp.csr_matrix,
     labels: np.ndarray,
     train_rows: np.ndarray,
     weight_decay: float,
 ) -> Iterator[tuple[float, list[np.ndarray]]]:
-    """Yield the loss and [dW1, dW2] at the current `params`, once per `next`;
+    """Yield the loss and [dW1, dW2] at the current `weights`, once per `next`;
     `u` is the fixed first propagation a_hat @ features, dense or CSR.
 
     The dense activations and gradients live in buffers allocated once here,
     so each `next` overwrites the gradients the previous one yielded."""
-    w1, w2 = params.w1, params.w2
+    w1, w2 = weights["w1"], weights["w2"]
     n, hidden = u.shape[0], w1.shape[1]
     h_out, dw1_out = product_buffer(u, hidden), product_buffer(u.T, hidden)
     active = np.empty((n, hidden), dtype=bool)
@@ -132,14 +123,48 @@ def _loss_and_grads(
         yield loss, [dw1, dw2]
 
 
-def init_params(
-    input_dim: int, hidden: int, class_count: int, seed: int
-) -> EncoderParams:
-    rng = substream(seed, "encoder-init")
-    return EncoderParams(
-        w1=glorot(rng, input_dim, hidden),
-        w2=glorot(rng, hidden, class_count),
+def train_split(
+    graph: TextAttributedGraph, features: np.ndarray | sp.csr_matrix
+) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, train rows) of `graph` as int arrays. ShapeError unless
+    `features` has one row per node, TrainingError if there are no train nodes."""
+    if features.shape[0] != graph.node_count:
+        raise ShapeError(f"feature rows {features.shape[0]} != node count {graph.node_count}")
+    rows = np.array(graph.split_nodes("train"), dtype=int)
+    if rows.size == 0:
+        raise TrainingError("graph has no train nodes")
+    return np.array(graph.labels, dtype=int), rows
+
+
+def train_gcn(
+    graph: TextAttributedGraph,
+    a_hat: sp.csr_matrix,
+    features: np.ndarray | sp.csr_matrix,
+    config: EncoderConfig,
+    stream: str,
+    what: str,
+) -> TrainedEncoder:
+    """Initialise a GCN from the `stream` substream of the config seed and fit
+    it on `graph`'s train split with propagation `a_hat`; its output width is
+    `graph.class_count`. A non-finite loss raises TrainingError naming `what`.
+
+    `u` = a_hat @ features is kept in the form `nnops.training_operand`
+    picks for it, recorded in `operand_forms`."""
+    labels, rows = train_split(graph, features)
+    u = training_operand(a_hat @ features)
+    rng = substream(config.seed, stream)
+    weights = {
+        "w1": glorot(rng, features.shape[1], config.hidden),
+        "w2": glorot(rng, config.hidden, graph.class_count),
+    }
+    history = fit(
+        list(weights.values()),
+        _loss_and_grads(weights, a_hat, u, labels, rows, config.weight_decay),
+        config.epochs,
+        config.learning_rate,
+        what,
     )
+    return TrainedEncoder(weights, config, history, {"u": operand_form(u)})
 
 
 def train_encoder(
@@ -147,38 +172,22 @@ def train_encoder(
     features: np.ndarray | sp.csr_matrix,
     config: EncoderConfig | None = None,
 ) -> TrainedEncoder:
-    """Fit on the train split; deterministic given the config seed.
-
-    `u` = a_hat @ features is kept in the form `nnops.training_operand`
-    picks for it, recorded in `operand_forms`."""
+    """The surrogate: `train_gcn` on the "encoder-init" substream;
+    deterministic given the config seed."""
     config = config or EncoderConfig()
-    train_rows = np.array(graph.split_nodes("train"), dtype=int)
-    if train_rows.size == 0:
-        raise TrainingError("graph has no train nodes")
-    labels = np.array(graph.labels, dtype=int)
     a_hat = normalize_adjacency(graph)
-    u = training_operand(a_hat @ features)
-    params = init_params(features.shape[1], config.hidden, graph.class_count, config.seed)
-    history = fit(
-        [params.w1, params.w2],
-        _loss_and_grads(params, a_hat, u, labels, train_rows, config.weight_decay),
-        config.epochs,
-        config.learning_rate,
-        "training loss",
-    )
-    forms = {"u": operand_form(u)}
-    return TrainedEncoder(params, config, loss_history=history, operand_forms=forms)
+    return train_gcn(graph, a_hat, features, config, "encoder-init", "training loss")
 
 
 def encode(
     trained: TrainedEncoder, graph: TextAttributedGraph, features: np.ndarray | sp.csr_matrix
 ) -> np.ndarray:
-    _, z = forward(trained.params, normalize_adjacency(graph), features)
+    _, z = forward(trained.weights, normalize_adjacency(graph), features)
     return z
 
 
 def gradient_check(
-    params: EncoderParams,
+    weights: dict[str, np.ndarray],
     a_hat: sp.csr_matrix,
     features: np.ndarray | sp.csr_matrix,
     labels: np.ndarray,
@@ -195,15 +204,15 @@ def gradient_check(
     is expected rather than a bug.
     """
     u = as_dense(a_hat @ features)
-    h_pre = u @ params.w1
+    h_pre = u @ weights["w1"]
 
-    def loss_at(p: EncoderParams) -> float:
+    def loss_at(p: dict[str, np.ndarray]) -> float:
         return next(_loss_and_grads(p, a_hat, u, labels, train_rows, weight_decay))[0]
 
-    _, (dw1, dw2) = next(_loss_and_grads(params, a_hat, u, labels, train_rows, weight_decay))
+    _, (dw1, dw2) = next(_loss_and_grads(weights, a_hat, u, labels, train_rows, weight_decay))
     worst = 0.0
     for which, analytic in (("w1", dw1), ("w2", dw2)):
-        w = getattr(params, which)
+        w = weights[which]
         for a in range(w.shape[0]):
             for b in range(w.shape[1]):
                 if which == "w1":
@@ -212,9 +221,9 @@ def gradient_check(
                         continue
                 orig = w[a, b]
                 w[a, b] = orig + step
-                up = loss_at(params)
+                up = loss_at(weights)
                 w[a, b] = orig - step
-                down = loss_at(params)
+                down = loss_at(weights)
                 w[a, b] = orig
                 numeric = (up - down) / (2 * step)
                 denom = max(abs(analytic[a, b]), abs(numeric), 1e-8)
@@ -223,14 +232,15 @@ def gradient_check(
 
 
 def save_checkpoint(trained: TrainedEncoder, path: str | Path) -> None:
+    w1, w2 = trained.weights["w1"], trained.weights["w2"]
     payload = {
         "kind": "gcn-encoder",
         "hidden": trained.config.hidden,
-        "input_dim": trained.params.w1.shape[0],
-        "class_count": trained.params.w2.shape[1],
+        "input_dim": w1.shape[0],
+        "class_count": w2.shape[1],
         "seed": trained.config.seed,
-        "w1": trained.params.w1.tolist(),
-        "w2": trained.params.w2.tolist(),
+        "w1": w1.tolist(),
+        "w2": w2.tolist(),
     }
     Path(path).write_text(dumps(payload))
 

@@ -55,10 +55,6 @@ class TemplateError(TagSiegeError):
     """Prompt template is missing a required placeholder or uses an unknown one."""
 
 
-class IsolatedNodeError(TagSiegeError):
-    """Operation requires a neighbor but the node has degree zero."""
-
-
 class RetrievalExhaustedError(TagSiegeError):
     """Every retrieved candidate was filtered out (already adjacent, or the target)."""
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IsolatedNodeError, RetrievalExhaustedError, TemplateError
+from .errors import RetrievalExhaustedError, TemplateError
 from .graph import TextAttributedGraph
 from .retrieval import InfluencerSet
 
@@ -134,17 +134,15 @@ def build_topology_prompt(
     influencers: InfluencerSet,
     template: PromptTemplate | None = None,
     rng: np.random.Generator | None = None,
-    allow_isolated: bool = False,
 ) -> TopologyPrompt:
     """One combined Steps 1-3 prompt; candidate order shuffled by `rng`.
 
     Candidates already adjacent to the target (or the target itself) are
-    filtered out before presentation.
+    filtered out before presentation; an isolated target's neighbor list
+    reads "(none)".
     """
     template = template or default_topology_template()
     neighbors = graph.neighbors(target)
-    if not neighbors and not allow_isolated:
-        raise IsolatedNodeError(f"target {target} has no neighbors to disconnect")
     current = set(neighbors) | {target}
     pool = [c for c in influencers.candidates if c not in current]
     if not pool:

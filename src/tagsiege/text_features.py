@@ -47,7 +47,6 @@ class Vocabulary:
     index: dict[str, int]
     document_frequency: dict[str, int]
     document_count: int
-    max_size: int
 
     @classmethod
     def from_texts(cls, texts: Iterable[str], max_size: int = 2000) -> "Vocabulary":
@@ -69,7 +68,6 @@ class Vocabulary:
             index=index,
             document_frequency={t: df[t] for t in ranked},
             document_count=len(texts),
-            max_size=max_size,
         )
 
     def __len__(self) -> int:

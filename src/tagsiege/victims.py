@@ -3,10 +3,12 @@
 These stand in for the deployed models under attack. They are trained once on
 the clean graph, frozen, and then queried on whatever graph the evaluation
 hands them (clean or perturbed) — propagation always comes from that graph,
-built once per graph and reused across predictions. The `gcn` victim shares
-the surrogate's GCN code (`encoder.forward`, `encoder._loss_and_grads`) and
-all train with `nnops.fit`, but victims share no weights, embeddings, plan or
-backend with the attacker.
+built once per graph and reused across predictions. The `gcn` victim is the
+surrogate's GCN (`encoder.train_gcn` and `encoder.forward`) on its own
+"victim-gcn" seed substream, and `VictimConfig` is `EncoderConfig` plus
+`sgc_steps`. All kinds size their output by `graph.class_count` and train with
+`nnops.fit`, but victims share no weights, embeddings, plan or backend with
+the attacker.
 
 Each training allocates its buffers once and shares nothing mutable with
 another, so several victims may train at once on separate threads, as
@@ -24,11 +26,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .encoder import (
-    EncoderParams,
-    _loss_and_grads,
+    EncoderConfig,
     adjacency_matrix,
     forward,
     normalize_adjacency,
+    train_gcn,
+    train_split,
 )
 from .errors import ConfigurationError, DegenerateInputError, ShapeError, TrainingError
 from .graph import TextAttributedGraph
@@ -42,19 +45,13 @@ VICTIM_KINDS = ("gcn", "sgc", "sage_mean")
 
 
 @dataclass
-class VictimConfig:
-    hidden: int = 64
-    learning_rate: float = 0.01
-    epochs: int = 200
-    weight_decay: float = 5e-4
+class VictimConfig(EncoderConfig):
     sgc_steps: int = 2
-    seed: int = 0
 
     def __post_init__(self):
-        if self.hidden < 1 or self.epochs < 1 or self.sgc_steps < 1:
-            raise ConfigurationError("hidden, epochs and sgc_steps must be >= 1")
-        if self.learning_rate <= 0 or self.weight_decay < 0:
-            raise ConfigurationError("learning_rate > 0 and weight_decay >= 0 required")
+        super().__post_init__()
+        if self.sgc_steps < 1:
+            raise ConfigurationError("sgc_steps must be >= 1")
 
 
 @dataclass
@@ -144,8 +141,7 @@ def victim_logits(
         )
     propagation = _propagation(model.kind, graph)
     if model.kind == "gcn":
-        params = EncoderParams(model.weights["w1"], model.weights["w2"])
-        return forward(params, propagation, features)[0]
+        return forward(model.weights, propagation, features)[0]
     if model.kind == "sgc":
         return sgc_logits(propagation, features, model.weights["w"], model.config.sgc_steps)
     return sage_logits(propagation, features, model.weights)
@@ -209,28 +205,22 @@ def sage_loss_and_grads(
         yield loss, [dws1, dwn1, dws2, dwn2]
 
 
-def _train_weights(kind, graph, X, labels, rows, cfg) -> tuple[dict, dict[str, str]]:
+def _train_weights(kind, graph, X, cfg) -> tuple[dict, dict[str, str]]:
     """Initialise from the kind's seed substream, then fit on the train rows.
 
     Returns the weights and the form (`nnops.training_operand`) each fixed
     operand took."""
-    classes = int(labels.max()) + 1
-    wd = cfg.weight_decay
+    propagation = _propagation(kind, graph)
     if kind == "gcn":
-        rng = substream(cfg.seed, "victim-gcn")
-        params = EncoderParams(
-            glorot(rng, X.shape[1], cfg.hidden), glorot(rng, cfg.hidden, classes)
-        )
-        weights = {"w1": params.w1, "w2": params.w2}
-        a_hat = _propagation(kind, graph)
-        operands = {"u": training_operand(a_hat @ X)}
-        steps = _loss_and_grads(params, a_hat, operands["u"], labels, rows, wd)
-    elif kind == "sgc":
+        trained = train_gcn(graph, propagation, X, cfg, "victim-gcn", "gcn loss")
+        return trained.weights, trained.operand_forms
+    labels, rows = train_split(graph, X)
+    classes, wd = graph.class_count, cfg.weight_decay
+    if kind == "sgc":
         rng = substream(cfg.seed, "victim-sgc")
         propagated = X
-        a_hat = _propagation(kind, graph)
         for _ in range(cfg.sgc_steps):
-            propagated = a_hat @ propagated
+            propagated = propagation @ propagated
         weights = {"w": glorot(rng, X.shape[1], classes)}
         operands = {"propagated": training_operand(propagated)}
         steps = sgc_loss_and_grads(weights["w"], operands["propagated"], labels, rows, wd)
@@ -242,9 +232,8 @@ def _train_weights(kind, graph, X, labels, rows, cfg) -> tuple[dict, dict[str, s
             "ws2": glorot(rng, cfg.hidden, classes),
             "wn2": glorot(rng, cfg.hidden, classes),
         }
-        m = _propagation(kind, graph)
-        operands = {"x": training_operand(X), "x_nbr": training_operand(m @ X)}
-        steps = sage_loss_and_grads(weights, m, *operands.values(), labels, rows, wd)
+        operands = {"x": training_operand(X), "x_nbr": training_operand(propagation @ X)}
+        steps = sage_loss_and_grads(weights, propagation, *operands.values(), labels, rows, wd)
     fit(list(weights.values()), steps, cfg.epochs, cfg.learning_rate, f"{kind} loss")
     return weights, {name: operand_form(op) for name, op in operands.items()}
 
@@ -259,16 +248,7 @@ def train_victim(
     if kind not in VICTIM_KINDS:
         raise ConfigurationError(f"unknown victim kind {kind!r}")
     config = config or VictimConfig()
-    if features.shape[0] != graph.node_count:
-        raise ShapeError(
-            f"feature rows {features.shape[0]} != node count {graph.node_count}"
-        )
-    rows = np.array(graph.split_nodes("train"), dtype=int)
-    if rows.size == 0:
-        raise TrainingError("graph has no train nodes")
-    labels = np.array(graph.labels, dtype=int)
-
-    weights, forms = _train_weights(kind, graph, features, labels, rows, config)
+    weights, forms = _train_weights(kind, graph, features, config)
     model = VictimModel(kind=kind, weights=weights, config=config, operand_forms=forms)
     val = graph.split_nodes("val")
     if val:

@@ -22,7 +22,6 @@ from tagsiege.encoder import (
     encode,
     forward,
     gradient_check,
-    init_params,
     normalize_adjacency,
     train_encoder,
 )
@@ -40,6 +39,8 @@ from tagsiege.victims import (
     sgc_logits,
     train_victim,
 )
+
+from test_encoder import gcn_weights
 
 SEED = 1
 NUM_TARGETS = 30
@@ -86,10 +87,10 @@ def test_criterion_1_correctness_oracles():
 
     # encoder forward vs an index-by-index re-implementation
     X = rng.normal(size=(50, 7))
-    params = init_params(7, hidden=5, class_count=3, seed=4)
+    params = gcn_weights(7, hidden=5, class_count=3, seed=4)
     logits, hidden = forward(params, normalize_adjacency(g), X)
-    naive_h = np.maximum(dense @ (X @ params.w1), 0.0)
-    naive_logits = dense @ (naive_h @ params.w2)
+    naive_h = np.maximum(dense @ (X @ params["w1"]), 0.0)
+    naive_logits = dense @ (naive_h @ params["w2"])
     forward_err = max(
         np.max(np.abs(logits - naive_logits)), np.max(np.abs(hidden - naive_h))
     )
@@ -99,7 +100,7 @@ def test_criterion_1_correctness_oracles():
     for seed in (0, 1):
         small = random_graph(10, seed=seed, p=0.3)
         Xs = substream(seed, "acceptance-feat").normal(size=(10, 4))
-        ps = init_params(4, hidden=3, class_count=3, seed=seed)
+        ps = gcn_weights(4, hidden=3, class_count=3, seed=seed)
         grad_errs.append(
             gradient_check(
                 ps,

@@ -287,7 +287,7 @@ def test_llm_backoff_sleeps_exponentially():
         [RuntimeError("x"), RuntimeError("x"),
          json.dumps({"delete_id": 2, "add_id": 3})]
     )
-    backend = LLMBackend(LLMConfig(backoff_base=0.5), fallback=oracle,
+    backend = LLMBackend(LLMConfig(), fallback=oracle,
                          transport=transport, sleep=slept.append)
     prompt = build_topology_prompt(g, 0, InfluencerSet(0, (3,)))
     backend.topology_decision(prompt)

@@ -74,6 +74,16 @@ def test_unknown_flag_exits_two():
     assert exc.value.code == 2
 
 
+def test_evaluate_help_does_not_call_the_victim_training_flags_encoder_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for flag in ("--hidden", "--learning-rate", "--epochs", "--weight-decay"):
+        assert flag in text
+    assert "encoder" not in text.lower()
+
+
 def test_infeasible_synth_config_exits_two(tmp_path):
     code = main(
         ["synth", "--out", str(tmp_path / "bad"), "--p-in", "0.001", "--p-out", "0.5"]

@@ -3,18 +3,22 @@ import pytest
 
 from tagsiege.encoder import (
     EncoderConfig,
-    EncoderParams,
-    TrainedEncoder,
     encode,
     forward,
     gradient_check,
-    init_params,
     normalize_adjacency,
     train_encoder,
 )
 from tagsiege.errors import ConfigurationError, ShapeError, TrainingError
 from tagsiege.graph import TextAttributedGraph
+from tagsiege.nnops import glorot
 from tagsiege.seeding import substream
+
+
+def gcn_weights(input_dim, hidden, class_count, seed):
+    """Untrained GCN weights as `train_encoder` initialises them."""
+    rng = substream(seed, "encoder-init")
+    return {"w1": glorot(rng, input_dim, hidden), "w2": glorot(rng, hidden, class_count)}
 
 
 def ring_graph(n=10, classes=2):
@@ -61,20 +65,20 @@ def test_normalized_adjacency_handles_isolated_nodes():
 def test_forward_matches_naive_reimplementation():
     g = ring_graph()
     X = random_features(g)
-    params = init_params(X.shape[1], hidden=5, class_count=g.class_count, seed=3)
+    params = gcn_weights(X.shape[1], hidden=5, class_count=g.class_count, seed=3)
     a_hat = normalize_adjacency(g)
     logits, z = forward(params, a_hat, X)
 
     p = dense_normalized(g)
-    h = np.maximum(p @ X @ params.w1, 0.0)
-    expected_logits = p @ h @ params.w2
+    h = np.maximum(p @ X @ params["w1"], 0.0)
+    expected_logits = p @ h @ params["w2"]
     assert np.max(np.abs(logits - expected_logits)) <= 1e-10
     assert np.max(np.abs(z - h)) <= 1e-10
 
 
 def test_forward_rejects_wrong_feature_dim():
     g = ring_graph()
-    params = init_params(7, hidden=4, class_count=2, seed=0)
+    params = gcn_weights(7, hidden=4, class_count=2, seed=0)
     with pytest.raises(ShapeError):
         forward(params, normalize_adjacency(g), np.zeros((g.node_count, 9)))
 
@@ -82,7 +86,7 @@ def test_forward_rejects_wrong_feature_dim():
 def test_gradient_check_on_small_graph():
     g = ring_graph(n=10)
     X = random_features(g, dim=6, seed=5)
-    params = init_params(6, hidden=4, class_count=g.class_count, seed=7)
+    params = gcn_weights(6, hidden=4, class_count=g.class_count, seed=7)
     a_hat = normalize_adjacency(g)
     labels = np.array(g.labels)
     train_rows = np.array(g.split_nodes("train"))
@@ -97,8 +101,8 @@ def test_training_reduces_loss_and_is_deterministic():
     run1 = train_encoder(g, X, cfg)
     run2 = train_encoder(g, X, cfg)
     assert run1.loss_history[-1] < run1.loss_history[0]
-    np.testing.assert_array_equal(run1.params.w1, run2.params.w1)
-    np.testing.assert_array_equal(run1.params.w2, run2.params.w2)
+    np.testing.assert_array_equal(run1.weights["w1"], run2.weights["w1"])
+    np.testing.assert_array_equal(run1.weights["w2"], run2.weights["w2"])
 
 
 def test_embeddings_are_penultimate_layer():
@@ -107,7 +111,7 @@ def test_embeddings_are_penultimate_layer():
     cfg = EncoderConfig(hidden=6, epochs=5, seed=2)
     trained = train_encoder(g, X, cfg)
     z = encode(trained, g, X)
-    _, z_direct = forward(trained.params, normalize_adjacency(g), X)
+    _, z_direct = forward(trained.weights, normalize_adjacency(g), X)
     np.testing.assert_array_equal(z, z_direct)
     assert z.shape == (g.node_count, 6)
     assert np.all(z >= 0)  # post-relu
@@ -116,6 +120,12 @@ def test_embeddings_are_penultimate_layer():
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         EncoderConfig(hidden=0)
+
+
+def test_training_rejects_features_without_one_row_per_node():
+    g = ring_graph(n=6)
+    with pytest.raises(ShapeError):
+        train_encoder(g, np.ones((7, 3)), EncoderConfig(hidden=2, epochs=1))
 
 
 def test_training_requires_train_nodes():

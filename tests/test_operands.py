@@ -103,8 +103,8 @@ def test_encoder_csr_matches_dense_input(fixture):
     from_dense = train_encoder(g, X.toarray(), cfg)
     np.testing.assert_allclose(from_csr.loss_history, from_dense.loss_history, rtol=0, atol=TOL)
     a_hat = normalize_adjacency(g)
-    logits_csr, z_csr = forward(from_csr.params, a_hat, X)
-    logits_dense, z_dense = forward(from_dense.params, a_hat, X.toarray())
+    logits_csr, z_csr = forward(from_csr.weights, a_hat, X)
+    logits_dense, z_dense = forward(from_dense.weights, a_hat, X.toarray())
     np.testing.assert_allclose(logits_csr, logits_dense, rtol=0, atol=TOL)
     np.testing.assert_allclose(z_csr, z_dense, rtol=0, atol=TOL)
     np.testing.assert_allclose(encode(from_csr, g, X), z_dense, rtol=0, atol=TOL)

@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
 
-from tagsiege.errors import (
-    IsolatedNodeError,
-    RetrievalExhaustedError,
-    TemplateError,
-)
+from tagsiege.errors import RetrievalExhaustedError, TemplateError
 from tagsiege.graph import TextAttributedGraph
 from tagsiege.prompts import (
     PromptTemplate,
@@ -73,9 +69,7 @@ def test_topology_prompt_golden_bytes_under_fixed_seed():
 def test_topology_prompt_isolated_target():
     g = star_graph()
     infl = InfluencerSet(target=5, candidates=(1, 2))
-    with pytest.raises(IsolatedNodeError):
-        build_topology_prompt(g, 5, infl)
-    prompt = build_topology_prompt(g, 5, infl, allow_isolated=True)
+    prompt = build_topology_prompt(g, 5, infl)
     assert prompt.neighbor_ids == ()
     assert "(none)" in prompt.text
 

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from tagsiege.encoder import EncoderParams, forward, normalize_adjacency
+from tagsiege.encoder import EncoderConfig, encode, forward, normalize_adjacency, train_encoder
 from tagsiege.errors import ConfigurationError, DegenerateInputError, ShapeError
 from tagsiege.graph import TextAttributedGraph
 from tagsiege.seeding import substream
 from tagsiege.victims import (
     SAGE_WEIGHTS,
+    VICTIM_KINDS,
     VictimConfig,
     VictimModel,
     accuracy,
@@ -90,6 +91,20 @@ def test_one_class_data_is_trivially_learned():
     X = np.ones((n, 2))
     model = train_victim("gcn", g, X, VictimConfig(hidden=3, epochs=5))
     assert accuracy(model, g, X, list(g.split_nodes("test"))) == 1.0
+
+
+def test_every_model_sizes_its_output_by_the_declared_class_count():
+    # labels use classes 0 and 1 of the five the graph declares
+    g = clustered_graph(n=12)
+    g = TextAttributedGraph.build(g.texts, g.labels, g.splits, g.edges, class_count=5)
+    X = block_features(g)
+    encoder = train_encoder(g, X, EncoderConfig(hidden=4, epochs=3, seed=1))
+    logits, z = forward(encoder.weights, normalize_adjacency(g), X)
+    assert logits.shape == (g.node_count, 5)
+    assert encode(encoder, g, X).shape == z.shape == (g.node_count, 4)
+    for kind in VICTIM_KINDS:
+        model = train_victim(kind, g, X, VictimConfig(hidden=4, epochs=3, seed=1))
+        assert victim_logits(model, g, X).shape == (g.node_count, 5), kind
 
 
 def test_sgc_equals_linear_gcn():
@@ -263,8 +278,7 @@ def test_propagation_built_once_per_graph_and_read_only(monkeypatch, kind):
     builder = "mean_aggregation" if kind == "sage_mean" else "normalize_adjacency"
     fresh = getattr(victims, builder)(g)
     expected = {
-        "gcn": lambda: forward(EncoderParams(model.weights["w1"], model.weights["w2"]),
-                               fresh, X)[0],
+        "gcn": lambda: forward(model.weights, fresh, X)[0],
         "sgc": lambda: sgc_logits(fresh, X, model.weights["w"], model.config.sgc_steps),
         "sage_mean": lambda: sage_logits(fresh, X, model.weights),
     }[kind]()
