@@ -70,7 +70,13 @@ def attack(
     anchor_mismatch deliberately anchors the text rewrite on the runner-up
     candidate instead of the inserted one — the ablation that demonstrates
     why cross-modal alignment matters. Leave it off for the real attack.
+
+    A text budget below one token edit is a ConfigurationError, raised before
+    retrieval and before any query.
     """
+    budget = budgets.text_token_budget
+    if budget < 1:
+        raise ConfigurationError("text budget must allow at least one token edit")
     templates = templates or {}
     topo_template = templates.get("topology")
     text_template = templates.get("text")
@@ -110,9 +116,6 @@ def attack(
                 if runner_up is not None:
                     anchor = runner_up
 
-            budget = budgets.text_token_budget
-            if budget < 1:
-                raise ConfigurationError("text budget must allow at least one token edit")
             text_prompt = build_text_prompt(graph, target, anchor, template=text_template)
             edit = backend.text_decision(text_prompt, budget)
             reason = validate_text_decision(

@@ -101,7 +101,6 @@ class AttackerBackend(ABC):
     up to `max_in_flight` targets concurrently.
     """
 
-    kind: str
     max_in_flight = 1
 
     def __init__(self):

@@ -221,6 +221,16 @@ def _resolve_targets(cfg: dict, graph) -> list[int] | None:
     return None
 
 
+def _load_featurized(data_dir: str, max_vocab: int):
+    """(graph, vocabulary, features) of a dataset: the vocabulary is frozen on
+    the dataset's own texts, and its features are taken against it."""
+    from .text_features import build_vocabulary, featurize
+
+    graph = load_graph(data_dir)
+    vocab = build_vocabulary(graph, max_vocab)
+    return graph, vocab, featurize(graph.texts, vocab)
+
+
 def _train_embeddings(graph, features, cfg: dict):
     from .encoder import EncoderConfig, encode, train_encoder
 
@@ -244,24 +254,6 @@ def _counters(features, operand_forms: dict[str, dict[str, str]]) -> dict:
         "features_density": features.nnz / (rows * cols),
         "operand_forms": operand_forms,
     }
-
-
-def _plan_budgets(plan, clean) -> Budgets:
-    """Budgets wide enough to re-apply a stored plan to its clean graph."""
-    from .text_features import token_edit_distance
-
-    entries = plan.entries.values()
-    text_edits = [
-        token_edit_distance(clean.texts[e.target], e.new_text)
-        for e in entries
-        if e.new_text is not None
-    ]
-    return Budgets(
-        per_node_edge_budget=2,
-        global_edge_budget=sum(e.edge_edit_count for e in entries),
-        text_token_budget=max(text_edits, default=0),
-        global_text_budget=sum(text_edits),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +284,9 @@ def _run_synth(cfg: dict, out: Path):
 
 def _run_encode(cfg: dict, out: Path):
     from .encoder import save_checkpoint
-    from .text_features import build_vocabulary, featurize, save_embeddings
+    from .text_features import save_embeddings
 
-    graph = load_graph(cfg["data"])
-    vocab = build_vocabulary(graph, cfg["max_vocab"])
-    features = featurize(graph.texts, vocab)
+    graph, vocab, features = _load_featurized(cfg["data"], cfg["max_vocab"])
     started = time.perf_counter()
     trained, embeddings = _train_embeddings(graph, features, cfg)
     save_checkpoint(trained, out / "encoder.json")
@@ -342,23 +332,16 @@ def _load_templates(cfg: dict):
 def _run_attack(cfg: dict, out: Path):
     from .attack import attack
     from .backends import LLMBackend, LLMConfig, OracleBackend
-    from .text_features import build_vocabulary, featurize
 
-    graph = load_graph(cfg["data"])
+    graph, vocab, features = _load_featurized(cfg["data"], cfg["max_vocab"])
     targets = _resolve_targets(cfg, graph)
     if targets is None:
         raise ConfigurationError("attack needs --targets or --num-targets")
-    vocab = build_vocabulary(graph, cfg["max_vocab"])
-    features = featurize(graph.texts, vocab)
     started = time.perf_counter()
     trained, embeddings = _train_embeddings(graph, features, cfg)
     train_s = time.perf_counter() - started
 
-    budgets = Budgets.for_targets(
-        len(targets),
-        per_node_edge_budget=cfg["edge_budget"],
-        text_token_budget=cfg["text_budget"],
-    )
+    budgets = Budgets.for_targets(len(targets), text_token_budget=cfg["text_budget"])
     oracle = OracleBackend(graph, embeddings, vocab)
     if cfg["backend"] == "oracle":
         backend = oracle
@@ -400,8 +383,7 @@ def _run_attack(cfg: dict, out: Path):
             f"for {completed} completed targets"
         )
     if exhausted_message is None or cfg["allow_partial"]:
-        applied = apply_plan(graph, plan, budgets)
-        save_graph(applied.graph, out / "perturbed")
+        save_graph(apply_plan(graph, plan).graph, out / "perturbed")
 
     extra = {
         "seed": cfg["seed"],
@@ -471,10 +453,10 @@ def _train_victims(kinds: list[str], clean, clean_x, config):
 
 def _run_evaluate(cfg: dict, out: Path):
     from .metrics import aggregate, bound_audit, synergy_test
-    from .text_features import build_vocabulary, featurize
+    from .text_features import featurize
     from .victims import VICTIM_KINDS, VictimConfig, accuracy
 
-    clean = load_graph(cfg["clean"])
+    clean, vocab, clean_x = _load_featurized(cfg["clean"], cfg["max_vocab"])
     plan = load_plan(cfg["plan"])
     targets = plan.targets()
     if not targets:
@@ -491,14 +473,12 @@ def _run_evaluate(cfg: dict, out: Path):
             raise ConfigurationError(f"attacker row {name!r} is named twice")
         plans[name] = load_plan(path)
 
-    # each row's graph is its plan applied to the clean graph; the vocabulary
-    # is frozen on the clean corpus and perturbed text is featurized against
-    # it, so victims never see attacker-invented terms
-    vocab = build_vocabulary(clean, cfg["max_vocab"])
-    clean_x = featurize(clean.texts, vocab)
+    # each row's graph is its plan applied to the clean graph; perturbed text
+    # is featurized against the clean corpus's frozen vocabulary, so victims
+    # never see attacker-invented terms
     attackers = {}
     for name, attacker_plan in plans.items():
-        graph = apply_plan(clean, attacker_plan, _plan_budgets(attacker_plan, clean)).graph
+        graph = apply_plan(clean, attacker_plan).graph
         attackers[name] = (graph, featurize(graph.texts, vocab))
     joint, joint_x = attackers[label]
     perturbed = load_graph(cfg["perturbed"])
@@ -590,12 +570,10 @@ def _run_evaluate(cfg: dict, out: Path):
 
 def _run_audit(cfg: dict, out: Path):
     from .metrics import bound_audit
-    from .text_features import build_vocabulary, featurize
+    from .text_features import featurize
 
-    clean = load_graph(cfg["clean"])
+    clean, vocab, clean_x = _load_featurized(cfg["clean"], cfg["max_vocab"])
     perturbed = load_graph(cfg["perturbed"])
-    vocab = build_vocabulary(clean, cfg["max_vocab"])
-    clean_x = featurize(clean.texts, vocab)
     perturbed_x = featurize(perturbed.texts, vocab)
     audit = bound_audit(clean, perturbed, clean_x, perturbed_x)
     audit["perturb_ratio"] = audit["edge_ratio"]
@@ -685,7 +663,6 @@ _COMMANDS = {
             ("temperature", "float", 0.0, "sampling temperature (llm backend)"),
             ("timeout", "float", 60.0, "request timeout seconds (llm backend)"),
             ("max_attempts", "int", 3, "transport attempts per query (llm backend)"),
-            ("edge_budget", "int", 2, "per-node structural edit budget"),
             ("text_budget", "int", 12, "per-node token edit budget"),
             ("k", "int", DEFAULT_K, "influencers retrieved per target"),
             ("seed", "int", 0, "run seed (encoder, sampling, prompts)"),

@@ -30,13 +30,7 @@ class ShapeError(TagSiegeError):
 
 
 class BudgetError(TagSiegeError):
-    """A perturbation exceeds its edit budget; names the offending node."""
-
-    def __init__(self, message: str, node: int | None = None):
-        self.node = node
-        if node is not None:
-            message = f"node {node}: {message}"
-        super().__init__(message)
+    """An edit budget is invalid (negative)."""
 
 
 class PlanInconsistencyError(TagSiegeError):

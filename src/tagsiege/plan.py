@@ -1,8 +1,11 @@
 """Perturbation plans: budgets, validation and application to a graph.
 
 A plan maps target nodes to one edge deletion, one edge insertion and an
-optional text rewrite. Budgets cap edge edits per node and globally, and text
-edits per node (token set symmetric difference) and globally.
+optional text rewrite. Budgets bound the planners that make a plan: `attack`
+spends at most one deletion and one insertion per target and keeps each
+rewrite within `text_token_budget` token edits (token set symmetric
+difference); the RND/FLIP baselines spend the edge budgets. `apply_plan`
+checks a plan against the clean graph and charges its edits, without caps.
 """
 
 from __future__ import annotations
@@ -22,36 +25,24 @@ DEFAULT_K = 5
 
 @dataclass(frozen=True)
 class Budgets:
-    """Edit allowances for one attack run."""
+    """Edit allowances that a planner (`attack` or a baseline) spends."""
 
     per_node_edge_budget: int = 2
     global_edge_budget: int = 0
     text_token_budget: int = 0
-    global_text_budget: int = 0
 
     def __post_init__(self):
-        for name in (
-            "per_node_edge_budget",
-            "global_edge_budget",
-            "text_token_budget",
-            "global_text_budget",
-        ):
+        for name in ("per_node_edge_budget", "global_edge_budget", "text_token_budget"):
             if getattr(self, name) < 0:
                 raise BudgetError(f"{name} must be >= 0")
 
     @classmethod
-    def for_targets(
-        cls,
-        target_count: int,
-        per_node_edge_budget: int = 2,
-        text_token_budget: int = 12,
-    ) -> "Budgets":
-        """Global budgets sized so every target can spend its full local budget."""
+    def for_targets(cls, target_count: int, text_token_budget: int = 12) -> "Budgets":
+        """The default per-node edge budget, with a global one sized so every
+        target can spend it in full."""
         return cls(
-            per_node_edge_budget=per_node_edge_budget,
-            global_edge_budget=per_node_edge_budget * target_count,
+            global_edge_budget=cls.per_node_edge_budget * target_count,
             text_token_budget=text_token_budget,
-            global_text_budget=text_token_budget * target_count,
         )
 
 
@@ -135,26 +126,23 @@ def _validate_entry(graph: TextAttributedGraph, entry: PlanEntry) -> None:
         raise PlanInconsistencyError(f"target {t}: rewritten text is empty")
 
 
-def apply_plan(
-    graph: TextAttributedGraph,
-    plan: PerturbationPlan,
-    budgets: Budgets,
-) -> AppliedPlan:
-    """Validate a plan against the clean graph and budgets, then apply it.
+def apply_plan(graph: TextAttributedGraph, plan: PerturbationPlan) -> AppliedPlan:
+    """Validate a plan against the clean graph, apply it and charge its edits.
 
     All checks happen against the clean graph, and entries apply in target
-    order. Every target is edited at most once, but entries can still share
-    an edge: two targets that add (or delete) the edge between them, or a
-    deletion undone by a re-insertion. The edge budgets are therefore charged
-    for the edges that differ between the clean and the perturbed graph, each
-    to the first entry that names it; an entry's charge can fall below its
-    `edge_edit_count`. An empty plan returns the graph unchanged.
+    order. Budgets are not checked here: the planner that made the plan
+    spent them. Every target is edited at most once, but entries can still
+    share an edge: two targets that add (or delete) the edge between them, or
+    a deletion undone by a re-insertion. The audit therefore charges the
+    edges that differ between the clean and the perturbed graph, each to the
+    first entry that names it; an entry's charge can fall below its
+    `edge_edit_count`. Text edits are charged as token set symmetric
+    differences. An empty plan returns the graph unchanged.
     """
     edges = set(graph.edges)
     texts = list(graph.texts)
     first_named: dict[tuple[int, int], int] = {}
     per_node_text: dict[int, int] = {}
-    text_total = 0
 
     for target in sorted(plan.entries):
         entry = plan.entries[target]
@@ -169,42 +157,18 @@ def apply_plan(
         edges.add(edge)
 
         if entry.new_text is not None:
-            dist = token_edit_distance(graph.texts[target], entry.new_text)
-            if dist > budgets.text_token_budget:
-                raise BudgetError(
-                    f"text edit distance {dist} exceeds per-node budget "
-                    f"{budgets.text_token_budget}",
-                    node=target,
-                )
-            if text_total + dist > budgets.global_text_budget:
-                raise BudgetError(
-                    f"global text budget {budgets.global_text_budget} exhausted", node=target
-                )
             texts[target] = entry.new_text
-            per_node_text[target] = dist
-            text_total += dist
+            per_node_text[target] = token_edit_distance(graph.texts[target], entry.new_text)
 
     per_node_edge = dict.fromkeys(sorted(plan.entries), 0)
     for edge, target in first_named.items():
         if (edge in graph.edges) != (edge in edges):
             per_node_edge[target] += 1
-    edge_total = 0
-    for target, cost in per_node_edge.items():
-        if cost > budgets.per_node_edge_budget:
-            raise BudgetError(
-                f"{cost} edge edits exceed per-node budget {budgets.per_node_edge_budget}",
-                node=target,
-            )
-        if edge_total + cost > budgets.global_edge_budget:
-            raise BudgetError(
-                f"global edge budget {budgets.global_edge_budget} exhausted", node=target
-            )
-        edge_total += cost
 
     perturbed = graph.with_changes(edges=edges, texts=texts)
     audit = PlanAudit(
-        edge_edits=edge_total,
-        text_edits_total=text_total,
+        edge_edits=sum(per_node_edge.values()),
+        text_edits_total=sum(per_node_text.values()),
         per_node_edge_edits=per_node_edge,
         per_node_text_edits=per_node_text,
     )

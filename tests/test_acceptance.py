@@ -203,11 +203,11 @@ def experiment():
     pool = sorted(graph.split_nodes("test"))
     rng = substream(SEED, "targets")
     targets = sorted(rng.choice(pool, size=NUM_TARGETS, replace=False).tolist())
-    budgets = Budgets.for_targets(NUM_TARGETS, per_node_edge_budget=2)
+    budgets = Budgets.for_targets(NUM_TARGETS)
 
     backend = OracleBackend(graph, embeddings, vocab)
     plan = attack(graph, targets, embeddings, backend, budgets, seed=SEED)
-    perturbed = apply_plan(graph, plan, budgets).graph
+    perturbed = apply_plan(graph, plan).graph
 
     def featurize_fn(texts):
         return featurize(texts, vocab)
@@ -249,8 +249,8 @@ def test_criterion_2_synthetic_efficacy(experiment):
 
     rnd_plan = rnd_attack(e.graph, e.targets, e.budgets, seed=SEED)
     flip_plan = flip_attack(e.graph, e.targets, e.budgets)
-    rnd_graph = apply_plan(e.graph, rnd_plan, e.budgets).graph
-    flip_graph = apply_plan(e.graph, flip_plan, e.budgets).graph
+    rnd_graph = apply_plan(e.graph, rnd_plan).graph
+    flip_graph = apply_plan(e.graph, flip_plan).graph
 
     strictly_best = True
     big_drops = 0
@@ -309,10 +309,10 @@ def test_criterion_4_stealth(experiment):
     pool = sorted(e.graph.split_nodes("test"))
     rng = substream(SEED, "stealth-targets")
     targets = sorted(rng.choice(pool, size=stealth_n, replace=False).tolist())
-    budgets = Budgets.for_targets(stealth_n, per_node_edge_budget=2)
+    budgets = Budgets.for_targets(stealth_n)
     backend = OracleBackend(e.graph, e.embeddings, e.vocab)
     plan = attack(e.graph, targets, e.embeddings, backend, budgets, seed=SEED)
-    perturbed = apply_plan(e.graph, plan, budgets).graph
+    perturbed = apply_plan(e.graph, plan).graph
 
     audit = bound_audit(
         e.graph,
@@ -461,7 +461,7 @@ def test_criterion_7_anchor_mismatch(experiment):
         seed=SEED,
         anchor_mismatch=True,
     )
-    mismatched = apply_plan(e.graph, mismatched_plan, e.budgets).graph
+    mismatched = apply_plan(e.graph, mismatched_plan).graph
     mismatched_x = e.featurize_fn(mismatched.texts)
 
     reduced = 0

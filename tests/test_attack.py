@@ -130,10 +130,17 @@ def test_attack_plan_applies_within_budgets():
     targets = [2, 6, 12]
     budgets = Budgets.for_targets(len(targets))
     plan = attack(g, targets, Z, oracle, budgets, seed=1)
-    applied = apply_plan(g, plan, budgets)
+    applied = apply_plan(g, plan)
     assert applied.audit.edge_edits == 2 * len(targets)
     for t in targets:
         assert applied.graph.texts[t] != g.texts[t]
+    # the planner keeps each target within one deletion plus one insertion
+    # and within the token budget; apply_plan only charges what it spent
+    assert all(cost <= 2 for cost in applied.audit.per_node_edge_edits.values())
+    assert all(
+        cost <= budgets.text_token_budget
+        for cost in applied.audit.per_node_text_edits.values()
+    )
 
 
 def test_intended_label_differs_for_cross_class_influencer():
@@ -156,7 +163,7 @@ def test_isolated_target_gets_insertion_only_entry():
     entry = plan.entries[3]
     assert entry.delete_neighbor is None
     assert entry.add_influencer != 3
-    applied = apply_plan(g, plan, Budgets.for_targets(1))
+    applied = apply_plan(g, plan)
     assert applied.audit.edge_edits == 1
 
 
@@ -205,15 +212,19 @@ def test_failing_target_is_skipped_not_fatal():
         assert backend.query_count == 2 * len(plan.entries)
 
 
-def test_zero_text_budget_skips_every_target_then_raises():
+def test_zero_text_budget_is_a_config_error_before_any_query():
     g, Z, oracle = setup()
-    budgets = Budgets(per_node_edge_budget=2, global_edge_budget=4)  # no text edits
-    with pytest.raises(BackendExhaustedError) as info:
-        attack(g, [0, 3], Z, oracle, budgets, seed=0)
-    assert info.value.plan.skipped == dict.fromkeys(
-        [0, 3], "text budget must allow at least one token edit"
+    sent = []
+    llm = LLMBackend(
+        LLMConfig(), fallback=oracle,
+        transport=lambda *request: sent.append(request), sleep=lambda s: None,
     )
-    assert oracle.query_count == 0
+    budgets = Budgets(per_node_edge_budget=2, global_edge_budget=4)  # no text edits
+    for backend in (oracle, llm):
+        with pytest.raises(ConfigurationError, match="at least one token edit"):
+            attack(g, [0, 3], Z, backend, budgets, seed=0)
+        assert backend.query_count == 0
+    assert sent == []
 
 
 def test_skip_after_topology_query_rolls_back_count():

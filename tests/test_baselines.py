@@ -39,7 +39,7 @@ def test_rnd_deterministic_and_valid():
     p1 = rnd_attack(g, targets, budgets, seed=7)
     p2 = rnd_attack(g, targets, budgets, seed=7)
     assert p1.entries == p2.entries
-    applied = apply_plan(g, p1, budgets)
+    applied = apply_plan(g, p1)
     edge_edits, text_edits, _ = edit_counts(g, applied.graph)
     assert edge_edits == 2 * len(p1)
     assert text_edits == 0  # structure-only
@@ -128,7 +128,7 @@ def test_flip_is_deterministic_and_applies():
     p1 = flip_attack(g, targets, budgets)
     p2 = flip_attack(g, targets, budgets)
     assert p1.entries == p2.entries
-    applied = apply_plan(g, p1, budgets)
+    applied = apply_plan(g, p1)
     edge_edits, text_edits, _ = edit_counts(g, applied.graph)
     assert edge_edits == 2 * len(targets)
     assert text_edits == 0

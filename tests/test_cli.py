@@ -118,6 +118,32 @@ def test_config_file_precedence(tmp_path, data_dir):
     assert manifest["config"]["num_targets"] == 3
 
 
+def test_edge_budget_flag_and_config_key_are_rejected(tmp_path, capsys, data_dir):
+    # each target's structural edit is one deletion plus one insertion; no
+    # option sets an edge budget
+    attack = ["attack", "--data", str(data_dir), "--num-targets", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main([*attack, "--out", str(tmp_path / "flag"), "--edge-budget", "2"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "attack.cfg"
+    cfg.write_text("edge_budget=2\n")
+    capsys.readouterr()
+    assert main([*attack, "--out", str(tmp_path / "cfg"), "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: unknown config keys: edge_budget\n"
+
+
+def test_zero_text_budget_exits_two_before_any_query(tmp_path, capsys, data_dir):
+    out = tmp_path / "o"
+    code = main([
+        "attack", "--data", str(data_dir), "--out", str(out),
+        "--num-targets", "2", "--text-budget", "0",
+    ])
+    assert code == 2
+    assert "text budget must allow at least one token edit" in capsys.readouterr().err
+    assert not (out / "plan.jsonl").exists()
+    assert not (out / "manifest.json").exists()
+
+
 def test_missing_required_option_exits_two(tmp_path):
     assert main(["attack", "--out", str(tmp_path / "o"), "--num-targets", "2"]) == 2
 
@@ -186,6 +212,19 @@ def test_attack_replay_is_byte_identical(tmp_path, attack_run):
     out = tmp_path / "replayed"
     code = main(["replay", str(attack_run / "manifest.json"), "--out", str(out)])
     assert code == 0
+    names = ["plan.jsonl", "perturbed/nodes.jsonl", "perturbed/edges.csv"]
+    assert file_bytes(out, names) == file_bytes(attack_run, names)
+
+
+def test_attack_manifest_recording_an_edge_budget_still_replays(tmp_path, attack_run):
+    # attack manifests written while `--edge-budget` existed record
+    # "edge_budget": 2 in their config; replay ignores the extra key
+    manifest = read_manifest(attack_run)
+    manifest["config"]["edge_budget"] = 2
+    old = tmp_path / "manifest.json"
+    old.write_text(json.dumps(manifest))
+    out = tmp_path / "replayed"
+    assert main(["replay", str(old), "--out", str(out)]) == 0
     names = ["plan.jsonl", "perturbed/nodes.jsonl", "perturbed/edges.csv"]
     assert file_bytes(out, names) == file_bytes(attack_run, names)
 

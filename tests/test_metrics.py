@@ -232,7 +232,7 @@ def synergy_fixture():
     targets = [1, 5, 9, 21, 25, 29]
     budgets = Budgets.for_targets(len(targets), text_token_budget=8)
     plan = attack(g, targets, Z, OracleBackend(g, Z, vocab), budgets, seed=3)
-    return g, plan, budgets, victims, feats, targets
+    return g, plan, victims, feats, targets
 
 
 def measured_synergy(g, joint, victims, feats, targets):
@@ -249,7 +249,7 @@ def measured_synergy(g, joint, victims, feats, targets):
 
 
 def test_synergy_empty_plan_is_all_zero():
-    g, _, _, victims, feats, targets = synergy_fixture()
+    g, _, victims, feats, targets = synergy_fixture()
     # an empty plan leaves the joint graph equal to the clean one
     rows = measured_synergy(g, g, victims, feats, targets)
     for row in rows.values():
@@ -259,11 +259,11 @@ def test_synergy_empty_plan_is_all_zero():
 
 
 def test_synergy_structure_only_plan_has_zero_text_drop():
-    g, plan, budgets, victims, feats, targets = synergy_fixture()
+    g, plan, victims, feats, targets = synergy_fixture()
     stripped = PerturbationPlan(entries={
         t: replace(e, keyword=None, new_text=None) for t, e in plan.entries.items()
     })
-    joint = apply_plan(g, stripped, budgets).graph
+    joint = apply_plan(g, stripped).graph
     rows = measured_synergy(g, joint, victims, feats, targets)
     for row in rows.values():
         assert row.drop_text == 0.0
@@ -271,8 +271,8 @@ def test_synergy_structure_only_plan_has_zero_text_drop():
 
 
 def test_synergy_joint_dominates_each_modality():
-    g, plan, budgets, victims, feats, targets = synergy_fixture()
-    rows = measured_synergy(g, apply_plan(g, plan, budgets).graph, victims, feats, targets)
+    g, plan, victims, feats, targets = synergy_fixture()
+    rows = measured_synergy(g, apply_plan(g, plan).graph, victims, feats, targets)
     assert set(rows) == set(victims)
     for row in rows.values():
         assert row.synergy_hard
