@@ -53,6 +53,13 @@ def _next_best_candidate(prompt: TopologyPrompt, chosen: int, unit: np.ndarray) 
     return min(zip(pair_cosines(unit, prompt.target, others).tolist(), others))[1]
 
 
+def text_edit_budget(budgets: Budgets) -> int:
+    """The per-target token edit budget; ConfigurationError below one edit."""
+    if budgets.text_token_budget < 1:
+        raise ConfigurationError("text budget must allow at least one token edit")
+    return budgets.text_token_budget
+
+
 def attack(
     graph: TextAttributedGraph,
     targets: list[int],
@@ -72,11 +79,9 @@ def attack(
     why cross-modal alignment matters. Leave it off for the real attack.
 
     A text budget below one token edit is a ConfigurationError, raised before
-    retrieval and before any query.
+    retrieval and before any query (by `text_edit_budget`).
     """
-    budget = budgets.text_token_budget
-    if budget < 1:
-        raise ConfigurationError("text budget must allow at least one token edit")
+    budget = text_edit_budget(budgets)
     templates = templates or {}
     topo_template = templates.get("topology")
     text_template = templates.get("text")

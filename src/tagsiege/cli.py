@@ -234,13 +234,7 @@ def _load_featurized(data_dir: str, max_vocab: int):
 def _train_embeddings(graph, features, cfg: dict):
     from .encoder import EncoderConfig, encode, train_encoder
 
-    config = EncoderConfig(
-        hidden=cfg["hidden"],
-        learning_rate=cfg["learning_rate"],
-        epochs=cfg["epochs"],
-        weight_decay=cfg["weight_decay"],
-        seed=cfg["seed"],
-    )
+    config = EncoderConfig(seed=cfg["seed"], **{name: cfg[name] for name, *_ in _TRAINING_FLAGS})
     trained = train_encoder(graph, features, config)
     return trained, encode(trained, graph, features)
 
@@ -330,18 +324,19 @@ def _load_templates(cfg: dict):
 
 
 def _run_attack(cfg: dict, out: Path):
-    from .attack import attack
+    from .attack import attack, text_edit_budget
     from .backends import LLMBackend, LLMConfig, OracleBackend
 
     graph, vocab, features = _load_featurized(cfg["data"], cfg["max_vocab"])
     targets = _resolve_targets(cfg, graph)
     if targets is None:
         raise ConfigurationError("attack needs --targets or --num-targets")
+    budgets = Budgets.for_targets(len(targets), text_token_budget=cfg["text_budget"])
+    text_edit_budget(budgets)  # a config error, found before the encoder trains
     started = time.perf_counter()
     trained, embeddings = _train_embeddings(graph, features, cfg)
     train_s = time.perf_counter() - started
 
-    budgets = Budgets.for_targets(len(targets), text_token_budget=cfg["text_budget"])
     oracle = OracleBackend(graph, embeddings, vocab)
     if cfg["backend"] == "oracle":
         backend = oracle
@@ -497,12 +492,8 @@ def _run_evaluate(cfg: dict, out: Path):
                 f"unknown victim {kind!r}; choose from {', '.join(VICTIM_KINDS)}"
             )
     victim_config = VictimConfig(
-        hidden=cfg["hidden"],
-        learning_rate=cfg["learning_rate"],
-        epochs=cfg["epochs"],
-        weight_decay=cfg["weight_decay"],
-        sgc_steps=cfg["sgc_steps"],
-        seed=cfg["seed"],
+        seed=cfg["seed"], sgc_steps=cfg["sgc_steps"],
+        **{name: cfg[name] for name, *_ in _TRAINING_FLAGS},
     )
     victims, timings, workers = _train_victims(kinds, clean, clean_x, victim_config)
 
@@ -581,15 +572,14 @@ def _run_audit(cfg: dict, out: Path):
     audit["node_count"] = clean.node_count
     audit["edge_count_clean"] = clean.edge_count
     audit["edge_count_perturbed"] = perturbed.edge_count
+    inputs = _dataset_inputs(cfg["clean"]) | _dataset_inputs(cfg["perturbed"])
     if cfg.get("report"):
         averages = read_json(cfg["report"], lambda report: [
             number(report[f"aggregates_{kind}"]["average"]) for kind in ("clean", "perturbed")
         ])
         audit["average_accuracy_clean"], audit["average_accuracy_perturbed"] = averages
-    (out / "audit.json").write_text(dumps(audit) + "\n")
-    inputs = _dataset_inputs(cfg["clean"]) | _dataset_inputs(cfg["perturbed"])
-    if cfg.get("report"):
         inputs |= _file_inputs(cfg["report"])
+    (out / "audit.json").write_text(dumps(audit) + "\n")
     print(
         f"audit: delta_h_edge {audit['delta_H_edge']:+.5f}, "
         f"perturb ratio {audit['perturb_ratio']:.5f} -> {out}"
@@ -768,6 +758,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"manifest config lacks keys: {', '.join(missing)}")
     for name, kind, default, _ in spec:
         _check_recorded(name, kind, default, config[name])
+    dropped = ", ".join(sorted(set(config) - {name for name, *_ in spec}))
+    if dropped:
+        print(f"warning: replay drops unknown config keys: {dropped}", file=sys.stderr)
+    config = {name: config[name] for name, *_ in spec}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     inputs, extra, code = runner(config, out)

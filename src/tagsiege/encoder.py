@@ -95,29 +95,29 @@ def _loss_and_grads(
     weight_decay: float,
 ) -> Iterator[tuple[float, list[np.ndarray]]]:
     """Yield the loss and [dW1, dW2] at the current `weights`, once per `next`;
-    `u` is the fixed first propagation a_hat @ features, dense or CSR.
-
-    The dense activations and gradients live in buffers allocated once here,
-    so each `next` overwrites the gradients the previous one yielded."""
+    `u` is the fixed first propagation a_hat @ features, dense or CSR. As in
+    `forward`, logits = a_hat @ (h @ W2); with g = a_hat @ dlogits (a_hat is
+    symmetric), dW2 = h^T @ g and dh = g @ W2^T, so every propagation is
+    (n, classes). Dense activations and gradients live in buffers allocated
+    once here (`dh` in `h`'s); each `next` overwrites the last one's gradients."""
     w1, w2 = weights["w1"], weights["w2"]
     n, hidden = u.shape[0], w1.shape[1]
     h_out, dw1_out = product_buffer(u, hidden), product_buffer(u.T, hidden)
     active = np.empty((n, hidden), dtype=bool)
-    logits, dw2 = np.empty((n, w2.shape[1])), np.empty(w2.shape)
+    hw2, dw2 = np.empty((n, w2.shape[1])), np.empty(w2.shape)
     scratch = [np.empty(w1.shape), np.empty(w2.shape)]
     while True:
         h = product(u, w1, h_out)
         np.greater(h, 0, out=active)  # the relu mask, taken before the relu
         relu(h, out=h)
-        q = a_hat @ h
-        np.matmul(q, w2, out=logits)
+        logits = a_hat @ np.matmul(h, w2, out=hw2)
 
         loss, dlogits = cross_entropy_with_grad(logits, labels, train_rows)
         loss += 0.5 * weight_decay * l2_penalty([w1, w2], scratch)
 
-        add_decay(np.matmul(q.T, dlogits, out=dw2), w2, weight_decay, scratch[1])
-        dq = np.matmul(dlogits, w2.T, out=q)  # q is dead once dw2 is formed
-        dh = a_hat @ dq                # a_hat is symmetric, so A^T == A
+        g = a_hat @ dlogits
+        add_decay(np.matmul(h.T, g, out=dw2), w2, weight_decay, scratch[1])
+        dh = np.matmul(g, w2.T, out=h)  # h is dead once dw2 is formed
         dh *= active
         dw1 = add_decay(product(u.T, dh, dw1_out), w1, weight_decay, scratch[0])
         yield loss, [dw1, dw2]

@@ -4,9 +4,9 @@ dense-or-CSR choice for fixed training operands, and the package's one cosine.
 `fit` is the one full-batch Adam loop that trains the surrogate encoder and
 every victim. Its losses write their dense activations and gradients into
 buffers they allocate once per training run (`product` into `out=`), and its
-Adam step does the same, so an epoch allocates only the results of scipy's
-sparse @ dense products. Everything here is plain numpy/scipy on float64 so
-results are bit-stable across runs on the same platform.
+Adam step does the same, so an epoch allocates only (n, classes) arrays (the
+loss and scipy's sparse @ dense propagations) plus scipy's first-layer products
+with a CSR operand. Everything here is plain numpy/scipy on float64, bit-stable per platform.
 """
 
 from __future__ import annotations

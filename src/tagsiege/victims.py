@@ -127,7 +127,7 @@ def sage_logits(
     """Mean-SAGE: each layer mixes the node's own signal with its mean neighbor."""
     h_pre = features @ weights["ws1"] + (m @ features) @ weights["wn1"]
     h = relu(h_pre)
-    return h @ weights["ws2"] + (m @ h) @ weights["wn2"]
+    return h @ weights["ws2"] + m @ (h @ weights["wn2"])
 
 
 def victim_logits(
@@ -173,13 +173,13 @@ def sage_loss_and_grads(
 ) -> Iterator[tuple[float, list[np.ndarray]]]:
     """Yield the mean-SAGE loss with L2 term and gradients in SAGE_WEIGHTS
     order at the current `weights`, once per `next`; `x_nbr` is the fixed
-    neighbour mean m @ features. The dense activations and gradients live in
-    buffers allocated once here. Arrays are reused once their value is dead:
-    `dh` takes `h`'s (its relu mask is kept apart), and `h_nbr`'s also holds
-    x_nbr @ wn1 and dlogits @ wn2^T."""
+    neighbour mean m @ features. As in `sage_logits`, the second layer
+    aggregates m @ (h @ wn2), so with g = m^T @ dlogits, dwn2 = h^T @ g. The
+    dense arrays live in buffers allocated once here: `h`'s also holds dh (its
+    relu mask is kept apart), `spare` x_nbr @ wn1, then g @ wn2^T."""
     ws1, wn1, ws2, wn2 = (weights[k] for k in SAGE_WEIGHTS)
     n, hidden, classes = features.shape[0], ws1.shape[1], ws2.shape[1]
-    h_out, h_nbr = product_buffer(features, hidden), np.empty((n, hidden))
+    h_out, spare = product_buffer(features, hidden), np.empty((n, hidden))
     active = np.empty((n, hidden), dtype=bool)
     logits, spare_logits = np.empty((n, classes)), np.empty((n, classes))
     dws1_out, dwn1_out = product_buffer(features.T, hidden), product_buffer(x_nbr.T, hidden)
@@ -187,18 +187,18 @@ def sage_loss_and_grads(
     scratch = [np.empty(w.shape) for w in (ws1, wn1, ws2, wn2)]
     while True:
         h = product(features, ws1, h_out)
-        h += product(x_nbr, wn1, h_nbr)
+        h += product(x_nbr, wn1, spare)
         np.greater(h, 0, out=active)  # the relu mask, taken before the relu
         relu(h, out=h)
-        h_nbr = m @ h
         np.matmul(h, ws2, out=logits)
-        logits += np.matmul(h_nbr, wn2, out=spare_logits)
+        logits += m @ np.matmul(h, wn2, out=spare_logits)
         loss, dlogits = cross_entropy_with_grad(logits, labels, rows)
         loss += 0.5 * weight_decay * l2_penalty([ws1, wn1, ws2, wn2], scratch)
+        g = m.T @ dlogits
         add_decay(np.matmul(h.T, dlogits, out=dws2), ws2, weight_decay, scratch[2])
-        add_decay(np.matmul(h_nbr.T, dlogits, out=dwn2), wn2, weight_decay, scratch[3])
+        add_decay(np.matmul(h.T, g, out=dwn2), wn2, weight_decay, scratch[3])
         dh = np.matmul(dlogits, ws2.T, out=h)
-        dh += m.T @ np.matmul(dlogits, wn2.T, out=h_nbr)
+        dh += np.matmul(g, wn2.T, out=spare)
         dh *= active
         dws1 = add_decay(product(features.T, dh, dws1_out), ws1, weight_decay, scratch[0])
         dwn1 = add_decay(product(x_nbr.T, dh, dwn1_out), wn1, weight_decay, scratch[1])

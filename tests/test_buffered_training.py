@@ -2,19 +2,27 @@
 same bits as the allocate-every-epoch code they replaced, and `evaluate`'s
 concurrently trained victims give the same outputs on any core count.
 
-The reference losses and Adam step below are the earlier bodies, kept
-verbatim as the oracle for the buffered ones.
+The reference losses and Adam step below allocate every result, as the
+earlier bodies did, and are the oracle for the buffered ones. The GCN and
+SAGE references propagate their second layer at class width (a_hat @ (h @ W2),
+m @ (h @ wn2) and the matching gradients), the association the losses document.
+
+Each epoch of the GCN and SAGE losses allocates at most the (n, classes)
+results of its sparse products plus, for a CSR first-layer operand, scipy's
+first-layer products; never an (n, hidden) propagation.
 """
 
 import json
 import os
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import tagsiege.encoder as encoder
 import tagsiege.nnops as nnops
@@ -22,7 +30,9 @@ import tagsiege.victims as victims
 from tagsiege.cli import main
 from tagsiege.encoder import EncoderConfig, train_encoder
 from tagsiege.errors import TrainingError
-from tagsiege.nnops import BETA1, BETA2, EPS, cross_entropy_with_grad, relu
+from tagsiege.nnops import BETA1, BETA2, EPS, as_dense, cross_entropy_with_grad, glorot, relu
+from tagsiege.synth import SynthConfig, generate
+from tagsiege.text_features import build_vocabulary, featurize
 from tagsiege.victims import SAGE_WEIGHTS, VICTIM_KINDS, VictimConfig, train_victim
 
 from test_operands import FIXTURES, features_of
@@ -53,15 +63,14 @@ def reference_gcn_loss(weights, a_hat, u, labels, train_rows, weight_decay):
     while True:
         h_pre = u @ params.w1
         h = relu(h_pre)
-        q = a_hat @ h
-        logits = q @ params.w2
+        logits = a_hat @ (h @ params.w2)
         loss, dlogits = cross_entropy_with_grad(logits, labels, train_rows)
         loss += 0.5 * weight_decay * (
             float(np.sum(params.w1 ** 2)) + float(np.sum(params.w2 ** 2))
         )
-        dw2 = q.T @ dlogits + weight_decay * params.w2
-        dq = dlogits @ params.w2.T
-        dh = a_hat @ dq
+        g = a_hat @ dlogits
+        dw2 = h.T @ g + weight_decay * params.w2
+        dh = g @ params.w2.T
         dh_pre = dh * (h_pre > 0)
         dw1 = u.T @ dh_pre + weight_decay * params.w1
         yield loss, [dw1, dw2]
@@ -78,13 +87,13 @@ def reference_sage_loss(weights, m, features, x_nbr, labels, rows, weight_decay)
     while True:
         h_pre = features @ weights["ws1"] + x_nbr @ weights["wn1"]
         h = relu(h_pre)
-        h_nbr = m @ h
-        logits = h @ weights["ws2"] + h_nbr @ weights["wn2"]
+        logits = h @ weights["ws2"] + m @ (h @ weights["wn2"])
         loss, dlogits = cross_entropy_with_grad(logits, labels, rows)
         loss += 0.5 * weight_decay * sum(float(np.sum(weights[k] ** 2)) for k in SAGE_WEIGHTS)
+        g = m.T @ dlogits
         dws2 = h.T @ dlogits + weight_decay * weights["ws2"]
-        dwn2 = h_nbr.T @ dlogits + weight_decay * weights["wn2"]
-        dh = dlogits @ weights["ws2"].T + m.T @ (dlogits @ weights["wn2"].T)
+        dwn2 = h.T @ g + weight_decay * weights["wn2"]
+        dh = dlogits @ weights["ws2"].T + g @ weights["wn2"].T
         dh_pre = dh * (h_pre > 0)
         dws1 = features.T @ dh_pre + weight_decay * weights["ws1"]
         dwn1 = x_nbr.T @ dh_pre + weight_decay * weights["wn1"]
@@ -127,6 +136,54 @@ def test_buffered_training_matches_the_allocating_reference(
     assert len(curves) == 1 and len(curves[0]) == 60
     assert curves == expected[0]
     assert [w.tobytes() for w in weights] == [w.tobytes() for w in expected[1]]
+
+
+def epoch_allocation(steps) -> int:
+    """Peak bytes that one `next(steps)` holds at once, after two warm-up
+    epochs, as numpy reports its buffers to tracemalloc."""
+    next(steps), next(steps)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        next(steps)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def mid_graph():
+    """n=1000 at mean degree about 5, |V|=64, so an (n, hidden) array
+    dwarfs the (n, classes) and (|V|, hidden) ones."""
+    n = 1000
+    graph = generate(SynthConfig(node_count=n, p_in=0.05 * 300 / n, p_out=0.005 * 300 / n))
+    return graph, featurize(graph.texts, build_vocabulary(graph, 64))
+
+
+@pytest.mark.parametrize("model", ["gcn", "sage_mean"])
+@pytest.mark.parametrize("form, limit", [("dense", 1), ("csr", 2)])
+def test_an_epoch_allocates_no_hidden_width_propagation(mid_graph, model, form, limit):
+    # dense: every operand dense, as at SPARSE_OPERAND_MAX_DENSITY = 0;
+    # csr: the first-layer operand (u for the GCN, X for SAGE) is CSR, and
+    # scipy gives its products with W1 and dh as new arrays
+    graph, x = mid_graph
+    hidden, rng = 64, np.random.default_rng(0)
+    first_layer = sp.csr_matrix if form == "csr" else as_dense
+    labels, rows = encoder.train_split(graph, x)
+    classes = graph.class_count
+    if model == "gcn":
+        a_hat = encoder.normalize_adjacency(graph)
+        weights = {"w1": glorot(rng, x.shape[1], hidden), "w2": glorot(rng, hidden, classes)}
+        steps = encoder._loss_and_grads(
+            weights, a_hat, first_layer(a_hat @ x), labels, rows, 5e-4)
+    else:
+        m = victims.mean_aggregation(graph)
+        shapes = [(x.shape[1], hidden)] * 2 + [(hidden, classes)] * 2
+        weights = {k: glorot(rng, *shape) for k, shape in zip(SAGE_WEIGHTS, shapes)}
+        steps = victims.sage_loss_and_grads(
+            weights, m, first_layer(x), as_dense(m @ x), labels, rows, 5e-4)
+    hidden_array = graph.node_count * hidden * 8
+    assert epoch_allocation(steps) < limit * hidden_array
 
 
 def test_victims_trained_on_more_threads_than_cores_match_serial_training(monkeypatch):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from tagsiege import victims
+from tagsiege import encoder, victims
 from tagsiege.baselines import rnd_attack
 from tagsiege.cli import main
 from tagsiege.graph import load_graph
@@ -132,7 +132,12 @@ def test_edge_budget_flag_and_config_key_are_rejected(tmp_path, capsys, data_dir
     assert capsys.readouterr().err == "error: unknown config keys: edge_budget\n"
 
 
-def test_zero_text_budget_exits_two_before_any_query(tmp_path, capsys, data_dir):
+def test_zero_text_budget_exits_two_before_any_query(tmp_path, capsys, monkeypatch, data_dir):
+    def no_training(*args):
+        raise AssertionError("the encoder trained")
+
+    # the budget is checked before the surrogate encoder trains
+    monkeypatch.setattr(encoder, "train_encoder", no_training)
     out = tmp_path / "o"
     code = main([
         "attack", "--data", str(data_dir), "--out", str(out),
@@ -216,17 +221,24 @@ def test_attack_replay_is_byte_identical(tmp_path, attack_run):
     assert file_bytes(out, names) == file_bytes(attack_run, names)
 
 
-def test_attack_manifest_recording_an_edge_budget_still_replays(tmp_path, attack_run):
+def test_attack_manifest_recording_an_edge_budget_still_replays(tmp_path, capsys, attack_run):
     # attack manifests written while `--edge-budget` existed record
-    # "edge_budget": 2 in their config; replay ignores the extra key
+    # "edge_budget": 2 in their config; replay drops the extra key, says so,
+    # and records the config that ran
     manifest = read_manifest(attack_run)
     manifest["config"]["edge_budget"] = 2
     old = tmp_path / "manifest.json"
     old.write_text(json.dumps(manifest))
     out = tmp_path / "replayed"
+    capsys.readouterr()
     assert main(["replay", str(old), "--out", str(out)]) == 0
     names = ["plan.jsonl", "perturbed/nodes.jsonl", "perturbed/edges.csv"]
     assert file_bytes(out, names) == file_bytes(attack_run, names)
+    warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
+    assert warnings == ["warning: replay drops unknown config keys: edge_budget"]
+    replayed = read_manifest(out)
+    assert "edge_budget" not in replayed["config"]
+    assert replayed["config_sha256"] == read_manifest(attack_run)["config_sha256"]
 
 
 def test_replay_detects_changed_input(tmp_path, data_dir, attack_run):
