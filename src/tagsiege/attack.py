@@ -29,7 +29,7 @@ from .errors import (
 )
 from .graph import TextAttributedGraph
 from .nnops import pair_cosines, unit_rows
-from .plan import DEFAULT_K, Budgets, PerturbationPlan, PlanEntry, ordered_targets
+from .plan import DEFAULT_K, PerturbationPlan, PlanEntry, ordered_targets
 from .prompts import (
     PromptTemplate,
     TopologyPrompt,
@@ -53,11 +53,11 @@ def _next_best_candidate(prompt: TopologyPrompt, chosen: int, unit: np.ndarray) 
     return min(zip(pair_cosines(unit, prompt.target, others).tolist(), others))[1]
 
 
-def text_edit_budget(budgets: Budgets) -> int:
+def text_edit_budget(budget: int) -> int:
     """The per-target token edit budget; ConfigurationError below one edit."""
-    if budgets.text_token_budget < 1:
+    if budget < 1:
         raise ConfigurationError("text budget must allow at least one token edit")
-    return budgets.text_token_budget
+    return budget
 
 
 def attack(
@@ -65,7 +65,7 @@ def attack(
     targets: list[int],
     embeddings: np.ndarray,
     backend: AttackerBackend,
-    budgets: Budgets,
+    text_budget: int,
     templates: dict[str, PromptTemplate] | None = None,
     *,
     k: int = DEFAULT_K,
@@ -78,10 +78,11 @@ def attack(
     candidate instead of the inserted one — the ablation that demonstrates
     why cross-modal alignment matters. Leave it off for the real attack.
 
-    A text budget below one token edit is a ConfigurationError, raised before
-    retrieval and before any query (by `text_edit_budget`).
+    Each rewrite stays within `text_budget` token edits; a budget below one
+    edit is a ConfigurationError, raised before retrieval and before any
+    query (by `text_edit_budget`).
     """
-    budget = text_edit_budget(budgets)
+    budget = text_edit_budget(text_budget)
     templates = templates or {}
     topo_template = templates.get("topology")
     text_template = templates.get("text")
@@ -99,7 +100,6 @@ def attack(
         influencer_sets, unit, retrieval_error = {}, None, str(exc)
 
     def attack_target(target: int) -> PlanEntry | TagSiegeError:
-        backend.start_target()
         try:
             if retrieval_error is not None:
                 raise ShapeError(retrieval_error)
@@ -138,9 +138,6 @@ def attack(
                 intended_label=graph.labels[decision.add_choice],
             )
         except TagSiegeError as exc:
-            # a skipped target contributes no logical queries; roll back
-            # this target's own so query_count stays two per completed target
-            backend.uncount_target()
             return exc
 
     graph.adjacency  # build the cached neighbor lists before the workers share them

@@ -95,7 +95,7 @@ def validate_text_decision(
 
 
 class AttackerBackend(ABC):
-    """Answers topology and text prompts; counts every logical query.
+    """Answers topology and text prompts; counts every logical query it answers.
 
     The counters may be updated from several threads at once: `attack` runs
     up to `max_in_flight` targets concurrently.
@@ -108,25 +108,12 @@ class AttackerBackend(ABC):
         self.retry_count = 0
         self.fallback_count = 0
         self._lock = threading.Lock()
-        self._tally = threading.local()  # logical queries of this thread's target
 
     def _count(self, queries: int = 0, retries: int = 0, fallbacks: int = 0) -> None:
         with self._lock:
             self.query_count += queries
             self.retry_count += retries
             self.fallback_count += fallbacks
-        self._tally.queries = getattr(self._tally, "queries", 0) + queries
-
-    def start_target(self) -> None:
-        """Start counting the calling thread's queries for one target."""
-        self._tally.queries = 0
-
-    def uncount_target(self) -> None:
-        """Remove the logical queries the calling thread counted since
-        `start_target`; retries and fallbacks stay counted."""
-        with self._lock:
-            self.query_count -= getattr(self._tally, "queries", 0)
-        self._tally.queries = 0
 
     @abstractmethod
     def topology_decision(self, prompt: TopologyPrompt) -> TopologyDecision: ...
@@ -233,15 +220,6 @@ class OracleBackend(AttackerBackend):
         kept_count = math.ceil(n / 2)
         extras = list(extras)
 
-        def distinct(tokens: list[str]) -> list[str]:
-            seen: set[str] = set()
-            out = []
-            for tok in tokens:
-                if tok not in seen:
-                    seen.add(tok)
-                    out.append(tok)
-            return out
-
         while True:
             kept = old_tokens[:kept_count]
             # set-level retention floor; duplicates early in the text can
@@ -253,8 +231,8 @@ class OracleBackend(AttackerBackend):
             ):
                 kept_count += 1
                 kept = old_tokens[:kept_count]
-            tokens = distinct(kept + [keyword] + extras)
-            candidate = " ".join(tokens)
+            # each token once, in order of first appearance
+            candidate = " ".join(dict.fromkeys(kept + [keyword] + extras))
             if token_edit_distance(original, candidate) <= budget:
                 return candidate
             if extras:
@@ -380,7 +358,7 @@ class LLMBackend(AttackerBackend):
         `parse` turns the reply's JSON object into (reason it is invalid or
         None, decision), and may raise KeyError/TypeError/ValueError on a
         malformed reply. After a second rejection `fallback(reason)` gives
-        the oracle's answer, which is counted under this backend only.
+        the oracle's answer, which this backend counts as one fallback.
         """
         self._count(queries=1)
         reason = ""
@@ -399,9 +377,7 @@ class LLMBackend(AttackerBackend):
                 if not reason:
                     return decision
         self._count(fallbacks=1)
-        decision = fallback(reason)
-        self.fallback._count(queries=-1)  # accounted under this backend's counter
-        return decision
+        return fallback(reason)
 
     def topology_decision(self, prompt: TopologyPrompt) -> TopologyDecision:
         def parse(obj: dict) -> tuple[str | None, TopologyDecision]:

@@ -1,7 +1,8 @@
 """Structure-only baseline attackers: RND and FLIP.
 
-Both spend the same Budgets type as the main pipeline and leave every text
-untouched, so evaluation rows compare like for like.
+Both spend the edge `Budgets`, as many edge edits per target as the main
+attack, and leave every text untouched, so evaluation rows compare like for
+like.
 """
 
 from __future__ import annotations

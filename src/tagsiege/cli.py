@@ -9,11 +9,12 @@ Option precedence: CLI flags > ``--config`` file (flat ``key=value`` lines,
 ``#`` comments) > built-in defaults. Exit codes: 0 ok, 2 config/validation,
 3 backend, 4 training.
 
-Module level imports only what parsing, manifests, ``replay``'s checks and
-``synth`` need, none of which loads scipy; every other layer (features,
+Module level imports only what parsing, manifests and ``replay``'s checks
+need, none of which loads numpy; every other layer (seeding, synth, features,
 encoder, retrieval, backends, attack, victims, metrics) is imported by the
-runner or helper that uses it. So ``synth``, ``--help`` and a replayed
-``synth`` start without importing scipy.
+runner or helper that uses it. So ``--help`` and argument errors start
+without importing numpy, and ``synth`` and a replayed ``synth`` without
+importing scipy.
 """
 
 from __future__ import annotations
@@ -38,10 +39,8 @@ from .errors import (
     TrainingError,
 )
 from .graph import load_graph, save_graph
-from .plan import DEFAULT_K, Budgets, apply_plan, load_plan, save_plan
+from .plan import DEFAULT_K, apply_plan, load_plan, save_plan
 from .records import dumps, number, read_json, typed
-from .seeding import substream
-from .synth import SynthConfig, generate, summarize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -210,6 +209,8 @@ def _resolve_targets(cfg: dict, graph) -> list[int] | None:
             raise ConfigurationError(f"targets out of range: {bad}")
         return ids
     if num is not None:
+        from .seeding import substream
+
         split = cfg.get("target_split", "test")
         pool = sorted(graph.split_nodes(split))
         if not 1 <= num <= len(pool):
@@ -255,6 +256,8 @@ def _counters(features, operand_forms: dict[str, dict[str, str]]) -> dict:
 
 
 def _run_synth(cfg: dict, out: Path):
+    from .synth import SynthConfig, generate, summarize
+
     config = SynthConfig(
         node_count=cfg["node_count"],
         class_count=cfg["class_count"],
@@ -331,8 +334,7 @@ def _run_attack(cfg: dict, out: Path):
     targets = _resolve_targets(cfg, graph)
     if targets is None:
         raise ConfigurationError("attack needs --targets or --num-targets")
-    budgets = Budgets.for_targets(len(targets), text_token_budget=cfg["text_budget"])
-    text_edit_budget(budgets)  # a config error, found before the encoder trains
+    text_edit_budget(cfg["text_budget"])  # a config error, found before the encoder trains
     started = time.perf_counter()
     trained, embeddings = _train_embeddings(graph, features, cfg)
     train_s = time.perf_counter() - started
@@ -360,7 +362,7 @@ def _run_attack(cfg: dict, out: Path):
             targets,
             embeddings,
             backend,
-            budgets,
+            cfg["text_budget"],
             templates=_load_templates(cfg),
             k=cfg["k"],
             seed=cfg["seed"],
@@ -372,11 +374,6 @@ def _run_attack(cfg: dict, out: Path):
 
     save_plan(plan, out / "plan.jsonl")
     completed = len(plan.entries)
-    if backend.query_count != 2 * completed:
-        raise PlanInconsistencyError(
-            f"query accounting violated: {backend.query_count} queries "
-            f"for {completed} completed targets"
-        )
     if exhausted_message is None or cfg["allow_partial"]:
         save_graph(apply_plan(graph, plan).graph, out / "perturbed")
 
@@ -386,7 +383,7 @@ def _run_attack(cfg: dict, out: Path):
         "targets": targets,
         "completed": completed,
         "skipped": {str(t): r for t, r in sorted(plan.skipped.items())},
-        "query_count": backend.query_count,
+        "query_count": plan.query_count,
         "retry_count": backend.retry_count,
         "fallback_count": backend.fallback_count,
         "timings": {
@@ -403,7 +400,7 @@ def _run_attack(cfg: dict, out: Path):
         return _dataset_inputs(cfg["data"]), extra, EXIT_BACKEND
     print(
         f"attack: {completed}/{len(targets)} targets, "
-        f"{backend.query_count} queries -> {out}"
+        f"{plan.query_count} queries -> {out}"
     )
     return _dataset_inputs(cfg["data"]), extra, EXIT_OK
 
@@ -527,7 +524,7 @@ def _run_evaluate(cfg: dict, out: Path):
     report = {
         "attacker": label,
         "targets": targets,
-        "query_count": 2 * len(plan.entries),
+        "query_count": plan.query_count,
         "victims": victims_out,
         "aggregates_clean": aggregate([r["clean_accuracy"] for r in main_rows.values()]),
         "aggregates_perturbed": aggregate([r["perturbed_accuracy"] for r in main_rows.values()]),

@@ -82,7 +82,7 @@ def bound_audit(
     h_edge_pert = homophily_edge(perturbed, features_pert)
     h_node_clean = homophily_node(clean, features_clean)
     h_node_pert = homophily_node(perturbed, features_pert)
-    edge_edits, text_edits, edge_ratio = edit_counts(clean, perturbed)
+    counts = edit_counts(clean, perturbed)
 
     changed = [i for i, (old, new) in enumerate(zip(clean.texts, perturbed.texts)) if old != new]
     diff = sp.csr_matrix(features_pert[changed] - features_clean[changed])
@@ -96,7 +96,7 @@ def bound_audit(
     tau_max = float(drifts.max()) if changed else 0.0
     tau_mean = float(drifts.mean()) if changed else 0.0
     delta_h_edge = h_edge_pert - h_edge_clean
-    denominator = edge_ratio + lipschitz * tau_max
+    denominator = counts.edge_ratio + lipschitz * tau_max
     ratio = abs(delta_h_edge) / denominator if denominator > 0 else 0.0
     return {
         "homophily_edge_clean": h_edge_clean,
@@ -105,9 +105,9 @@ def bound_audit(
         "homophily_node_perturbed": h_node_pert,
         "delta_H_edge": delta_h_edge,
         "delta_H_node": h_node_pert - h_node_clean,
-        "edge_edits": float(edge_edits),
-        "text_edits": float(text_edits),
-        "edge_ratio": edge_ratio,
+        "edge_edits": float(counts.edge_edits),
+        "text_edits": float(counts.text_edits),
+        "edge_ratio": counts.edge_ratio,
         "tau_max": tau_max,
         "tau_mean": tau_mean,
         "lipschitz_est": lipschitz,

@@ -3,9 +3,9 @@
 A plan maps target nodes to one edge deletion, one edge insertion and an
 optional text rewrite. Budgets bound the planners that make a plan: `attack`
 spends at most one deletion and one insertion per target and keeps each
-rewrite within `text_token_budget` token edits (token set symmetric
-difference); the RND/FLIP baselines spend the edge budgets. `apply_plan`
-checks a plan against the clean graph and charges its edits, without caps.
+rewrite within its text budget of token edits (token set symmetric
+difference); the RND/FLIP baselines spend the edge `Budgets`. `apply_plan`
+checks a plan against the clean graph and counts its edits, without caps.
 """
 
 from __future__ import annotations
@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import BudgetError, ConfigurationError, PlanInconsistencyError, ShapeError
 from .graph import TextAttributedGraph, canonical_edge
 from .records import integer, read_jsonl, typed, write_jsonl
-from .text_features import token_edit_distance
 
 # influencer candidates retrieved per target, offered to each topology query
 DEFAULT_K = 5
@@ -25,25 +25,21 @@ DEFAULT_K = 5
 
 @dataclass(frozen=True)
 class Budgets:
-    """Edit allowances that a planner (`attack` or a baseline) spends."""
+    """Edge edit allowances that the RND/FLIP baselines spend."""
 
     per_node_edge_budget: int = 2
     global_edge_budget: int = 0
-    text_token_budget: int = 0
 
     def __post_init__(self):
-        for name in ("per_node_edge_budget", "global_edge_budget", "text_token_budget"):
+        for name in ("per_node_edge_budget", "global_edge_budget"):
             if getattr(self, name) < 0:
                 raise BudgetError(f"{name} must be >= 0")
 
     @classmethod
-    def for_targets(cls, target_count: int, text_token_budget: int = 12) -> "Budgets":
+    def for_targets(cls, target_count: int) -> "Budgets":
         """The default per-node edge budget, with a global one sized so every
         target can spend it in full."""
-        return cls(
-            global_edge_budget=cls.per_node_edge_budget * target_count,
-            text_token_budget=text_token_budget,
-        )
+        return cls(global_edge_budget=cls.per_node_edge_budget * target_count)
 
 
 def ordered_targets(graph: TextAttributedGraph, targets: list[int]) -> list[int]:
@@ -64,23 +60,29 @@ class PlanEntry:
     rationale: str = ""
     intended_label: int | None = None
 
-    @property
-    def edge_edit_count(self) -> int:
-        return (0 if self.delete_neighbor is None else 1) + 1
-
 
 @dataclass
 class PerturbationPlan:
+    """Entries of completed targets and skip reasons of the rest; each target once."""
+
     entries: dict[int, PlanEntry] = field(default_factory=dict)
     skipped: dict[int, str] = field(default_factory=dict)
 
+    def _record(self, into: dict, target: int, value) -> None:
+        if target in self.entries or target in self.skipped:
+            raise PlanInconsistencyError(f"target {target} is already in the plan")
+        into[target] = value
+
     def add(self, entry: PlanEntry) -> None:
-        if entry.target in self.entries:
-            raise PlanInconsistencyError(f"duplicate plan entry for target {entry.target}")
-        self.entries[entry.target] = entry
+        self._record(self.entries, entry.target, entry)
 
     def skip(self, target: int, reason: str) -> None:
-        self.skipped[target] = reason
+        self._record(self.skipped, target, reason)
+
+    @property
+    def query_count(self) -> int:
+        """One topology and one text query per completed target."""
+        return 2 * len(self.entries)
 
     def targets(self) -> list[int]:
         return sorted(self.entries)
@@ -89,12 +91,12 @@ class PerturbationPlan:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class PlanAudit:
+class PlanAudit(NamedTuple):
+    """Edits between a clean graph and a perturbed one (see `edit_counts`)."""
+
     edge_edits: int
-    text_edits_total: int
-    per_node_edge_edits: dict[int, int]
-    per_node_text_edits: dict[int, int]
+    text_edits: int
+    edge_ratio: float
 
 
 @dataclass(frozen=True)
@@ -127,63 +129,40 @@ def _validate_entry(graph: TextAttributedGraph, entry: PlanEntry) -> None:
 
 
 def apply_plan(graph: TextAttributedGraph, plan: PerturbationPlan) -> AppliedPlan:
-    """Validate a plan against the clean graph, apply it and charge its edits.
+    """Validate a plan against the clean graph, apply it and count its edits.
 
     All checks happen against the clean graph, and entries apply in target
     order. Budgets are not checked here: the planner that made the plan
     spent them. Every target is edited at most once, but entries can still
     share an edge: two targets that add (or delete) the edge between them, or
-    a deletion undone by a re-insertion. The audit therefore charges the
-    edges that differ between the clean and the perturbed graph, each to the
-    first entry that names it; an entry's charge can fall below its
-    `edge_edit_count`. Text edits are charged as token set symmetric
-    differences. An empty plan returns the graph unchanged.
+    a deletion undone by a re-insertion. The audit is therefore read off the
+    two graphs, `edit_counts(graph, perturbed)`, not off the entries. An empty
+    plan returns the graph unchanged.
     """
     edges = set(graph.edges)
     texts = list(graph.texts)
-    first_named: dict[tuple[int, int], int] = {}
-    per_node_text: dict[int, int] = {}
-
     for target in sorted(plan.entries):
         entry = plan.entries[target]
         _validate_entry(graph, entry)
-
         if entry.delete_neighbor is not None:
-            edge = canonical_edge(target, entry.delete_neighbor)
-            first_named.setdefault(edge, target)
-            edges.discard(edge)
-        edge = canonical_edge(target, entry.add_influencer)
-        first_named.setdefault(edge, target)
-        edges.add(edge)
-
+            edges.discard(canonical_edge(target, entry.delete_neighbor))
+        edges.add(canonical_edge(target, entry.add_influencer))
         if entry.new_text is not None:
             texts[target] = entry.new_text
-            per_node_text[target] = token_edit_distance(graph.texts[target], entry.new_text)
-
-    per_node_edge = dict.fromkeys(sorted(plan.entries), 0)
-    for edge, target in first_named.items():
-        if (edge in graph.edges) != (edge in edges):
-            per_node_edge[target] += 1
 
     perturbed = graph.with_changes(edges=edges, texts=texts)
-    audit = PlanAudit(
-        edge_edits=sum(per_node_edge.values()),
-        text_edits_total=sum(per_node_text.values()),
-        per_node_edge_edits=per_node_edge,
-        per_node_text_edits=per_node_text,
-    )
-    return AppliedPlan(graph=perturbed, audit=audit)
+    return AppliedPlan(graph=perturbed, audit=edit_counts(graph, perturbed))
 
 
-def edit_counts(
-    clean: TextAttributedGraph, perturbed: TextAttributedGraph
-) -> tuple[int, int, float]:
-    """(edge edits, text token edits, edge edit ratio) between two graphs.
+def edit_counts(clean: TextAttributedGraph, perturbed: TextAttributedGraph) -> PlanAudit:
+    """Edge edits, text token edits and the edge edit ratio between two graphs.
 
     Edge edits are the symmetric difference of the edge sets; the ratio is
     relative to the clean edge count. Text edits sum token set symmetric
-    differences over changed nodes.
+    differences over changed nodes (`text_features` loads numpy, so only here).
     """
+    from .text_features import token_edit_distance
+
     if clean.node_count != perturbed.node_count:
         raise ShapeError(
             f"node counts differ: {clean.node_count} vs {perturbed.node_count}"
@@ -195,7 +174,7 @@ def edit_counts(
         if a != b
     )
     ratio = edge_edits / clean.edge_count if clean.edge_count else 0.0
-    return edge_edits, text_edits, ratio
+    return PlanAudit(edge_edits, text_edits, ratio)
 
 
 def save_plan(plan: PerturbationPlan, path: str | Path) -> None:
@@ -226,10 +205,14 @@ def _plan_record(rec: dict) -> PlanEntry | tuple[int, str]:
 
 
 def load_plan(path: str | Path) -> PerturbationPlan:
+    """PlanInconsistencyError, naming the line, for a target recorded twice."""
     plan = PerturbationPlan()
-    for _, rec in read_jsonl(path, _plan_record):
-        if isinstance(rec, PlanEntry):
-            plan.add(rec)
-        else:
-            plan.skip(*rec)
+    for lineno, rec in read_jsonl(path, _plan_record):
+        try:
+            if isinstance(rec, PlanEntry):
+                plan.add(rec)
+            else:
+                plan.skip(*rec)
+        except PlanInconsistencyError as exc:
+            raise PlanInconsistencyError(f"{path}:{lineno}: {exc}") from None
     return plan

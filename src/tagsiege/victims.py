@@ -63,8 +63,6 @@ class VictimModel:
     operand_forms: dict[str, str] = field(default_factory=dict)  # "csr" or "dense"
 
     def __post_init__(self):
-        if self.kind not in VICTIM_KINDS:
-            raise ConfigurationError(f"unknown victim kind {self.kind!r}")
         for name, w in self.weights.items():
             if not np.all(np.isfinite(w)):
                 raise TrainingError(f"weight {name} contains non-finite values")

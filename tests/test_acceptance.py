@@ -44,6 +44,7 @@ from test_encoder import gcn_weights
 
 SEED = 1
 NUM_TARGETS = 30
+TEXT_BUDGET = 12  # the CLI's default --text-budget
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -206,7 +207,7 @@ def experiment():
     budgets = Budgets.for_targets(NUM_TARGETS)
 
     backend = OracleBackend(graph, embeddings, vocab)
-    plan = attack(graph, targets, embeddings, backend, budgets, seed=SEED)
+    plan = attack(graph, targets, embeddings, backend, TEXT_BUDGET, seed=SEED)
     perturbed = apply_plan(graph, plan).graph
 
     def featurize_fn(texts):
@@ -309,9 +310,8 @@ def test_criterion_4_stealth(experiment):
     pool = sorted(e.graph.split_nodes("test"))
     rng = substream(SEED, "stealth-targets")
     targets = sorted(rng.choice(pool, size=stealth_n, replace=False).tolist())
-    budgets = Budgets.for_targets(stealth_n)
     backend = OracleBackend(e.graph, e.embeddings, e.vocab)
-    plan = attack(e.graph, targets, e.embeddings, backend, budgets, seed=SEED)
+    plan = attack(e.graph, targets, e.embeddings, backend, TEXT_BUDGET, seed=SEED)
     perturbed = apply_plan(e.graph, plan).graph
 
     audit = bound_audit(
@@ -457,7 +457,7 @@ def test_criterion_7_anchor_mismatch(experiment):
         e.targets,
         e.embeddings,
         backend,
-        e.budgets,
+        TEXT_BUDGET,
         seed=SEED,
         anchor_mismatch=True,
     )

@@ -22,13 +22,15 @@ from tagsiege.errors import (
 from tagsiege.graph import TextAttributedGraph
 from tagsiege.metrics import bound_audit
 from tagsiege.nnops import unit_rows
-from tagsiege.plan import Budgets, apply_plan
+from tagsiege.plan import PerturbationPlan, apply_plan, load_plan, save_plan
 from tagsiege.prompts import TopologyPrompt
 from tagsiege.retrieval import retrieve_all
 from tagsiege.seeding import substream
 from tagsiege.text_features import Vocabulary, featurize, tokenize
 
 from cosine_reference import cosine
+
+TEXT_BUDGET = 12  # the CLI's default --text-budget
 
 
 def demo_graph(n=16, classes=2, seed=5):
@@ -71,7 +73,7 @@ def setup(n=16):
 
 def test_empty_target_list_is_empty_plan():
     g, Z, oracle = setup()
-    plan = attack(g, [], Z, oracle, Budgets.for_targets(0))
+    plan = attack(g, [], Z, oracle, TEXT_BUDGET)
     assert len(plan) == 0
     assert oracle.query_count == 0
 
@@ -79,8 +81,7 @@ def test_empty_target_list_is_empty_plan():
 def test_two_queries_per_completed_target():
     g, Z, oracle = setup()
     targets = [0, 3, 7, 10]
-    budgets = Budgets.for_targets(len(targets))
-    plan = attack(g, targets, Z, oracle, budgets, seed=11)
+    plan = attack(g, targets, Z, oracle, TEXT_BUDGET, seed=11)
     assert sorted(plan.entries) == targets
     assert not plan.skipped
     assert oracle.query_count == 2 * len(targets)
@@ -89,8 +90,7 @@ def test_two_queries_per_completed_target():
 def test_plan_matches_step_by_step_rederivation():
     g, Z, oracle = setup()
     targets = [0, 5, 8]
-    budgets = Budgets.for_targets(len(targets))
-    plan = attack(g, targets, Z, oracle, budgets, seed=4, k=5)
+    plan = attack(g, targets, Z, oracle, TEXT_BUDGET, seed=4, k=5)
 
     def sim(i, j):
         return cosine(Z[i], Z[j])
@@ -111,41 +111,41 @@ def test_plan_matches_step_by_step_rederivation():
         # cross-modal anchor: keyword comes from the inserted node's text
         assert entry.keyword in set(tokenize(g.texts[expected_add]))
         assert validate_text_decision(
-            g.texts[t], entry.keyword, entry.new_text, budgets.text_token_budget
+            g.texts[t], entry.keyword, entry.new_text, TEXT_BUDGET
         ) is None
 
 
 def test_attack_is_deterministic():
     g, Z, _ = setup()
     targets = [1, 4, 9]
-    budgets = Budgets.for_targets(len(targets))
     vocab = Vocabulary.from_texts(g.texts)
-    plan_a = attack(g, targets, Z, OracleBackend(g, Z, vocab), budgets, seed=7)
-    plan_b = attack(g, targets, Z, OracleBackend(g, Z, vocab), budgets, seed=7)
+    plan_a = attack(g, targets, Z, OracleBackend(g, Z, vocab), TEXT_BUDGET, seed=7)
+    plan_b = attack(g, targets, Z, OracleBackend(g, Z, vocab), TEXT_BUDGET, seed=7)
     assert plan_a.entries == plan_b.entries
 
 
 def test_attack_plan_applies_within_budgets():
     g, Z, oracle = setup()
     targets = [2, 6, 12]
-    budgets = Budgets.for_targets(len(targets))
-    plan = attack(g, targets, Z, oracle, budgets, seed=1)
+    plan = attack(g, targets, Z, oracle, TEXT_BUDGET, seed=1)
     applied = apply_plan(g, plan)
     assert applied.audit.edge_edits == 2 * len(targets)
     for t in targets:
         assert applied.graph.texts[t] != g.texts[t]
     # the planner keeps each target within one deletion plus one insertion
-    # and within the token budget; apply_plan only charges what it spent
-    assert all(cost <= 2 for cost in applied.audit.per_node_edge_edits.values())
-    assert all(
-        cost <= budgets.text_token_budget
-        for cost in applied.audit.per_node_text_edits.values()
-    )
+    # and within the token budget: each entry applied on its own edits at
+    # most that much
+    for entry in plan.entries.values():
+        alone = PerturbationPlan()
+        alone.add(entry)
+        audit = apply_plan(g, alone).audit
+        assert audit.edge_edits <= 2
+        assert 1 <= audit.text_edits <= TEXT_BUDGET
 
 
 def test_intended_label_differs_for_cross_class_influencer():
     g, Z, oracle = setup()
-    plan = attack(g, [0], Z, oracle, Budgets.for_targets(1), seed=0)
+    plan = attack(g, [0], Z, oracle, TEXT_BUDGET, seed=0)
     entry = plan.entries[0]
     # class-clustered embeddings make the influencer land in the other class
     assert g.labels[entry.add_influencer] != g.labels[0]
@@ -159,7 +159,7 @@ def test_isolated_target_gets_insertion_only_entry():
     assert g.degree(3) == 0
     Z = embeddings_by_class(g)
     oracle = OracleBackend(g, Z, Vocabulary.from_texts(g.texts))
-    plan = attack(g, [3], Z, oracle, Budgets.for_targets(1), seed=2)
+    plan = attack(g, [3], Z, oracle, TEXT_BUDGET, seed=2)
     entry = plan.entries[3]
     assert entry.delete_neighbor is None
     assert entry.add_influencer != 3
@@ -198,18 +198,20 @@ class DropsKeyword(OracleBackend):
 def test_failing_target_is_skipped_not_fatal():
     g, Z, _ = setup()
     vocab = Vocabulary.from_texts(g.texts)
-    budgets = Budgets.for_targets(3)
-    for backend_cls, reason in [
-        (TransportDown, "transport down"),
-        (DeletesStranger, "target 5: delete_id 99 not in the presented neighbor list"),
-        (DropsKeyword,
+    # the backend counts every query it answers, target 5's too; the plan
+    # records two per completed target
+    for backend_cls, answered, reason in [
+        (TransportDown, 4, "transport down"),
+        (DeletesStranger, 5, "target 5: delete_id 99 not in the presented neighbor list"),
+        (DropsKeyword, 6,
          "target 5: invalid rewrite: rewritten text does not contain the keyword"),
     ]:
         backend = backend_cls(g, Z, vocab)
-        plan = attack(g, [0, 5, 9], Z, backend, budgets, seed=3)
+        plan = attack(g, [0, 5, 9], Z, backend, TEXT_BUDGET, seed=3)
         assert sorted(plan.entries) == [0, 9], backend_cls.__name__
         assert plan.skipped == {5: reason}
-        assert backend.query_count == 2 * len(plan.entries)
+        assert plan.query_count == 4
+        assert backend.query_count == answered
 
 
 def test_zero_text_budget_is_a_config_error_before_any_query():
@@ -219,29 +221,11 @@ def test_zero_text_budget_is_a_config_error_before_any_query():
         LLMConfig(), fallback=oracle,
         transport=lambda *request: sent.append(request), sleep=lambda s: None,
     )
-    budgets = Budgets(per_node_edge_budget=2, global_edge_budget=4)  # no text edits
     for backend in (oracle, llm):
         with pytest.raises(ConfigurationError, match="at least one token edit"):
-            attack(g, [0, 3], Z, backend, budgets, seed=0)
+            attack(g, [0, 3], Z, backend, 0, seed=0)
         assert backend.query_count == 0
     assert sent == []
-
-
-def test_skip_after_topology_query_rolls_back_count():
-    g, Z, oracle = setup()
-
-    class TextDead(OracleBackend):
-        """Topology succeeds (and is counted) before the text stage dies."""
-
-        def text_decision(self, prompt, budget):
-            if prompt.target == 5:
-                raise BackendError("text stage down")
-            return super().text_decision(prompt, budget)
-
-    backend = TextDead(g, Z, Vocabulary.from_texts(g.texts))
-    plan = attack(g, [0, 5, 9], Z, backend, Budgets.for_targets(3), seed=3)
-    assert sorted(plan.entries) == [0, 9]
-    assert backend.query_count == 2 * len(plan.entries)
 
 
 def test_all_targets_failing_raises():
@@ -253,13 +237,13 @@ def test_all_targets_failing_raises():
 
     dead = Dead(g, Z, Vocabulary.from_texts(g.texts))
     with pytest.raises(BackendExhaustedError):
-        attack(g, [0, 1], Z, dead, Budgets.for_targets(2), seed=0)
+        attack(g, [0, 1], Z, dead, TEXT_BUDGET, seed=0)
 
 
 def test_invalid_k_skips_every_target_then_raises():
     g, Z, oracle = setup()
     with pytest.raises(BackendExhaustedError) as info:
-        attack(g, [0, 3], Z, oracle, Budgets.for_targets(2), k=0)
+        attack(g, [0, 3], Z, oracle, TEXT_BUDGET, k=0)
     assert info.value.plan.skipped == {0: "k must be >= 1", 3: "k must be >= 1"}
     assert oracle.query_count == 0
 
@@ -267,17 +251,16 @@ def test_invalid_k_skips_every_target_then_raises():
 def test_out_of_range_target_rejected():
     g, Z, oracle = setup()
     with pytest.raises(ConfigurationError):
-        attack(g, [999], Z, oracle, Budgets.for_targets(1))
+        attack(g, [999], Z, oracle, TEXT_BUDGET)
 
 
 def test_anchor_mismatch_breaks_keyword_alignment():
     g, Z, _ = setup()
     vocab = Vocabulary.from_texts(g.texts)
     targets = [0, 3, 7]
-    budgets = Budgets.for_targets(len(targets))
-    aligned = attack(g, targets, Z, OracleBackend(g, Z, vocab), budgets, seed=6)
+    aligned = attack(g, targets, Z, OracleBackend(g, Z, vocab), TEXT_BUDGET, seed=6)
     mismatched = attack(
-        g, targets, Z, OracleBackend(g, Z, vocab), budgets, seed=6,
+        g, targets, Z, OracleBackend(g, Z, vocab), TEXT_BUDGET, seed=6,
         anchor_mismatch=True,
     )
     for t in targets:
@@ -403,7 +386,7 @@ def scripted_attack(transport, n=40, targets=None):
         transport=transport, sleep=lambda s: None,
     )
     targets = list(range(n)) if targets is None else targets
-    plan = attack(g, targets, Z, backend, Budgets.for_targets(len(targets)), seed=8)
+    plan = attack(g, targets, Z, backend, TEXT_BUDGET, seed=8)
     return plan, backend
 
 
@@ -426,13 +409,14 @@ def test_concurrent_llm_attack_matches_one_in_flight(monkeypatch):
     assert counts == (
         serial_backend.query_count, serial_backend.retry_count, serial_backend.fallback_count
     )
-    assert backend.query_count == 2 * len(concurrent.entries)
+    # the backend also counts the queries of the skipped targets it answered:
+    # one for target 12 (topology), two for target 7 (topology, then text)
+    assert backend.query_count == concurrent.query_count + 1 + 2
     assert backend.retry_count > 0 and backend.fallback_count > 0
     assert concurrent_llm.calls == serial_llm.calls
-    # every request sent is a logical query, a re-sent one (transport retry or
-    # corrective re-prompt) or a rolled-back query of a skipped target: one
-    # for target 12 (topology), two for target 7 (topology, then text)
-    assert concurrent_llm.calls == backend.query_count + backend.retry_count + 1 + 2
+    # every request sent is a logical query or a re-sent one (transport retry
+    # or corrective re-prompt)
+    assert concurrent_llm.calls == backend.query_count + backend.retry_count
 
 
 def test_counters_lose_no_update_under_fast_thread_switching():
@@ -450,20 +434,23 @@ def test_counters_lose_no_update_under_fast_thread_switching():
     assert backend.retry_count == backend.fallback_count == 0
 
 
-def test_failed_target_rolls_back_only_its_own_queries():
-    # target 5's calls last long enough for every other target to count its
-    # queries meanwhile; its rollback must leave those in place
-    llm = ScriptedLLM(
-        dead_text={"id5"}, malform=False,
-        delay=lambda prompt: 0.05 if re.search(r"\bid5\b", prompt) else 0.0,
-    )
+def test_requests_sent_are_the_queries_and_retries_counted(tmp_path):
+    # target 5 loses its text query and target 9 its topology query, each
+    # after three transport attempts; malformed replies add re-prompts and
+    # fallbacks
+    llm = ScriptedLLM(dead_text={"id5"}, dead_topology={"id9"})
     plan, backend = scripted_attack(llm, n=16)
-    assert sorted(plan.skipped) == [5]
-    assert "failed after 3 attempts" in plan.skipped[5]
-    assert backend.query_count == 2 * len(plan.entries) == 30
-    # its two retries stay counted; its topology and text queries do not
-    assert backend.retry_count == 2
-    assert llm.calls == backend.query_count + backend.retry_count + 2
+    assert sorted(plan.skipped) == [5, 9]
+    assert all("failed after 3 attempts" in r for r in plan.skipped.values())
+    assert backend.retry_count > 4 and backend.fallback_count > 0
+    # every request sent is a logical query or a re-sent one
+    assert llm.calls == backend.query_count + backend.retry_count
+    # the backend also counts the skipped targets' queries: two for target 5
+    # (topology, then text), one for target 9; the manifest records the
+    # plan's two queries per completed target
+    assert backend.query_count == 2 * 14 + 2 + 1
+    save_plan(plan, tmp_path / "plan.jsonl")
+    assert load_plan(tmp_path / "plan.jsonl").query_count == 2 * len(plan.entries) == 28
 
 
 def test_unexpected_error_cancels_targets_not_started():
@@ -483,7 +470,7 @@ def test_unexpected_error_cancels_targets_not_started():
     backend = Broken(g, Z, Vocabulary.from_texts(g.texts))
     targets = list(range(16))
     with pytest.raises(RuntimeError, match="bug"):
-        attack(g, targets, Z, backend, Budgets.for_targets(len(targets)), seed=1)
+        attack(g, targets, Z, backend, TEXT_BUDGET, seed=1)
     ran = len(started)
     assert ran <= 2 * backend.max_in_flight < len(targets)
     time.sleep(0.1)

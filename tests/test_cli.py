@@ -332,6 +332,26 @@ def test_evaluate_rejects_a_baseline_named_like_another_row(tmp_path, capsys, da
     assert capsys.readouterr().err == "error: attacker row 'tagsiege' is named twice\n"
 
 
+def test_evaluate_rejects_a_baseline_plan_that_also_skips_a_planned_target(
+    tmp_path, capsys, data_dir, attack_run
+):
+    lines = (attack_run / "plan.jsonl").read_text().splitlines()
+    target = json.loads(lines[0])["target"]
+    both = tmp_path / "both.jsonl"
+    both.write_text("\n".join([*lines, json.dumps({"target": target, "skipped": "down"})]) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "o"
+    code = main([
+        "evaluate", "--clean", str(data_dir), "--perturbed", str(attack_run / "perturbed"),
+        "--plan", str(attack_run / "plan.jsonl"), "--baseline", f"both={both}", "--out", str(out),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {both}:{len(lines) + 1}: target {target} is already in the plan\n"
+    )
+    assert not (out / "report.json").exists()
+
+
 def test_audit_identical_inputs_zero_deltas(tmp_path, data_dir):
     out = tmp_path / "selfaudit"
     code = main([

@@ -18,7 +18,7 @@ from tagsiege.metrics import (
     homophily_node,
     synergy_test,
 )
-from tagsiege.plan import Budgets, PerturbationPlan, PlanEntry, apply_plan
+from tagsiege.plan import PerturbationPlan, PlanEntry, apply_plan
 from tagsiege.seeding import substream
 from tagsiege.text_features import Vocabulary, featurize
 from tagsiege.victims import VictimConfig, accuracy, train_victim
@@ -230,8 +230,7 @@ def synergy_fixture():
         [1.0, 0.0] if g.labels[i] == 0 else [0.0, 1.0] for i in range(n)
     ]) + 0.01 * substream(1, "synergy-emb").normal(size=(n, 2))
     targets = [1, 5, 9, 21, 25, 29]
-    budgets = Budgets.for_targets(len(targets), text_token_budget=8)
-    plan = attack(g, targets, Z, OracleBackend(g, Z, vocab), budgets, seed=3)
+    plan = attack(g, targets, Z, OracleBackend(g, Z, vocab), 8, seed=3)
     return g, plan, victims, feats, targets
 
 

@@ -1,8 +1,9 @@
-"""Commands that do no numerical work start without scipy.
+"""Commands that do no numerical work start without scipy, `--help` without numpy.
 
-`cli` imports each scipy-backed layer inside the runner that uses it, so
-`synth`, `--help` and a replayed `synth` never pay scipy's import. Each case
-runs in a fresh interpreter, since this test process has scipy loaded.
+`cli` imports each numpy- or scipy-backed layer inside the runner that uses
+it, so `synth`, `--help` and a replayed `synth` never pay scipy's import, and
+`--help` not numpy's either. Each case runs in a fresh interpreter, since
+this test process has both loaded.
 """
 
 import subprocess
@@ -23,17 +24,18 @@ def imported_modules(*args: str) -> set[str]:
     }
 
 
-def loads_scipy(modules) -> bool:
-    return any(name.split(".")[0] == "scipy" for name in modules)
+def loads(package: str, modules) -> bool:
+    return any(name.split(".")[0] == package for name in modules)
 
 
 def test_synth_and_help_start_without_scipy(tmp_path):
     synth = imported_modules("synth", "--out", str(tmp_path / "data"), "--node-count", "60")
     assert "tagsiege.synth" in synth
-    assert not loads_scipy(synth)
+    assert not loads("scipy", synth)
     help_ = imported_modules("--help")
     assert "tagsiege.cli" in help_
-    assert not loads_scipy(help_)
+    assert not loads("scipy", help_)
+    assert not loads("numpy", help_)
 
 
 def test_replay_of_a_synth_manifest_starts_without_scipy(tmp_path):
