@@ -3,8 +3,10 @@
 For each target: retrieve dissimilar candidates, issue ONE topology query
 (covering both the deletion and the insertion choice) and ONE text query
 anchored on the chosen insertion node, then assemble a budget-respecting
-plan entry. Per-target failures land in the plan's skip list; the run only
-fails when nothing survives.
+plan entry. `attack` has one way out: it returns its plan. A target that
+fails is a skip, so a plan in which every target failed has no entries. A
+bad configuration (a text budget or k below one) raises ConfigurationError
+before retrieval and before any query.
 
 Every query is built against the clean graph, so no target depends on
 another's answers: up to `backend.max_in_flight` targets run at once (one for
@@ -20,13 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .backends import AttackerBackend, validate_text_decision, validate_topology_decision
-from .errors import (
-    BackendError,
-    BackendExhaustedError,
-    ConfigurationError,
-    ShapeError,
-    TagSiegeError,
-)
+from .errors import BackendError, ConfigurationError, TagSiegeError
 from .graph import TextAttributedGraph
 from .nnops import pair_cosines, unit_rows
 from .plan import DEFAULT_K, PerturbationPlan, PlanEntry, ordered_targets
@@ -53,11 +49,13 @@ def _next_best_candidate(prompt: TopologyPrompt, chosen: int, unit: np.ndarray) 
     return min(zip(pair_cosines(unit, prompt.target, others).tolist(), others))[1]
 
 
-def text_edit_budget(budget: int) -> int:
-    """The per-target token edit budget; ConfigurationError below one edit."""
-    if budget < 1:
+def check_attack_config(text_budget: int, k: int) -> None:
+    """ConfigurationError for a text budget below one token edit or fewer
+    than one influencer per target."""
+    if text_budget < 1:
         raise ConfigurationError("text budget must allow at least one token edit")
-    return budget
+    if k < 1:
+        raise ConfigurationError("k must be >= 1")
 
 
 def attack(
@@ -78,11 +76,13 @@ def attack(
     candidate instead of the inserted one — the ablation that demonstrates
     why cross-modal alignment matters. Leave it off for the real attack.
 
-    Each rewrite stays within `text_budget` token edits; a budget below one
-    edit is a ConfigurationError, raised before retrieval and before any
-    query (by `text_edit_budget`).
+    Each rewrite stays within `text_budget` token edits. A budget below one
+    edit or a k below one is a ConfigurationError, and retrieval's own errors
+    propagate; both are raised before any query. The returned plan holds an
+    entry or a skip reason for every target, and no entries when every
+    target failed.
     """
-    budget = text_edit_budget(text_budget)
+    check_attack_config(text_budget, k)
     templates = templates or {}
     topo_template = templates.get("topology")
     text_template = templates.get("text")
@@ -90,19 +90,11 @@ def attack(
     embeddings = np.asarray(embeddings, dtype=float)
 
     ordered = ordered_targets(graph, targets)
-    # an invalid k (or too few embedding rows) fails retrieval as a whole; it
-    # then fails every target, which the loop records as skips
-    try:
-        influencer_sets = retrieve_all(embeddings, ordered, k=k)
-        unit = unit_rows(embeddings) if anchor_mismatch else None
-        retrieval_error = None
-    except ShapeError as exc:
-        influencer_sets, unit, retrieval_error = {}, None, str(exc)
+    influencer_sets = retrieve_all(embeddings, ordered, k=k)
+    unit = unit_rows(embeddings) if anchor_mismatch else None
 
     def attack_target(target: int) -> PlanEntry | TagSiegeError:
         try:
-            if retrieval_error is not None:
-                raise ShapeError(retrieval_error)
             influencers = influencer_sets[target]
             rng = substream(seed, f"candidates-{target}")
             prompt = build_topology_prompt(
@@ -122,9 +114,9 @@ def attack(
                     anchor = runner_up
 
             text_prompt = build_text_prompt(graph, target, anchor, template=text_template)
-            edit = backend.text_decision(text_prompt, budget)
+            edit = backend.text_decision(text_prompt, text_budget)
             reason = validate_text_decision(
-                graph.texts[target], edit.keyword, edit.rewritten_text, budget
+                graph.texts[target], edit.keyword, edit.rewritten_text, text_budget
             )
             if reason:
                 raise BackendError(f"target {target}: invalid rewrite: {reason}")
@@ -160,11 +152,4 @@ def attack(
                 outcome.add_influencer,
             )
         plan.add(outcome)
-
-    if targets and not plan.entries:
-        raise BackendExhaustedError(
-            f"all {len(set(targets))} targets failed; first reason: "
-            f"{next(iter(plan.skipped.values()))}",
-            plan=plan,
-        )
     return plan

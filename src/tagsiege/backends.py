@@ -4,8 +4,10 @@ Both answer the same two prompt kinds. The oracle resolves every choice by
 cosine geometry over the surrogate embeddings and by TF-IDF weight for the
 keyword, so it is pure, reproducible and usable offline. The LLM backend
 speaks the common chat-completions JSON protocol; malformed or
-constraint-violating replies get one corrective re-prompt and then fall back
-to the oracle; `fallback_count` counts those fallbacks.
+constraint-violating replies (an id that is not a JSON integer, or a keyword
+or rewrite that is not a string, among them) get one corrective re-prompt and then fall back to the oracle;
+`fallback_count` counts those fallbacks. A backend error is the failure of
+one target, which `attack` records as a skip.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .errors import BackendError, ConfigurationError, RetrievalExhaustedError
 from .graph import TextAttributedGraph
 from .nnops import pair_cosines, unit_rows
 from .prompts import TextPrompt, TopologyPrompt
+from .records import integer, typed
 from .text_features import Vocabulary, token_edit_distance, tokenize
 
 API_KEY_ENV = "TAGSIEGE_API_KEY"
@@ -245,6 +248,14 @@ class OracleBackend(AttackerBackend):
                 )
 
 
+def api_key() -> str:
+    """The LLM backend's bearer token; ConfigurationError when it is not set."""
+    key = os.environ.get(API_KEY_ENV)
+    if not key:
+        raise ConfigurationError(f"{API_KEY_ENV} is not set")
+    return key
+
+
 @dataclass
 class LLMConfig:
     model: str = "gpt-4o-mini"
@@ -316,8 +327,8 @@ class LLMBackend(AttackerBackend):
         self.fallback = fallback
         self.transport = transport or _default_transport
         self.sleep = sleep
-        if transport is None and not os.environ.get(API_KEY_ENV):
-            raise ConfigurationError(f"{API_KEY_ENV} is not set")
+        if transport is None:
+            api_key()
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -382,8 +393,8 @@ class LLMBackend(AttackerBackend):
     def topology_decision(self, prompt: TopologyPrompt) -> TopologyDecision:
         def parse(obj: dict) -> tuple[str | None, TopologyDecision]:
             delete_id = obj.get("delete_id")
-            delete_id = None if delete_id is None else int(delete_id)
-            add_id = int(obj["add_id"])
+            delete_id = None if delete_id is None else integer(delete_id)
+            add_id = integer(obj["add_id"])
             rationale = str(obj.get("rationale", ""))
             return (
                 validate_topology_decision(prompt, delete_id, add_id),
@@ -400,7 +411,7 @@ class LLMBackend(AttackerBackend):
         original = self.fallback.graph.texts[prompt.target]
 
         def parse(obj: dict) -> tuple[str | None, TextDecision]:
-            keyword, new_text = str(obj["keyword"]), str(obj["new_text"])
+            keyword, new_text = typed(obj["keyword"], str), typed(obj["new_text"], str)
             rationale = str(obj.get("rationale", ""))
             return (
                 validate_text_decision(original, keyword, new_text, budget),

@@ -7,7 +7,7 @@ bit-identically with ``tagsiege replay``.
 
 Option precedence: CLI flags > ``--config`` file (flat ``key=value`` lines,
 ``#`` comments) > built-in defaults. Exit codes: 0 ok, 2 config/validation,
-3 backend, 4 training.
+3 an attack in which every target was skipped, 4 training.
 
 Module level imports only what parsing, manifests and ``replay``'s checks
 need, none of which loads numpy; every other layer (seeding, synth, features,
@@ -30,8 +30,6 @@ from pathlib import Path
 
 from . import __version__
 from .errors import (
-    BackendError,
-    BackendExhaustedError,
     ConfigurationError,
     ParseError,
     PlanInconsistencyError,
@@ -316,33 +314,35 @@ def _run_retrieve(cfg: dict, out: Path):
 
 
 def _load_templates(cfg: dict):
+    """(templates by name, the files they were read from) of the template options."""
     from .prompts import load_template
 
-    templates = {}
-    if cfg.get("topology_template"):
-        templates["topology"] = load_template(cfg["topology_template"], "topology")
-    if cfg.get("text_template"):
-        templates["text"] = load_template(cfg["text_template"], "text")
-    return templates or None
+    paths = {name: cfg[f"{name}_template"] for name in ("topology", "text")
+             if cfg[f"{name}_template"]}
+    return {name: load_template(path, name) for name, path in paths.items()}, list(paths.values())
 
 
 def _run_attack(cfg: dict, out: Path):
-    from .attack import attack, text_edit_budget
-    from .backends import LLMBackend, LLMConfig, OracleBackend
+    from .attack import attack, check_attack_config
+    from .backends import LLMBackend, LLMConfig, OracleBackend, api_key
 
+    # every config error is found before the encoder trains
+    check_attack_config(cfg["text_budget"], cfg["k"])
+    if cfg["backend"] not in ("oracle", "llm"):
+        raise ConfigurationError(f"unknown backend kind {cfg['backend']!r}")
+    if cfg["backend"] == "llm":
+        api_key()
+    templates, template_paths = _load_templates(cfg)
     graph, vocab, features = _load_featurized(cfg["data"], cfg["max_vocab"])
     targets = _resolve_targets(cfg, graph)
     if targets is None:
         raise ConfigurationError("attack needs --targets or --num-targets")
-    text_edit_budget(cfg["text_budget"])  # a config error, found before the encoder trains
     started = time.perf_counter()
     trained, embeddings = _train_embeddings(graph, features, cfg)
     train_s = time.perf_counter() - started
 
-    oracle = OracleBackend(graph, embeddings, vocab)
-    if cfg["backend"] == "oracle":
-        backend = oracle
-    elif cfg["backend"] == "llm":
+    backend = oracle = OracleBackend(graph, embeddings, vocab)
+    if cfg["backend"] == "llm":
         llm_config = LLMConfig(
             model=cfg["model"],
             base_url=cfg["base_url"],
@@ -351,30 +351,24 @@ def _run_attack(cfg: dict, out: Path):
             max_attempts=cfg["max_attempts"],
         )
         backend = LLMBackend(llm_config, fallback=oracle)
-    else:
-        raise ConfigurationError(f"unknown backend kind {cfg['backend']!r}")
 
     started = time.perf_counter()
-    exhausted_message = None
-    try:
-        plan = attack(
-            graph,
-            targets,
-            embeddings,
-            backend,
-            cfg["text_budget"],
-            templates=_load_templates(cfg),
-            k=cfg["k"],
-            seed=cfg["seed"],
-            anchor_mismatch=cfg["anchor_mismatch"],
-        )
-    except BackendExhaustedError as exc:
-        plan, exhausted_message = exc.plan, str(exc)
+    plan = attack(
+        graph,
+        targets,
+        embeddings,
+        backend,
+        cfg["text_budget"],
+        templates=templates,
+        k=cfg["k"],
+        seed=cfg["seed"],
+        anchor_mismatch=cfg["anchor_mismatch"],
+    )
     attack_s = time.perf_counter() - started
 
     save_plan(plan, out / "plan.jsonl")
     completed = len(plan.entries)
-    if exhausted_message is None or cfg["allow_partial"]:
+    if completed:
         save_graph(apply_plan(graph, plan).graph, out / "perturbed")
 
     extra = {
@@ -394,15 +388,19 @@ def _run_attack(cfg: dict, out: Path):
     }
     if cfg["backend"] == "llm":
         extra["cost_estimate_usd"] = round(COST_PER_NODE_USD * completed, 6)
-    if exhausted_message is not None:
-        extra["error"] = exhausted_message
-        print(f"error: {exhausted_message}", file=sys.stderr)
-        return _dataset_inputs(cfg["data"]), extra, EXIT_BACKEND
+    inputs = _dataset_inputs(cfg["data"]) | _file_inputs(*template_paths)
+    if not completed:
+        extra["error"] = (
+            f"all {len(targets)} targets failed; first reason: "
+            f"{next(iter(plan.skipped.values()))}"
+        )
+        print(f"error: {extra['error']}", file=sys.stderr)
+        return inputs, extra, EXIT_BACKEND
     print(
         f"attack: {completed}/{len(targets)} targets, "
         f"{plan.query_count} queries -> {out}"
     )
-    return _dataset_inputs(cfg["data"]), extra, EXIT_OK
+    return inputs, extra, EXIT_OK
 
 
 # submission order: the longest training first, so the others fill the
@@ -455,6 +453,7 @@ def _run_evaluate(cfg: dict, out: Path):
         raise ConfigurationError("plan has no completed targets to evaluate")
     label = cfg["attacker_label"]
     plans = {label: plan}
+    plan_paths = [cfg["plan"]]
     for spec in cfg["baseline"] or []:
         name, sep, path = spec.partition("=")
         if not sep or not name or not path:
@@ -464,6 +463,7 @@ def _run_evaluate(cfg: dict, out: Path):
         if name in plans:
             raise ConfigurationError(f"attacker row {name!r} is named twice")
         plans[name] = load_plan(path)
+        plan_paths.append(path)
 
     # each row's graph is its plan applied to the clean graph; perturbed text
     # is featurized against the clean corpus's frozen vocabulary, so victims
@@ -546,7 +546,7 @@ def _run_evaluate(cfg: dict, out: Path):
     inputs = (
         _dataset_inputs(cfg["clean"])
         | _dataset_inputs(cfg["perturbed"])
-        | _file_inputs(cfg["plan"])
+        | _file_inputs(*plan_paths)
     )
     drops = ", ".join(f"{k}={row['drop']:.3f}" for k, row in main_rows.items())
     print(f"evaluate: drops {drops} -> {out}")
@@ -657,7 +657,6 @@ _COMMANDS = {
             ("topology_template", "str", None, "custom topology prompt file"),
             ("text_template", "str", None, "custom text prompt file"),
             ("anchor_mismatch", "bool", False, "ablation: mis-anchor the text step"),
-            ("allow_partial", "bool", False, "write perturbed graph even if exhausted"),
             *_TARGET_FLAGS,
             *_TRAINING_FLAGS,
         ],
@@ -782,9 +781,6 @@ def main(argv=None) -> int:
     except TrainingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
-    except BackendError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BACKEND
     except TagSiegeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
 Exit-code mapping used by the CLI: validation/configuration problems are
-exit 2, backend transport problems exit 3, model training problems exit 4.
+exit 2 and model training problems exit 4. Backend errors never reach it: a
+target whose backend fails is a skip in the attack's plan, and an attack in
+which every target was skipped exits 3.
 """
 
 from __future__ import annotations
@@ -55,17 +57,6 @@ class RetrievalExhaustedError(TagSiegeError):
 
 class BackendError(TagSiegeError):
     """Attacker backend failed after its retry budget."""
-
-
-class BackendExhaustedError(BackendError):
-    """Every target was skipped; the attack produced no entries.
-
-    Carries the (entry-less) plan so callers can still persist the skip list.
-    """
-
-    def __init__(self, message: str, plan=None):
-        self.plan = plan
-        super().__init__(message)
 
 
 class TrainingError(TagSiegeError):

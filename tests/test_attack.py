@@ -13,12 +13,7 @@ import pytest
 
 from tagsiege.attack import _next_best_candidate, attack
 from tagsiege.backends import LLMBackend, LLMConfig, OracleBackend, validate_text_decision
-from tagsiege.errors import (
-    BackendError,
-    BackendExhaustedError,
-    ConfigurationError,
-    DegenerateVectorWarning,
-)
+from tagsiege.errors import BackendError, ConfigurationError, DegenerateVectorWarning
 from tagsiege.graph import TextAttributedGraph
 from tagsiege.metrics import bound_audit
 from tagsiege.nnops import unit_rows
@@ -228,23 +223,24 @@ def test_zero_text_budget_is_a_config_error_before_any_query():
     assert sent == []
 
 
-def test_all_targets_failing_raises():
+def test_all_targets_failing_returns_a_plan_of_skips():
     g, Z, oracle = setup()
 
     class Dead(OracleBackend):
         def topology_decision(self, prompt):
-            raise BackendError("nope")
+            raise BackendError(f"no answer for {prompt.target}")
 
     dead = Dead(g, Z, Vocabulary.from_texts(g.texts))
-    with pytest.raises(BackendExhaustedError):
-        attack(g, [0, 1], Z, dead, TEXT_BUDGET, seed=0)
+    plan = attack(g, [1, 0], Z, dead, TEXT_BUDGET, seed=0)
+    assert plan.entries == {}
+    assert plan.skipped == {0: "no answer for 0", 1: "no answer for 1"}
+    assert list(plan.skipped) == [0, 1]  # target order, whatever order they came in
 
 
-def test_invalid_k_skips_every_target_then_raises():
+def test_invalid_k_is_a_config_error_before_any_query():
     g, Z, oracle = setup()
-    with pytest.raises(BackendExhaustedError) as info:
+    with pytest.raises(ConfigurationError, match="k must be >= 1"):
         attack(g, [0, 3], Z, oracle, TEXT_BUDGET, k=0)
-    assert info.value.plan.skipped == {0: "k must be >= 1", 3: "k must be >= 1"}
     assert oracle.query_count == 0
 
 

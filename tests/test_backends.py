@@ -257,6 +257,50 @@ def test_llm_reprompts_then_falls_back_to_oracle():
     assert "could not be used" in transport.calls[1]["payload"]["messages"][0]["content"]
 
 
+@pytest.mark.parametrize("ids", [
+    {"delete_id": 2.9, "add_id": 3.7},
+    {"delete_id": True, "add_id": 3},  # int() would read neighbor 1
+    {"delete_id": "2", "add_id": 3},
+], ids=["floats", "bool", "string"])
+def test_llm_reprompts_on_ids_that_are_not_integers(ids):
+    good = json.dumps({"delete_id": 2, "add_id": 3})
+    g, backend, transport = llm_pair([json.dumps(ids), good])
+    prompt = build_topology_prompt(g, 0, InfluencerSet(0, (3,)))
+    decision = backend.topology_decision(prompt)
+    assert (decision.delete_choice, decision.add_choice, decision.fallback) == (2, 3, False)
+    assert (backend.query_count, backend.retry_count, backend.fallback_count) == (1, 1, 0)
+    reprompt = transport.calls[1]["payload"]["messages"][0]["content"]
+    assert "unparseable reply: expected an integer" in reprompt
+
+
+@pytest.mark.parametrize("reply", [
+    {"keyword": None, "new_text": "alpha beta none"},
+    {"keyword": "psi", "new_text": ["alpha", "beta", "psi"]},
+], ids=["null-keyword", "list-rewrite"])
+def test_llm_reprompts_on_text_fields_that_are_not_strings(reply):
+    good = json.dumps({"keyword": "psi", "new_text": "alpha beta psi"})
+    g, backend, transport = llm_pair([json.dumps(reply), good])
+    decision = backend.text_decision(build_text_prompt(g, 0, 2), 4)
+    assert (decision.keyword, decision.rewritten_text, decision.fallback) == (
+        "psi", "alpha beta psi", False)
+    assert (backend.query_count, backend.retry_count, backend.fallback_count) == (1, 1, 0)
+    reprompt = transport.calls[1]["payload"]["messages"][0]["content"]
+    assert "unparseable reply: expected str" in reprompt
+
+
+def test_llm_takes_a_null_delete_id_for_an_isolated_target():
+    g = TextAttributedGraph.build(
+        texts=["alpha beta", "alpha gamma", "omega psi"], labels=[0, 0, 1],
+        splits=["train"] * 3, edges=[(1, 2)],
+    )
+    backend = LLMBackend(
+        LLMConfig(), fallback=make_oracle(g),
+        transport=canned_transport([json.dumps({"delete_id": None, "add_id": 2})]),
+    )
+    decision = backend.topology_decision(build_topology_prompt(g, 0, InfluencerSet(0, (2,))))
+    assert (decision.delete_choice, decision.add_choice, decision.fallback) == (None, 2, False)
+
+
 def test_llm_recovers_on_reprompt():
     good = json.dumps({"keyword": "psi", "new_text": "alpha beta psi", "rationale": ""})
     g, backend, _ = llm_pair(["not json at all", good])

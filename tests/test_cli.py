@@ -132,21 +132,44 @@ def test_edge_budget_flag_and_config_key_are_rejected(tmp_path, capsys, data_dir
     assert capsys.readouterr().err == "error: unknown config keys: edge_budget\n"
 
 
-def test_zero_text_budget_exits_two_before_any_query(tmp_path, capsys, monkeypatch, data_dir):
+def attack_untrained(monkeypatch, capsys, out: Path, data_dir, *flags) -> tuple[int, str]:
+    """(exit code, stderr) of a two-target attack whose encoder must not train."""
     def no_training(*args):
         raise AssertionError("the encoder trained")
 
-    # the budget is checked before the surrogate encoder trains
     monkeypatch.setattr(encoder, "train_encoder", no_training)
-    out = tmp_path / "o"
+    capsys.readouterr()
     code = main([
-        "attack", "--data", str(data_dir), "--out", str(out),
-        "--num-targets", "2", "--text-budget", "0",
+        "attack", "--data", str(data_dir), "--out", str(out), "--num-targets", "2", *flags,
     ])
+    return code, capsys.readouterr().err
+
+
+def test_zero_text_budget_exits_two_before_any_query(tmp_path, capsys, monkeypatch, data_dir):
+    # the budget is checked before the surrogate encoder trains
+    out = tmp_path / "o"
+    code, err = attack_untrained(monkeypatch, capsys, out, data_dir, "--text-budget", "0")
     assert code == 2
-    assert "text budget must allow at least one token edit" in capsys.readouterr().err
+    assert "text budget must allow at least one token edit" in err
     assert not (out / "plan.jsonl").exists()
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--k", "0"], "k must be >= 1"),
+    (["--backend", "nope"], "unknown backend kind 'nope'"),
+    (["--text-template", "{template}"], "text template missing placeholders: ['influencer_text']"),
+], ids=["k-0", "unknown-backend", "template-missing-placeholder"])
+def test_attack_config_errors_exit_two_before_the_encoder_trains(
+    tmp_path, capsys, monkeypatch, data_dir, flags, message
+):
+    template = tmp_path / "text.txt"
+    template.write_text("Rewrite {target_text}.\n")
+    out = tmp_path / "o"
+    flags = [flag.format(template=template) for flag in flags]
+    code, err = attack_untrained(monkeypatch, capsys, out, data_dir, *flags)
+    assert (code, err) == (2, f"error: {message}\n")
+    assert not (out / "plan.jsonl").exists()
 
 
 def test_missing_required_option_exits_two(tmp_path):
@@ -221,12 +244,15 @@ def test_attack_replay_is_byte_identical(tmp_path, attack_run):
     assert file_bytes(out, names) == file_bytes(attack_run, names)
 
 
-def test_attack_manifest_recording_an_edge_budget_still_replays(tmp_path, capsys, attack_run):
-    # attack manifests written while `--edge-budget` existed record
-    # "edge_budget": 2 in their config; replay drops the extra key, says so,
-    # and records the config that ran
+@pytest.mark.parametrize("key, value", [("edge_budget", 2), ("allow_partial", False)])
+def test_attack_manifest_recording_a_removed_option_still_replays(
+    tmp_path, capsys, attack_run, key, value
+):
+    # attack manifests written while `--edge-budget` or `--allow-partial`
+    # existed record its key in their config; replay drops the extra key,
+    # says so, and records the config that ran
     manifest = read_manifest(attack_run)
-    manifest["config"]["edge_budget"] = 2
+    manifest["config"][key] = value
     old = tmp_path / "manifest.json"
     old.write_text(json.dumps(manifest))
     out = tmp_path / "replayed"
@@ -235,9 +261,9 @@ def test_attack_manifest_recording_an_edge_budget_still_replays(tmp_path, capsys
     names = ["plan.jsonl", "perturbed/nodes.jsonl", "perturbed/edges.csv"]
     assert file_bytes(out, names) == file_bytes(attack_run, names)
     warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
-    assert warnings == ["warning: replay drops unknown config keys: edge_budget"]
+    assert warnings == [f"warning: replay drops unknown config keys: {key}"]
     replayed = read_manifest(out)
-    assert "edge_budget" not in replayed["config"]
+    assert key not in replayed["config"]
     assert replayed["config_sha256"] == read_manifest(attack_run)["config_sha256"]
 
 
@@ -250,6 +276,39 @@ def test_replay_detects_changed_input(tmp_path, data_dir, attack_run):
     bad = tmp_path / "tampered.json"
     bad.write_text(json.dumps(tampered))
     assert main(["replay", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
+def assert_replay_refuses_changed_input(tmp_path, capsys, run: Path, changed: Path) -> None:
+    """Overwrite `changed`, an input of `run`; replaying `run` must exit 2."""
+    changed.write_text(changed.read_text() + "\n")
+    capsys.readouterr()
+    assert main(["replay", str(run / "manifest.json"), "--out", str(tmp_path / "again")]) == 2
+    assert capsys.readouterr().err == f"error: replay input changed since recording: {changed}\n"
+
+
+def test_replay_detects_a_changed_baseline_plan(tmp_path, capsys, data_dir, attack_run):
+    baseline = tmp_path / "rnd.jsonl"
+    save_plan(rnd_attack(load_graph(data_dir), [0, 1], Budgets.for_targets(2), seed=0), baseline)
+    out = tmp_path / "eval"
+    assert main([
+        "evaluate", "--clean", str(data_dir), "--perturbed", str(attack_run / "perturbed"),
+        "--plan", str(attack_run / "plan.jsonl"), "--out", str(out),
+        "--baseline", f"rnd={baseline}", "--victims", "sgc",
+    ]) == 0
+    assert str(baseline) in read_manifest(out)["inputs"]
+    assert_replay_refuses_changed_input(tmp_path, capsys, out, baseline)
+
+
+def test_replay_detects_a_changed_template(tmp_path, capsys, data_dir):
+    template = tmp_path / "text.txt"
+    template.write_text("Rewrite {target_text} toward {influencer_text}.\n")
+    out = tmp_path / "atk"
+    assert main([
+        "attack", "--data", str(data_dir), "--out", str(out), "--targets", "3",
+        "--text-template", str(template), "--epochs", "2",
+    ]) == 0
+    assert str(template) in read_manifest(out)["inputs"]
+    assert_replay_refuses_changed_input(tmp_path, capsys, out, template)
 
 
 @pytest.mark.parametrize("key, value", [
@@ -543,18 +602,13 @@ def test_encode_and_retrieve(tmp_path, data_dir):
     assert all(len(r["candidates"]) == 4 for r in rows)
 
 
-def test_llm_backend_without_key_exits_two(tmp_path, data_dir, monkeypatch):
+def test_llm_backend_without_key_exits_two(tmp_path, capsys, data_dir, monkeypatch):
+    # the key is checked before the surrogate encoder trains
     monkeypatch.delenv("TAGSIEGE_API_KEY", raising=False)
-    code = main(
-        [
-            "attack",
-            "--data", str(data_dir),
-            "--out", str(tmp_path / "o"),
-            "--num-targets", "2",
-            "--backend", "llm",
-        ]
-    )
-    assert code == 2
+    out = tmp_path / "o"
+    code, err = attack_untrained(monkeypatch, capsys, out, data_dir, "--backend", "llm")
+    assert (code, err) == (2, "error: TAGSIEGE_API_KEY is not set\n")
+    assert not (out / "plan.jsonl").exists()
 
 
 def test_llm_unreachable_endpoint_exits_three(tmp_path, data_dir, monkeypatch):
@@ -577,26 +631,12 @@ def test_llm_unreachable_endpoint_exits_three(tmp_path, data_dir, monkeypatch):
     assert manifest["completed"] == 0
     assert manifest["query_count"] == 0
     assert len(manifest["skipped"]) == 2
+    assert manifest["error"].startswith("all 2 targets failed; first reason: ")
     assert manifest["cost_estimate_usd"] == 0.0
-    assert (out / "plan.jsonl").exists()
-    assert not (out / "perturbed").exists()  # withheld without --allow-partial
-
-    partial = tmp_path / "dead_partial"
-    code = main(
-        [
-            "attack",
-            "--data", str(data_dir),
-            "--out", str(partial),
-            "--num-targets", "2",
-            "--backend", "llm",
-            "--base-url", "http://127.0.0.1:9",
-            "--timeout", "1",
-            "--max-attempts", "1",
-            "--allow-partial",
-        ]
-    )
-    assert code == 3
-    assert (partial / "perturbed" / "nodes.jsonl").exists()
+    plan = load_plan(out / "plan.jsonl")
+    assert plan.entries == {}
+    assert {str(t): r for t, r in plan.skipped.items()} == manifest["skipped"]
+    assert not (out / "perturbed").exists()  # a plan with no entries perturbs nothing
 
 
 def test_module_entry_point_smoke():
