@@ -264,6 +264,12 @@ class LLMConfig:
     timeout: float = 60.0
     max_attempts: int = 3
 
+    def __post_init__(self):
+        if self.max_attempts < 1:
+            raise ConfigurationError("max_attempts must be >= 1")
+        if not self.timeout > 0:
+            raise ConfigurationError("timeout must be > 0 seconds")
+
     def resolved_base_url(self) -> str:
         return self.base_url or os.environ.get(BASE_URL_ENV, DEFAULT_BASE_URL)
 

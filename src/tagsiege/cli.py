@@ -6,8 +6,13 @@ configuration, input/output file hashes, and seeds — enough to replay the run
 bit-identically with ``tagsiege replay``.
 
 Option precedence: CLI flags > ``--config`` file (flat ``key=value`` lines,
-``#`` comments) > built-in defaults. Exit codes: 0 ok, 2 config/validation,
-3 an attack in which every target was skipped, 4 training.
+``#`` comments) > built-in defaults. Flags and file lines share one parser
+per option kind (``_parse``) and ``replay`` checks recorded values with the
+``records`` rules, so a non-finite float is refused from every source. Each
+runner builds its config objects field by field (``_config``) and checks
+them before it reads a dataset, plan or report; ``main`` and ``replay`` run
+it through ``_run``. Exit codes: 0 ok, 2 config/validation, 3 an attack in
+which every target was skipped, 4 training.
 
 Module level imports only what parsing, manifests and ``replay``'s checks
 need, none of which loads numpy; every other layer (seeding, synth, features,
@@ -26,6 +31,8 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -36,9 +43,9 @@ from .errors import (
     TagSiegeError,
     TrainingError,
 )
-from .graph import load_graph, save_graph
+from .graph import dataset_files, load_graph, save_graph
 from .plan import DEFAULT_K, apply_plan, load_plan, save_plan
-from .records import dumps, number, read_json, typed
+from .records import dumps, integer, number, read_json, typed
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -67,26 +74,28 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _coerce(name: str, kind: str, raw: str):
+_EXPECTED = {"int": "an integer", "float": "a finite number", "bool": "a boolean"}
+_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+
+
+def _parse(kind: str, raw: str):
+    """The one parser of an option's string value, for flags (int, float and
+    str; a bool flag takes no value, a list flag repeats) and config files
+    (every kind). A float must be finite, as `records.number` requires."""
     try:
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            low = raw.lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
+            return number(float(raw))
+        if kind == "bool" and raw.lower() in _TRUE + _FALSE:
+            return raw.lower() in _TRUE
         if kind == "list":
             return [item for item in raw.split(";") if item]
-        return raw
-    except ValueError:
-        raise ConfigurationError(
-            f"config option {name}: cannot parse {raw!r} as {kind}"
-        ) from None
+        if kind == "str":
+            return raw
+    except (TypeError, ValueError):
+        pass
+    raise argparse.ArgumentTypeError(f"expected {_EXPECTED[kind]}, got {raw!r}")
 
 
 def _add_flags(parser: argparse.ArgumentParser, spec) -> None:
@@ -95,18 +104,12 @@ def _add_flags(parser: argparse.ArgumentParser, spec) -> None:
         if default not in (None, _REQUIRED) and default != []:
             help_text = f"{help_text} (default: {default})"
         if kind == "bool":
-            parser.add_argument(
-                flag, action="store_true", default=argparse.SUPPRESS, help=help_text
-            )
+            form = {"action": "store_true"}
         elif kind == "list":
-            parser.add_argument(
-                flag, action="append", default=argparse.SUPPRESS, help=help_text
-            )
+            form = {"action": "append"}
         else:
-            typ = {"int": int, "float": float, "str": str}[kind]
-            parser.add_argument(
-                flag, type=typ, default=argparse.SUPPRESS, help=help_text
-            )
+            form = {"type": partial(_parse, kind)}
+        parser.add_argument(flag, default=argparse.SUPPRESS, help=help_text, **form)
 
 
 def _resolve_options(spec, args: argparse.Namespace) -> dict:
@@ -122,7 +125,10 @@ def _resolve_options(spec, args: argparse.Namespace) -> dict:
         if name in given:
             resolved[name] = given[name]
         elif name in file_cfg:
-            resolved[name] = _coerce(name, kind, file_cfg[name])
+            try:
+                resolved[name] = _parse(kind, file_cfg[name])
+            except argparse.ArgumentTypeError as exc:
+                raise ConfigurationError(f"config option {name}: {exc}") from None
         elif default is _REQUIRED:
             raise ConfigurationError(
                 f"missing required option --{name.replace('_', '-')}"
@@ -145,11 +151,7 @@ def _sha256_file(path: Path) -> str:
 
 
 def _dataset_inputs(data_dir: str | Path) -> dict[str, str]:
-    root = Path(data_dir)
-    names = ("nodes.jsonl", "edges.csv", "edges.jsonl")
-    return {
-        str(root / n): _sha256_file(root / n) for n in names if (root / n).exists()
-    }
+    return {str(path): _sha256_file(path) for path in dataset_files(data_dir)}
 
 
 def _file_inputs(*paths: str) -> dict[str, str]:
@@ -230,10 +232,16 @@ def _load_featurized(data_dir: str, max_vocab: int):
     return graph, vocab, featurize(graph.texts, vocab)
 
 
-def _train_embeddings(graph, features, cfg: dict):
-    from .encoder import EncoderConfig, encode, train_encoder
+def _config(cls, cfg: dict, **given):
+    """A `cls` whose every dataclass field is the option of the same name or a
+    `given` value; a field with neither is a KeyError, never its default."""
+    values = cfg | given
+    return cls(**{f.name: values[f.name] for f in fields(cls)})
 
-    config = EncoderConfig(seed=cfg["seed"], **{name: cfg[name] for name, *_ in _TRAINING_FLAGS})
+
+def _train_embeddings(graph, features, config):
+    from .encoder import encode, train_encoder
+
     trained = train_encoder(graph, features, config)
     return trained, encode(trained, graph, features)
 
@@ -256,19 +264,8 @@ def _counters(features, operand_forms: dict[str, dict[str, str]]) -> dict:
 def _run_synth(cfg: dict, out: Path):
     from .synth import SynthConfig, generate, summarize
 
-    config = SynthConfig(
-        node_count=cfg["node_count"],
-        class_count=cfg["class_count"],
-        p_in=cfg["p_in"],
-        p_out=cfg["p_out"],
-        tokens_per_text=cfg["tokens_per_text"],
-        class_vocab_size=cfg["class_vocab_size"],
-        shared_vocab_size=cfg["shared_vocab_size"],
-        noise_rate=cfg["noise_rate"],
-        seed=cfg["seed"],
-        split_fractions=(cfg["train_frac"], cfg["val_frac"], cfg["test_frac"]),
-    )
-    graph = generate(config)
+    fractions = (cfg["train_frac"], cfg["val_frac"], cfg["test_frac"])
+    graph = generate(_config(SynthConfig, cfg, split_fractions=fractions))
     save_graph(graph, out)
     summary = summarize(graph)
     print(
@@ -278,12 +275,13 @@ def _run_synth(cfg: dict, out: Path):
 
 
 def _run_encode(cfg: dict, out: Path):
-    from .encoder import save_checkpoint
+    from .encoder import EncoderConfig, save_checkpoint
     from .text_features import save_embeddings
 
+    config = _config(EncoderConfig, cfg)
     graph, vocab, features = _load_featurized(cfg["data"], cfg["max_vocab"])
     started = time.perf_counter()
-    trained, embeddings = _train_embeddings(graph, features, cfg)
+    trained, embeddings = _train_embeddings(graph, features, config)
     save_checkpoint(trained, out / "encoder.json")
     save_embeddings(embeddings, out / "embeddings.jsonl")
     extra = {
@@ -325,31 +323,27 @@ def _load_templates(cfg: dict):
 def _run_attack(cfg: dict, out: Path):
     from .attack import attack, check_attack_config
     from .backends import LLMBackend, LLMConfig, OracleBackend, api_key
+    from .encoder import EncoderConfig
 
-    # every config error is found before the encoder trains
+    # every config error is found before the dataset is read
     check_attack_config(cfg["text_budget"], cfg["k"])
+    encoder_config = _config(EncoderConfig, cfg)
     if cfg["backend"] not in ("oracle", "llm"):
         raise ConfigurationError(f"unknown backend kind {cfg['backend']!r}")
     if cfg["backend"] == "llm":
         api_key()
+        llm_config = _config(LLMConfig, cfg)
     templates, template_paths = _load_templates(cfg)
     graph, vocab, features = _load_featurized(cfg["data"], cfg["max_vocab"])
     targets = _resolve_targets(cfg, graph)
     if targets is None:
         raise ConfigurationError("attack needs --targets or --num-targets")
     started = time.perf_counter()
-    trained, embeddings = _train_embeddings(graph, features, cfg)
+    trained, embeddings = _train_embeddings(graph, features, encoder_config)
     train_s = time.perf_counter() - started
 
     backend = oracle = OracleBackend(graph, embeddings, vocab)
     if cfg["backend"] == "llm":
-        llm_config = LLMConfig(
-            model=cfg["model"],
-            base_url=cfg["base_url"],
-            temperature=cfg["temperature"],
-            timeout=cfg["timeout"],
-            max_attempts=cfg["max_attempts"],
-        )
         backend = LLMBackend(llm_config, fallback=oracle)
 
     started = time.perf_counter()
@@ -446,24 +440,34 @@ def _run_evaluate(cfg: dict, out: Path):
     from .text_features import featurize
     from .victims import VICTIM_KINDS, VictimConfig, accuracy
 
-    clean, vocab, clean_x = _load_featurized(cfg["clean"], cfg["max_vocab"])
-    plan = load_plan(cfg["plan"])
-    targets = plan.targets()
-    if not targets:
-        raise ConfigurationError("plan has no completed targets to evaluate")
+    # every config error is found before a dataset or plan is read
+    kinds = [k for k in cfg["victims"].split(",") if k]
+    if not kinds:
+        raise ConfigurationError("evaluate needs at least one victim kind")
+    for kind in kinds:
+        if kind not in VICTIM_KINDS:
+            raise ConfigurationError(
+                f"unknown victim {kind!r}; choose from {', '.join(VICTIM_KINDS)}"
+            )
+    victim_config = _config(VictimConfig, cfg)
     label = cfg["attacker_label"]
-    plans = {label: plan}
-    plan_paths = [cfg["plan"]]
+    plan_paths = {label: cfg["plan"]}
     for spec in cfg["baseline"] or []:
         name, sep, path = spec.partition("=")
         if not sep or not name or not path:
             raise ConfigurationError(
                 f"baseline must look like NAME=PLAN_PATH, got {spec!r}"
             )
-        if name in plans:
+        if name in plan_paths:
             raise ConfigurationError(f"attacker row {name!r} is named twice")
-        plans[name] = load_plan(path)
-        plan_paths.append(path)
+        plan_paths[name] = path
+
+    clean, vocab, clean_x = _load_featurized(cfg["clean"], cfg["max_vocab"])
+    plans = {name: load_plan(path) for name, path in plan_paths.items()}
+    plan = plans[label]
+    targets = plan.targets()
+    if not targets:
+        raise ConfigurationError("plan has no completed targets to evaluate")
 
     # each row's graph is its plan applied to the clean graph; perturbed text
     # is featurized against the clean corpus's frozen vocabulary, so victims
@@ -480,18 +484,6 @@ def _run_evaluate(cfg: dict, out: Path):
             f"makes of --clean {cfg['clean']}"
         )
 
-    kinds = [k for k in cfg["victims"].split(",") if k]
-    if not kinds:
-        raise ConfigurationError("evaluate needs at least one victim kind")
-    for kind in kinds:
-        if kind not in VICTIM_KINDS:
-            raise ConfigurationError(
-                f"unknown victim {kind!r}; choose from {', '.join(VICTIM_KINDS)}"
-            )
-    victim_config = VictimConfig(
-        seed=cfg["seed"], sgc_steps=cfg["sgc_steps"],
-        **{name: cfg[name] for name, *_ in _TRAINING_FLAGS},
-    )
     victims, timings, workers = _train_victims(kinds, clean, clean_x, victim_config)
 
     rows = []
@@ -546,7 +538,7 @@ def _run_evaluate(cfg: dict, out: Path):
     inputs = (
         _dataset_inputs(cfg["clean"])
         | _dataset_inputs(cfg["perturbed"])
-        | _file_inputs(*plan_paths)
+        | _file_inputs(*plan_paths.values())
     )
     drops = ", ".join(f"{k}={row['drop']:.3f}" for k, row in main_rows.items())
     print(f"evaluate: drops {drops} -> {out}")
@@ -716,23 +708,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the JSON types a recorded option of each kind may hold; a float option
-# also takes an integer, as `float()` would
-_RECORDED_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool, "list": list}
-
-
 def _check_recorded(name: str, kind: str, default, value) -> None:
-    """ConfigurationError unless a manifest's `value` for option `name` has
-    its kind's type; options whose default is None may also hold null."""
+    """ConfigurationError unless a manifest's `value` for option `name` passes
+    the `records` rule of its kind: an integer, a finite number, a string, a
+    boolean or a list of strings. Options whose default is None may also
+    hold null."""
     if value is None and default is None:
         return
-    fits = isinstance(value, _RECORDED_TYPES[kind]) and isinstance(value, bool) == (kind == "bool")
-    if kind == "list" and fits:
-        fits = all(isinstance(item, str) for item in value)
-    if not fits:
-        raise ConfigurationError(
-            f"manifest config {name}: expected {kind}, got {type(value).__name__} {value!r}"
-        )
+    try:
+        if kind == "int":
+            integer(value)
+        elif kind == "float":
+            number(value)
+        elif kind == "list":
+            for item in typed(value, list):
+                typed(item, str)
+        else:
+            typed(value, bool if kind == "bool" else str)
+    except TypeError as exc:
+        raise ConfigurationError(f"manifest config {name}: {exc}") from None
+
+
+def _run(command: str, config: dict, out: str) -> int:
+    """Run `command` on its resolved `config` into `out`, then record the
+    manifest; `main` and `replay` both run a command through here."""
+    root = Path(out)
+    root.mkdir(parents=True, exist_ok=True)
+    inputs, extra, code = _COMMANDS[command][1](config, root)
+    _write_manifest(root, command, config, inputs, extra)
+    return code
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -743,26 +747,21 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     ))
     if command not in _COMMANDS:
         raise ConfigurationError(f"manifest names unknown command {command!r}")
-    for path, digest in inputs.items():
-        if not Path(path).exists():
-            raise ConfigurationError(f"replay input missing: {path}")
-        if _sha256_file(Path(path)) != digest:
-            raise ConfigurationError(f"replay input changed since recording: {path}")
-    spec, runner, _ = _COMMANDS[command]
+    spec = _COMMANDS[command][0]
     missing = [name for name, _, _, _ in spec if name not in config]
     if missing:
         raise ConfigurationError(f"manifest config lacks keys: {', '.join(missing)}")
     for name, kind, default, _ in spec:
         _check_recorded(name, kind, default, config[name])
+    for path, digest in inputs.items():
+        if not Path(path).exists():
+            raise ConfigurationError(f"replay input missing: {path}")
+        if _sha256_file(Path(path)) != digest:
+            raise ConfigurationError(f"replay input changed since recording: {path}")
     dropped = ", ".join(sorted(set(config) - {name for name, *_ in spec}))
     if dropped:
         print(f"warning: replay drops unknown config keys: {dropped}", file=sys.stderr)
-    config = {name: config[name] for name, *_ in spec}
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    inputs, extra, code = runner(config, out)
-    _write_manifest(out, command, config, inputs, extra)
-    return code
+    return _run(command, {name: config[name] for name, *_ in spec}, args.out)
 
 
 def main(argv=None) -> int:
@@ -771,20 +770,12 @@ def main(argv=None) -> int:
     try:
         if args.command == "replay":
             return _cmd_replay(args)
-        spec, runner, _ = _COMMANDS[args.command]
-        config = _resolve_options(spec, args)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        inputs, extra, code = runner(config, out)
-        _write_manifest(out, args.command, config, inputs, extra)
-        return code
+        spec = _COMMANDS[args.command][0]
+        return _run(args.command, _resolve_options(spec, args), args.out)
     except TrainingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
-    except TagSiegeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (TagSiegeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -7,7 +7,8 @@ Node embeddings are the penultimate (post-relu) hidden activations.
 
 The `gcn` victim is this same model: `train_gcn` initialises and fits both,
 each from its own seed substream ("encoder-init" here, "victim-gcn" there),
-and both hold their weights in one `{"w1", "w2"}` dict that `forward` runs.
+and both come back as one `TrainedModel` (the record of every trained model,
+victims included) whose `{"w1", "w2"}` weights `forward` runs.
 """
 
 from __future__ import annotations
@@ -67,11 +68,20 @@ class EncoderConfig:
 
 
 @dataclass
-class TrainedEncoder:
-    weights: dict[str, np.ndarray]  # w1 (input_dim, hidden), w2 (hidden, class_count)
+class TrainedModel:
+    """The surrogate or a victim, trained; TrainingError unless every weight is finite."""
+
+    kind: str  # "gcn" (the surrogate too), "sgc" or "sage_mean"
+    weights: dict[str, np.ndarray]  # gcn: w1 (input_dim, hidden), w2 (hidden, class_count)
     config: EncoderConfig
     loss_history: list[float] = field(default_factory=list)
     operand_forms: dict[str, str] = field(default_factory=dict)  # "csr" or "dense"
+    val_accuracy: float | None = None
+
+    def __post_init__(self):
+        for name, w in self.weights.items():
+            if not np.all(np.isfinite(w)):
+                raise TrainingError(f"weight {name} contains non-finite values")
 
 
 def forward(
@@ -143,7 +153,7 @@ def train_gcn(
     config: EncoderConfig,
     stream: str,
     what: str,
-) -> TrainedEncoder:
+) -> TrainedModel:
     """Initialise a GCN from the `stream` substream of the config seed and fit
     it on `graph`'s train split with propagation `a_hat`; its output width is
     `graph.class_count`. A non-finite loss raises TrainingError naming `what`.
@@ -164,14 +174,14 @@ def train_gcn(
         config.learning_rate,
         what,
     )
-    return TrainedEncoder(weights, config, history, {"u": operand_form(u)})
+    return TrainedModel("gcn", weights, config, history, {"u": operand_form(u)})
 
 
 def train_encoder(
     graph: TextAttributedGraph,
     features: np.ndarray | sp.csr_matrix,
     config: EncoderConfig | None = None,
-) -> TrainedEncoder:
+) -> TrainedModel:
     """The surrogate: `train_gcn` on the "encoder-init" substream;
     deterministic given the config seed."""
     config = config or EncoderConfig()
@@ -180,7 +190,7 @@ def train_encoder(
 
 
 def encode(
-    trained: TrainedEncoder, graph: TextAttributedGraph, features: np.ndarray | sp.csr_matrix
+    trained: TrainedModel, graph: TextAttributedGraph, features: np.ndarray | sp.csr_matrix
 ) -> np.ndarray:
     _, z = forward(trained.weights, normalize_adjacency(graph), features)
     return z
@@ -231,7 +241,7 @@ def gradient_check(
     return worst
 
 
-def save_checkpoint(trained: TrainedEncoder, path: str | Path) -> None:
+def save_checkpoint(trained: TrainedModel, path: str | Path) -> None:
     w1, w2 = trained.weights["w1"], trained.weights["w2"]
     payload = {
         "kind": "gcn-encoder",

@@ -170,13 +170,22 @@ def _read_edge_file(path: Path) -> list[tuple[int, int]]:
     return pairs
 
 
-def load_graph(path: str | Path) -> TextAttributedGraph:
-    """Load a dataset directory holding nodes.jsonl plus edges.csv or edges.jsonl."""
+def dataset_files(path: str | Path) -> tuple[Path, Path]:
+    """(node file, edge file) that `load_graph` reads from a dataset directory:
+    nodes.jsonl, and edges.csv where present, else edges.jsonl."""
     root = Path(path)
     node_path = root / NODE_FILE
     if not node_path.exists():
         raise ParseError(f"missing {NODE_FILE} under {root}", str(root), 0)
+    for edge_path in (root / EDGE_FILE_CSV, root / EDGE_FILE_JSONL):
+        if edge_path.exists():
+            return node_path, edge_path
+    raise ParseError(f"missing {EDGE_FILE_CSV} or {EDGE_FILE_JSONL} under {root}", str(root), 0)
 
+
+def load_graph(path: str | Path) -> TextAttributedGraph:
+    """Load a dataset directory holding nodes.jsonl plus edges.csv or edges.jsonl."""
+    node_path, edge_path = dataset_files(path)
     nodes: dict[int, tuple[str, int, str]] = {}
     for lineno, (node_id, node) in read_jsonl(node_path, _node_record):
         if node_id in nodes:
@@ -187,12 +196,6 @@ def load_graph(path: str | Path) -> TextAttributedGraph:
     n = len(nodes)
     if sorted(nodes) != list(range(n)):
         raise GraphValidationError("node ids are not dense in [0, node_count)")
-
-    edge_path = root / EDGE_FILE_CSV
-    if not edge_path.exists():
-        edge_path = root / EDGE_FILE_JSONL
-    if not edge_path.exists():
-        raise ParseError(f"missing {EDGE_FILE_CSV} or {EDGE_FILE_JSONL} under {root}", str(root), 0)
     # the constructor rejects edges to missing nodes
     texts, labels, splits = zip(*(nodes[i] for i in range(n)))
     return TextAttributedGraph.build(

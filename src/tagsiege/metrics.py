@@ -19,12 +19,13 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from .encoder import TrainedModel
 from .errors import DegenerateInputError, ShapeError
 from .graph import TextAttributedGraph
 from .nnops import pair_cosines, unit_rows
 from .plan import edit_counts
 from .text_features import token_edit_distance
-from .victims import VictimModel, accuracy
+from .victims import accuracy
 
 
 def _check_features(graph: TextAttributedGraph, features) -> tuple[np.ndarray, np.ndarray]:
@@ -172,7 +173,7 @@ def synergy_test(
     joint: TextAttributedGraph,
     features_clean: np.ndarray,
     features_joint: np.ndarray,
-    victims: dict[str, VictimModel],
+    victims: dict[str, TrainedModel],
     targets: list[int],
     clean_accuracy: dict[str, float],
     joint_accuracy: dict[str, float],

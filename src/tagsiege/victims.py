@@ -6,9 +6,10 @@ hands them (clean or perturbed) — propagation always comes from that graph,
 built once per graph and reused across predictions. The `gcn` victim is the
 surrogate's GCN (`encoder.train_gcn` and `encoder.forward`) on its own
 "victim-gcn" seed substream, and `VictimConfig` is `EncoderConfig` plus
-`sgc_steps`. All kinds size their output by `graph.class_count` and train with
-`nnops.fit`, but victims share no weights, embeddings, plan or backend with
-the attacker.
+`sgc_steps`. All kinds size their output by `graph.class_count`, train with
+`nnops.fit` and come back as the surrogate's record, `encoder.TrainedModel`,
+with their loss curve; but victims share no weights, embeddings, plan or
+backend with the attacker.
 
 Each training allocates its buffers once and shares nothing mutable with
 another, so several victims may train at once on separate threads, as
@@ -19,7 +20,7 @@ every entry a thread will need (`_propagation`) before starting the threads.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -27,13 +28,14 @@ import scipy.sparse as sp
 
 from .encoder import (
     EncoderConfig,
+    TrainedModel,
     adjacency_matrix,
     forward,
     normalize_adjacency,
     train_gcn,
     train_split,
 )
-from .errors import ConfigurationError, DegenerateInputError, ShapeError, TrainingError
+from .errors import ConfigurationError, DegenerateInputError, ShapeError
 from .graph import TextAttributedGraph
 from .nnops import (
     add_decay, cross_entropy_with_grad, fit, glorot, l2_penalty, operand_form, product,
@@ -52,20 +54,6 @@ class VictimConfig(EncoderConfig):
         super().__post_init__()
         if self.sgc_steps < 1:
             raise ConfigurationError("sgc_steps must be >= 1")
-
-
-@dataclass
-class VictimModel:
-    kind: str
-    weights: dict[str, np.ndarray]
-    config: VictimConfig
-    val_accuracy: float | None = None
-    operand_forms: dict[str, str] = field(default_factory=dict)  # "csr" or "dense"
-
-    def __post_init__(self):
-        for name, w in self.weights.items():
-            if not np.all(np.isfinite(w)):
-                raise TrainingError(f"weight {name} contains non-finite values")
 
 
 def mean_aggregation(graph: TextAttributedGraph) -> sp.csr_matrix:
@@ -129,7 +117,7 @@ def sage_logits(
 
 
 def victim_logits(
-    model: VictimModel, graph: TextAttributedGraph, features: np.ndarray | sp.csr_matrix
+    model: TrainedModel, graph: TextAttributedGraph, features: np.ndarray | sp.csr_matrix
 ) -> np.ndarray:
     """Forward pass with propagation taken from the *given* graph."""
     first = next(iter(model.weights.values()))
@@ -203,15 +191,14 @@ def sage_loss_and_grads(
         yield loss, [dws1, dwn1, dws2, dwn2]
 
 
-def _train_weights(kind, graph, X, cfg) -> tuple[dict, dict[str, str]]:
+def _train_weights(kind, graph, X, cfg) -> TrainedModel:
     """Initialise from the kind's seed substream, then fit on the train rows.
 
-    Returns the weights and the form (`nnops.training_operand`) each fixed
-    operand took."""
+    The model records its loss curve and the form (`nnops.training_operand`)
+    each fixed operand took."""
     propagation = _propagation(kind, graph)
     if kind == "gcn":
-        trained = train_gcn(graph, propagation, X, cfg, "victim-gcn", "gcn loss")
-        return trained.weights, trained.operand_forms
+        return train_gcn(graph, propagation, X, cfg, "victim-gcn", "gcn loss")
     labels, rows = train_split(graph, X)
     classes, wd = graph.class_count, cfg.weight_decay
     if kind == "sgc":
@@ -232,8 +219,9 @@ def _train_weights(kind, graph, X, cfg) -> tuple[dict, dict[str, str]]:
         }
         operands = {"x": training_operand(X), "x_nbr": training_operand(propagation @ X)}
         steps = sage_loss_and_grads(weights, propagation, *operands.values(), labels, rows, wd)
-    fit(list(weights.values()), steps, cfg.epochs, cfg.learning_rate, f"{kind} loss")
-    return weights, {name: operand_form(op) for name, op in operands.items()}
+    history = fit(list(weights.values()), steps, cfg.epochs, cfg.learning_rate, f"{kind} loss")
+    forms = {name: operand_form(op) for name, op in operands.items()}
+    return TrainedModel(kind, weights, cfg, history, forms)
 
 
 def train_victim(
@@ -241,13 +229,12 @@ def train_victim(
     graph: TextAttributedGraph,
     features: np.ndarray | sp.csr_matrix,
     config: VictimConfig | None = None,
-) -> VictimModel:
-    """Fit one victim on the clean graph's train split; deterministic by seed."""
+) -> TrainedModel:
+    """Fit one victim on the clean graph's train split; deterministic by seed.
+    Its epoch buffers are freed before the val split is predicted."""
     if kind not in VICTIM_KINDS:
         raise ConfigurationError(f"unknown victim kind {kind!r}")
-    config = config or VictimConfig()
-    weights, forms = _train_weights(kind, graph, features, config)
-    model = VictimModel(kind=kind, weights=weights, config=config, operand_forms=forms)
+    model = _train_weights(kind, graph, features, config or VictimConfig())
     val = graph.split_nodes("val")
     if val:
         model.val_accuracy = accuracy(model, graph, features, list(val))
@@ -255,7 +242,7 @@ def train_victim(
 
 
 def predict(
-    model: VictimModel, graph: TextAttributedGraph, features: np.ndarray | sp.csr_matrix
+    model: TrainedModel, graph: TextAttributedGraph, features: np.ndarray | sp.csr_matrix
 ) -> np.ndarray:
     """Per-node argmax labels; ties resolve to the lowest class id."""
     logits = victim_logits(model, graph, features)
@@ -263,7 +250,7 @@ def predict(
 
 
 def accuracy(
-    model: VictimModel,
+    model: TrainedModel,
     graph: TextAttributedGraph,
     features: np.ndarray | sp.csr_matrix,
     node_set: list[int],

@@ -344,6 +344,17 @@ def test_llm_requires_api_key_without_transport(monkeypatch):
         LLMBackend(LLMConfig(), fallback=make_oracle())
 
 
+@pytest.mark.parametrize("setting, message", [
+    ({"max_attempts": 0}, "max_attempts must be >= 1"),
+    ({"max_attempts": -2}, "max_attempts must be >= 1"),
+    ({"timeout": 0.0}, "timeout must be > 0 seconds"),
+    ({"timeout": -1.0}, "timeout must be > 0 seconds"),
+])
+def test_llm_config_rejects_settings_that_cannot_send_a_request(setting, message):
+    with pytest.raises(ConfigurationError, match=message):
+        LLMConfig(**setting)
+
+
 def test_llm_base_url_from_env(monkeypatch):
     monkeypatch.setenv("TAGSIEGE_BASE_URL", "https://example.test/v1/")
     g, backend, transport = llm_pair([json.dumps({"delete_id": 2, "add_id": 3})])

@@ -5,17 +5,22 @@ can be asserted directly; one subprocess smoke test covers `python -m`.
 """
 
 import json
+import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from tagsiege import encoder, victims
+from tagsiege import cli, encoder, victims
+from tagsiege.backends import LLMConfig
 from tagsiege.baselines import rnd_attack
 from tagsiege.cli import main
+from tagsiege.encoder import EncoderConfig
 from tagsiege.graph import load_graph
 from tagsiege.plan import Budgets, load_plan, save_plan
+from tagsiege.synth import SynthConfig
 from tagsiege.text_features import build_vocabulary, featurize
 
 SYNTH_FLAGS = ["--node-count", "120", "--class-count", "4", "--seed", "0"]
@@ -159,10 +164,14 @@ def test_zero_text_budget_exits_two_before_any_query(tmp_path, capsys, monkeypat
     (["--k", "0"], "k must be >= 1"),
     (["--backend", "nope"], "unknown backend kind 'nope'"),
     (["--text-template", "{template}"], "text template missing placeholders: ['influencer_text']"),
-], ids=["k-0", "unknown-backend", "template-missing-placeholder"])
+    (["--backend", "llm", "--max-attempts", "0"], "max_attempts must be >= 1"),
+    (["--backend", "llm", "--timeout", "0"], "timeout must be > 0 seconds"),
+], ids=["k-0", "unknown-backend", "template-missing-placeholder", "llm-max-attempts-0",
+        "llm-timeout-0"])
 def test_attack_config_errors_exit_two_before_the_encoder_trains(
     tmp_path, capsys, monkeypatch, data_dir, flags, message
 ):
+    monkeypatch.setenv("TAGSIEGE_API_KEY", "unused")
     template = tmp_path / "text.txt"
     template.write_text("Rewrite {target_text}.\n")
     out = tmp_path / "o"
@@ -647,3 +656,134 @@ def test_module_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert "tagsiege" in proc.stdout
+
+
+def refuse_dataset_reads(monkeypatch) -> None:
+    """Make reading a dataset or training the surrogate fail the test."""
+    def no_reads(*args):
+        raise AssertionError("a dataset was read")
+
+    monkeypatch.setattr(cli, "load_graph", no_reads)
+    monkeypatch.setattr(cli, "_sha256_file", no_reads)
+    monkeypatch.setattr(encoder, "train_encoder", no_reads)
+
+
+@pytest.mark.parametrize("argv", [
+    ["attack", "--num-targets", "2", "--learning-rate", "nan"],
+    ["attack", "--num-targets", "2", "--weight-decay", "inf"],
+    ["attack", "--num-targets", "2", "--temperature", "1e999"],
+    ["evaluate", "--perturbed", "p", "--plan", "p.jsonl", "--learning-rate", "NaN"],
+], ids=["attack-learning-rate-nan", "attack-weight-decay-inf", "attack-temperature-overflow",
+        "evaluate-learning-rate-nan"])
+def test_a_non_finite_float_flag_exits_two_at_parsing(tmp_path, capsys, monkeypatch, argv):
+    refuse_dataset_reads(monkeypatch)
+    data = "--data" if argv[0] == "attack" else "--clean"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, data, str(tmp_path / "none"), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    flag, value = argv[-2:]
+    assert f"argument {flag}: expected a finite number, got {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_non_finite_float_in_a_config_file_exits_two_before_reading(
+    tmp_path, capsys, monkeypatch
+):
+    refuse_dataset_reads(monkeypatch)
+    cfg = tmp_path / "attack.cfg"
+    cfg.write_text("num_targets=2\nlearning_rate=nan\n")
+    out = tmp_path / "o"
+    code = main(["attack", "--data", str(tmp_path / "none"), "--out", str(out),
+                 "--config", str(cfg)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: config option learning_rate: expected a finite number, got 'nan'\n"
+    )
+    assert not (out / "plan.jsonl").exists()
+
+
+@pytest.mark.parametrize("key, value", [("learning_rate", float("nan")), ("weight_decay", float("inf"))])
+def test_a_recorded_non_finite_value_exits_two_before_reading(
+    tmp_path, capsys, monkeypatch, attack_run, key, value
+):
+    manifest = read_manifest(attack_run)
+    manifest["config"][key] = value
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(manifest))  # Python's json writes NaN and Infinity
+    refuse_dataset_reads(monkeypatch)
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert main(["replay", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: manifest config {key}: expected a finite number, got float {value!r}\n"
+    )
+    assert not (out / "plan.jsonl").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["attack", "--data", "{none}", "--num-targets", "2", "--hidden", "0"],
+     "hidden width must be >= 1"),
+    (["encode", "--data", "{none}", "--epochs", "0"], "epochs must be >= 1"),
+    (["evaluate", "--clean", "{none}", "--sgc-steps", "0"], "sgc_steps must be >= 1"),
+    (["evaluate", "--clean", "{none}", "--victims", "nope"],
+     "unknown victim 'nope'; choose from gcn, sgc, sage_mean"),
+    (["evaluate", "--clean", "{none}", "--baseline", "bad"],
+     "baseline must look like NAME=PLAN_PATH, got 'bad'"),
+], ids=["attack-hidden-0", "encode-epochs-0", "evaluate-sgc-steps-0", "evaluate-unknown-victim",
+        "evaluate-malformed-baseline"])
+def test_config_errors_are_found_before_a_missing_dataset(tmp_path, capsys, argv, message):
+    none = str(tmp_path / "none")
+    argv = [arg.format(none=none) for arg in argv]
+    if argv[0] == "evaluate":
+        argv += ["--perturbed", none, "--plan", str(tmp_path / "none.jsonl")]
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("command, cls, given", [
+    ("synth", SynthConfig, {"split_fractions": (0.6, 0.2, 0.2)}),
+    ("encode", EncoderConfig, {}),
+    ("attack", EncoderConfig, {}),
+    ("attack", LLMConfig, {}),
+    ("evaluate", victims.VictimConfig, {}),
+])
+def test_every_config_field_is_an_option_of_its_command(command, cls, given):
+    spec = cli._COMMANDS[command][0]
+    options = {name for name, *_ in spec}
+    assert {f.name for f in fields(cls)} - set(given) <= options
+    defaults = {name: default for name, _, default, _ in spec}
+    config = cli._config(cls, defaults, **given)
+    for f in fields(cls):
+        assert getattr(config, f.name) == (given | defaults)[f.name]
+
+
+def test_config_helper_never_falls_back_to_a_field_default():
+    with pytest.raises(KeyError, match="learning_rate"):
+        cli._config(EncoderConfig, {"hidden": 8, "epochs": 2, "weight_decay": 0.0, "seed": 1})
+
+
+@pytest.mark.parametrize("run", ["synth", "attack"])
+def test_main_and_replay_write_the_same_manifest_keys(tmp_path, data_dir, attack_run, run):
+    first = data_dir if run == "synth" else attack_run
+    out = tmp_path / "replayed"
+    assert main(["replay", str(first / "manifest.json"), "--out", str(out)]) == 0
+    replayed, recorded = read_manifest(out), read_manifest(first)
+    assert set(replayed) == set(recorded)
+    assert replayed["config"] == recorded["config"]
+    assert replayed["outputs"] == recorded["outputs"]
+
+
+def test_replay_ignores_a_dataset_file_load_graph_does_not_read(tmp_path, capsys, data_dir):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    (data / "edges.jsonl").write_text('{"src": 0, "dst": 1}\n')
+    out = tmp_path / "atk"
+    assert main(["attack", "--data", str(data), "--out", str(out), "--targets", "3",
+                 "--epochs", "2"]) == 0
+    assert set(read_manifest(out)["inputs"]) == {str(data / "nodes.jsonl"), str(data / "edges.csv")}
+    (data / "edges.jsonl").write_text('{"src": 0, "dst": 2}\n')
+    assert main(["replay", str(out / "manifest.json"), "--out", str(tmp_path / "again")]) == 0
+    assert_replay_refuses_changed_input(tmp_path, capsys, out, data / "edges.csv")

@@ -8,6 +8,7 @@ from tagsiege.graph import (
     TextAttributedGraph,
     canonical_edge,
     canonicalize_edges,
+    dataset_files,
     load_graph,
     save_graph,
 )
@@ -152,3 +153,19 @@ def test_load_rejects_sparse_ids(tmp_path):
 def test_load_missing_files(tmp_path):
     with pytest.raises(ParseError):
         load_graph(tmp_path)
+
+
+def test_dataset_files_names_the_edge_file_load_graph_reads(tmp_path):
+    g = tiny_graph()
+    save_graph(g, tmp_path)
+    # a stray edges.jsonl beside edges.csv is not read
+    (tmp_path / "edges.jsonl").write_text("{not json\n")
+    assert dataset_files(tmp_path) == (tmp_path / "nodes.jsonl", tmp_path / "edges.csv")
+    assert load_graph(tmp_path) == g
+    (tmp_path / "edges.csv").unlink()
+    assert dataset_files(tmp_path) == (tmp_path / "nodes.jsonl", tmp_path / "edges.jsonl")
+    with pytest.raises(ParseError):
+        load_graph(tmp_path)
+    (tmp_path / "edges.jsonl").unlink()
+    with pytest.raises(ParseError, match="missing edges.csv or edges.jsonl"):
+        dataset_files(tmp_path)

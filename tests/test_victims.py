@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from tagsiege.encoder import EncoderConfig, encode, forward, normalize_adjacency, train_encoder
-from tagsiege.errors import ConfigurationError, DegenerateInputError, ShapeError
+from tagsiege.encoder import (
+    EncoderConfig, TrainedModel, encode, forward, normalize_adjacency, train_encoder,
+)
+from tagsiege.errors import ConfigurationError, DegenerateInputError, ShapeError, TrainingError
 from tagsiege.graph import TextAttributedGraph
 from tagsiege.seeding import substream
 from tagsiege.victims import (
     SAGE_WEIGHTS,
     VICTIM_KINDS,
     VictimConfig,
-    VictimModel,
     accuracy,
     mean_aggregation,
     predict,
@@ -77,6 +78,25 @@ def test_same_seed_same_parameters(kind):
     m2 = train_victim(kind, g, X, cfg)
     for name in m1.weights:
         np.testing.assert_array_equal(m1.weights[name], m2.weights[name])
+
+
+def test_surrogate_and_victims_return_one_record_with_their_loss_curve():
+    g = clustered_graph()
+    X = block_features(g)
+    surrogate = train_encoder(g, X, EncoderConfig(hidden=6, epochs=12, seed=1))
+    assert (type(surrogate), surrogate.kind, surrogate.val_accuracy) == (TrainedModel, "gcn", None)
+    assert len(surrogate.loss_history) == 12
+    for kind in VICTIM_KINDS:
+        model = train_victim(kind, g, X, VictimConfig(hidden=6, epochs=12, seed=1))
+        assert (type(model), model.kind) == (TrainedModel, kind)
+        assert len(model.loss_history) == 12 and np.all(np.isfinite(model.loss_history))
+        assert model.loss_history[-1] < model.loss_history[0], kind
+        assert model.val_accuracy is not None
+
+
+def test_trained_model_rejects_non_finite_weights():
+    with pytest.raises(TrainingError, match="weight w contains non-finite values"):
+        TrainedModel("sgc", {"w": np.array([[0.0, np.nan]])}, VictimConfig())
 
 
 def test_one_class_data_is_trivially_learned():
@@ -196,7 +216,7 @@ def test_victim_gradients_match_finite_differences(kind):
 
 def test_predict_tie_breaks_to_class_zero():
     g = clustered_graph(n=6)
-    model = VictimModel(
+    model = TrainedModel(
         kind="sgc",
         weights={"w": np.zeros((3, 2))},
         config=VictimConfig(hidden=2, epochs=1),
