@@ -1,9 +1,9 @@
 """Command-line harness for reproducible attack experiments.
 
-Commands: synth, encode, retrieve, attack, evaluate, audit, replay. Every
-command writes its outputs plus a ``manifest.json`` that records the resolved
-configuration, input/output file hashes, and seeds — enough to replay the run
-bit-identically with ``tagsiege replay``.
+Commands: synth, attack, evaluate, audit, replay. Every command writes its
+outputs plus a ``manifest.json`` that records the resolved configuration,
+input/output file hashes, and seeds — enough to replay the run bit-identically
+with ``tagsiege replay``.
 
 Option precedence: CLI flags > ``--config`` file (flat ``key=value`` lines,
 ``#`` comments) > built-in defaults. Flags and file lines share one parser
@@ -16,10 +16,9 @@ which every target was skipped, 4 training.
 
 Module level imports only what parsing, manifests and ``replay``'s checks
 need, none of which loads numpy; every other layer (seeding, synth, features,
-encoder, retrieval, backends, attack, victims, metrics) is imported by the
-runner or helper that uses it. So ``--help`` and argument errors start
-without importing numpy, and ``synth`` and a replayed ``synth`` without
-importing scipy.
+encoder, backends, attack, victims, metrics) is imported by the runner or
+helper that uses it. So ``--help`` and argument errors start without importing
+numpy, and ``synth`` and a replayed ``synth`` without importing scipy.
 """
 
 from __future__ import annotations
@@ -197,9 +196,9 @@ def _parse_target_list(raw: str) -> list[int]:
     return ids
 
 
-def _resolve_targets(cfg: dict, graph) -> list[int] | None:
+def _resolve_targets(cfg: dict, graph) -> list[int]:
     """Explicit --targets list, or --num-targets sampled from --target-split."""
-    raw, num = cfg.get("targets"), cfg.get("num_targets")
+    raw, num = cfg["targets"], cfg["num_targets"]
     if raw is not None and num is not None:
         raise ConfigurationError("pass either --targets or --num-targets, not both")
     if raw is not None:
@@ -211,7 +210,7 @@ def _resolve_targets(cfg: dict, graph) -> list[int] | None:
     if num is not None:
         from .seeding import substream
 
-        split = cfg.get("target_split", "test")
+        split = cfg["target_split"]
         pool = sorted(graph.split_nodes(split))
         if not 1 <= num <= len(pool):
             raise ConfigurationError(
@@ -219,7 +218,14 @@ def _resolve_targets(cfg: dict, graph) -> list[int] | None:
             )
         rng = substream(int(cfg["seed"]), "targets")
         return sorted(rng.choice(pool, size=num, replace=False).tolist())
-    return None
+    raise ConfigurationError("attack needs --targets or --num-targets")
+
+
+def _check_max_vocab(cfg: dict) -> None:
+    """The vocabulary cap's check, made before any read; `Vocabulary.from_texts`
+    makes the same check for library callers."""
+    if cfg["max_vocab"] < 1:
+        raise ConfigurationError("vocabulary max_size must be >= 1")
 
 
 def _load_featurized(data_dir: str, max_vocab: int):
@@ -237,13 +243,6 @@ def _config(cls, cfg: dict, **given):
     `given` value; a field with neither is a KeyError, never its default."""
     values = cfg | given
     return cls(**{f.name: values[f.name] for f in fields(cls)})
-
-
-def _train_embeddings(graph, features, config):
-    from .encoder import encode, train_encoder
-
-    trained = train_encoder(graph, features, config)
-    return trained, encode(trained, graph, features)
 
 
 def _counters(features, operand_forms: dict[str, dict[str, str]]) -> dict:
@@ -274,43 +273,6 @@ def _run_synth(cfg: dict, out: Path):
     return {}, {"seed": cfg["seed"], "summary": summary}, EXIT_OK
 
 
-def _run_encode(cfg: dict, out: Path):
-    from .encoder import EncoderConfig, save_checkpoint
-    from .text_features import save_embeddings
-
-    config = _config(EncoderConfig, cfg)
-    graph, vocab, features = _load_featurized(cfg["data"], cfg["max_vocab"])
-    started = time.perf_counter()
-    trained, embeddings = _train_embeddings(graph, features, config)
-    save_checkpoint(trained, out / "encoder.json")
-    save_embeddings(embeddings, out / "embeddings.jsonl")
-    extra = {
-        "seed": cfg["seed"],
-        "vocab_size": len(vocab.index),
-        "final_loss": trained.loss_history[-1],
-        "timings": {"train_s": round(time.perf_counter() - started, 3)},
-        "counters": _counters(features, {"encoder": trained.operand_forms}),
-    }
-    print(f"encode: final loss {trained.loss_history[-1]:.4f} -> {out}")
-    return _dataset_inputs(cfg["data"]), extra, EXIT_OK
-
-
-def _run_retrieve(cfg: dict, out: Path):
-    from .retrieval import retrieve_all, save_influencers
-    from .text_features import load_embeddings
-
-    graph = load_graph(cfg["data"])
-    embeddings = load_embeddings(cfg["embeddings"], graph.node_count)
-    targets = _resolve_targets(cfg, graph)
-    if targets is None:
-        targets = list(range(graph.node_count))
-    sets = retrieve_all(embeddings, targets, cfg["k"])
-    save_influencers(sets, out / "influencers.jsonl")
-    inputs = _dataset_inputs(cfg["data"]) | _file_inputs(cfg["embeddings"])
-    print(f"retrieve: {len(sets)} influencer sets (k={cfg['k']}) -> {out}")
-    return inputs, {"seed": cfg["seed"], "targets": targets}, EXIT_OK
-
-
 def _load_templates(cfg: dict):
     """(templates by name, the files they were read from) of the template options."""
     from .prompts import load_template
@@ -323,11 +285,12 @@ def _load_templates(cfg: dict):
 def _run_attack(cfg: dict, out: Path):
     from .attack import attack, check_attack_config
     from .backends import LLMBackend, LLMConfig, OracleBackend, api_key
-    from .encoder import EncoderConfig
+    from .encoder import EncoderConfig, encode, train_encoder
 
-    # every config error is found before the dataset is read
+    # every config error is found before a template or the dataset is read
     check_attack_config(cfg["text_budget"], cfg["k"])
     encoder_config = _config(EncoderConfig, cfg)
+    _check_max_vocab(cfg)
     if cfg["backend"] not in ("oracle", "llm"):
         raise ConfigurationError(f"unknown backend kind {cfg['backend']!r}")
     if cfg["backend"] == "llm":
@@ -336,10 +299,9 @@ def _run_attack(cfg: dict, out: Path):
     templates, template_paths = _load_templates(cfg)
     graph, vocab, features = _load_featurized(cfg["data"], cfg["max_vocab"])
     targets = _resolve_targets(cfg, graph)
-    if targets is None:
-        raise ConfigurationError("attack needs --targets or --num-targets")
     started = time.perf_counter()
-    trained, embeddings = _train_embeddings(graph, features, encoder_config)
+    trained = train_encoder(graph, features, encoder_config)
+    embeddings = encode(trained, graph, features)
     train_s = time.perf_counter() - started
 
     backend = oracle = OracleBackend(graph, embeddings, vocab)
@@ -450,6 +412,7 @@ def _run_evaluate(cfg: dict, out: Path):
                 f"unknown victim {kind!r}; choose from {', '.join(VICTIM_KINDS)}"
             )
     victim_config = _config(VictimConfig, cfg)
+    _check_max_vocab(cfg)
     label = cfg["attacker_label"]
     plan_paths = {label: cfg["plan"]}
     for spec in cfg["baseline"] or []:
@@ -552,6 +515,7 @@ def _run_audit(cfg: dict, out: Path):
     from .metrics import bound_audit
     from .text_features import featurize
 
+    _check_max_vocab(cfg)
     clean, vocab, clean_x = _load_featurized(cfg["clean"], cfg["max_vocab"])
     perturbed = load_graph(cfg["perturbed"])
     perturbed_x = featurize(perturbed.texts, vocab)
@@ -579,18 +543,12 @@ def _run_audit(cfg: dict, out: Path):
 # ---------------------------------------------------------------------------
 # command table and entry point
 
-# the surrogate encoder in encode and attack, the victims in evaluate
+# the surrogate encoder in attack, the victims in evaluate
 _TRAINING_FLAGS = [
     ("hidden", "int", 64, "hidden layer width"),
     ("learning_rate", "float", 0.01, "Adam learning rate"),
     ("epochs", "int", 200, "training epochs"),
     ("weight_decay", "float", 5e-4, "L2 weight decay"),
-]
-
-_TARGET_FLAGS = [
-    ("targets", "str", None, "explicit comma-separated target node ids"),
-    ("num_targets", "int", None, "sample this many targets from --target-split"),
-    ("target_split", "str", "test", "split to sample targets from"),
 ]
 
 _COMMANDS = {
@@ -612,27 +570,6 @@ _COMMANDS = {
         _run_synth,
         "generate a synthetic text-attributed graph",
     ),
-    "encode": (
-        [
-            ("data", "str", _REQUIRED, "dataset directory"),
-            ("max_vocab", "int", 2000, "vocabulary size cap"),
-            ("seed", "int", 0, "training seed"),
-            *_TRAINING_FLAGS,
-        ],
-        _run_encode,
-        "train the surrogate encoder and dump embeddings",
-    ),
-    "retrieve": (
-        [
-            ("data", "str", _REQUIRED, "dataset directory"),
-            ("embeddings", "str", _REQUIRED, "embeddings file from encode"),
-            ("k", "int", DEFAULT_K, "influencers per target"),
-            ("seed", "int", 0, "sampling seed"),
-            *_TARGET_FLAGS,
-        ],
-        _run_retrieve,
-        "dump influencer sets (all nodes unless targets are given)",
-    ),
     "attack": (
         [
             ("data", "str", _REQUIRED, "dataset directory"),
@@ -649,7 +586,9 @@ _COMMANDS = {
             ("topology_template", "str", None, "custom topology prompt file"),
             ("text_template", "str", None, "custom text prompt file"),
             ("anchor_mismatch", "bool", False, "ablation: mis-anchor the text step"),
-            *_TARGET_FLAGS,
+            ("targets", "str", None, "explicit comma-separated target node ids"),
+            ("num_targets", "int", None, "sample this many targets from --target-split"),
+            ("target_split", "str", "test", "split to sample targets from"),
             *_TRAINING_FLAGS,
         ],
         _run_attack,

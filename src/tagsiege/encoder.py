@@ -14,7 +14,6 @@ victims included) whose `{"w1", "w2"}` weights `forward` runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -26,7 +25,6 @@ from .nnops import (
     add_decay, as_dense, cross_entropy_with_grad, fit, glorot, l2_penalty, operand_form,
     product, product_buffer, relu, training_operand,
 )
-from .records import dumps
 from .seeding import substream
 
 
@@ -239,18 +237,4 @@ def gradient_check(
                 denom = max(abs(analytic[a, b]), abs(numeric), 1e-8)
                 worst = max(worst, abs(analytic[a, b] - numeric) / denom)
     return worst
-
-
-def save_checkpoint(trained: TrainedModel, path: str | Path) -> None:
-    w1, w2 = trained.weights["w1"], trained.weights["w2"]
-    payload = {
-        "kind": "gcn-encoder",
-        "hidden": trained.config.hidden,
-        "input_dim": w1.shape[0],
-        "class_count": w2.shape[1],
-        "seed": trained.config.seed,
-        "w1": w1.tolist(),
-        "w2": w2.tolist(),
-    }
-    Path(path).write_text(dumps(payload))
 

@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DegenerateVectorWarning, ShapeError
 from .nnops import pair_cosines, unit_rows
 from .plan import DEFAULT_K
-from .records import write_jsonl
 
 # targets scored together: at most this many (target, node) cosines at once
 SCORE_BLOCK = 1 << 16
@@ -90,8 +88,3 @@ def retrieve_all(
         out.update((t, _top_k(row, t, k)) for t, row in zip(chunk, dissim))
     return out
 
-
-def save_influencers(sets: dict[int, InfluencerSet], path: str | Path) -> None:
-    write_jsonl(path, (
-        {"target": t, "candidates": list(sets[t].candidates)} for t in sorted(sets)
-    ))

@@ -1,4 +1,4 @@
-"""Tokenization, TF-IDF features and embedding files.
+"""Tokenization and TF-IDF features.
 
 The featurizer is deliberately simple and fully pinned down so that feature
 vectors are reproducible across runs and machines: lowercase alphanumeric
@@ -11,14 +11,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, ParseError, ShapeError
+from .errors import DegenerateInputError
 from .graph import TextAttributedGraph
-from .records import integer, number, read_jsonl, typed, write_jsonl
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -114,34 +112,3 @@ def featurize(texts: Sequence[str], vocab: Vocabulary) -> sp.csr_matrix:
     counts.data *= vocab.idf_vector()[counts.indices]
     return counts
 
-
-def save_embeddings(vectors: np.ndarray, path: str | Path) -> None:
-    """One {"id", "vec"} object per node per line."""
-    vectors = np.asarray(vectors, dtype=float)
-    write_jsonl(path, ({"id": i, "vec": row.tolist()} for i, row in enumerate(vectors)))
-
-
-def _embedding_record(rec: dict) -> tuple[int, list[float]]:
-    return integer(rec["id"]), [number(x) for x in typed(rec["vec"], list)]
-
-
-def load_embeddings(path: str | Path, node_count: int | None = None) -> np.ndarray:
-    """Read an embedding JSONL back into a dense (n, d) array."""
-    rows: dict[int, list[float]] = {}
-    dim: int | None = None
-    for lineno, (node_id, vec) in read_jsonl(path, _embedding_record):
-        if dim is None:
-            dim = len(vec)
-        elif len(vec) != dim:
-            raise ParseError(f"embedding dimension {len(vec)} != {dim}", str(path), lineno)
-        if node_id in rows:
-            raise ParseError(f"duplicate embedding id {node_id}", str(path), lineno)
-        rows[node_id] = vec
-    if not rows:
-        raise ParseError("embedding file is empty", str(path), 0)
-    n = len(rows)
-    if sorted(rows) != list(range(n)):
-        raise ParseError("embedding ids are not dense in [0, n)", str(path), 0)
-    if node_count is not None and n != node_count:
-        raise ShapeError(f"embedding file has {n} rows for {node_count} nodes")
-    return np.array([rows[i] for i in range(n)], dtype=float)

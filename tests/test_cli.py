@@ -221,7 +221,8 @@ def test_manifests_record_feature_sparsity_and_operand_forms(tmp_path, data_dir,
     assert read_manifest(out)["counters"]["operand_forms"]["sage_mean"]["x"] == x_form
 
 
-def test_attack_conflicting_target_flags_exit_two(tmp_path, data_dir):
+def test_attack_conflicting_target_flags_exit_two(tmp_path, capsys, data_dir):
+    capsys.readouterr()
     code = main(
         [
             "attack",
@@ -232,6 +233,13 @@ def test_attack_conflicting_target_flags_exit_two(tmp_path, data_dir):
         ]
     )
     assert code == 2
+    assert capsys.readouterr().err == "error: pass either --targets or --num-targets, not both\n"
+
+
+def test_attack_without_target_flags_exits_two(tmp_path, capsys, data_dir):
+    capsys.readouterr()
+    assert main(["attack", "--data", str(data_dir), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: attack needs --targets or --num-targets\n"
 
 
 def test_attack_explicit_targets(tmp_path, data_dir):
@@ -554,6 +562,8 @@ def test_audit_node_count_mismatch_exits_two(tmp_path, data_dir):
     "evaluate-plan", "evaluate-plan-non-integer", "replay-manifest",
     "audit-report-malformed", "audit-report-incomplete",
     "audit-report-string-average", "audit-report-bool-average",
+    "audit-report-nan-average", "audit-report-infinity-average",
+    "audit-report-negative-infinity-average",
 ])
 def test_malformed_input_file_exits_two(tmp_path, capsys, data_dir, attack_run, case):
     bad = tmp_path / "bad.json"
@@ -575,6 +585,14 @@ def test_malformed_input_file_exits_two(tmp_path, capsys, data_dir, attack_run, 
                                            '"aggregates_perturbed": {"average": 0.5}}',
             "audit-report-bool-average": '{"aggregates_clean": {"average": 0.75}, '
                                          '"aggregates_perturbed": {"average": true}}',
+            # Python's json reads NaN and Infinity; the report reader must not
+            "audit-report-nan-average": '{"aggregates_clean": {"average": NaN}, '
+                                        '"aggregates_perturbed": {"average": 0.5}}',
+            "audit-report-infinity-average": '{"aggregates_clean": {"average": 0.75}, '
+                                             '"aggregates_perturbed": {"average": Infinity}}',
+            "audit-report-negative-infinity-average":
+                '{"aggregates_clean": {"average": -Infinity}, '
+                '"aggregates_perturbed": {"average": 0.5}}',
         }[case])
         argv = ["audit", "--clean", str(data_dir), "--perturbed", perturbed, "--report", str(bad)]
     assert main([*argv, "--out", str(tmp_path / "o")]) == 2
@@ -584,31 +602,38 @@ def test_malformed_input_file_exits_two(tmp_path, capsys, data_dir, attack_run, 
         assert err.startswith(f"error: {bad}:0: bad record: expected a finite number")
 
 
-def test_encode_and_retrieve(tmp_path, data_dir):
-    enc = tmp_path / "enc"
-    assert main(["encode", "--data", str(data_dir), "--out", str(enc)]) == 0
-    assert (enc / "encoder.json").exists()
-    manifest = read_manifest(enc)
-    assert manifest["vocab_size"] > 0
+@pytest.mark.parametrize("command", ["encode", "retrieve"])
+def test_a_retired_command_is_an_invalid_choice(tmp_path, capsys, data_dir, command):
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--data", str(data_dir), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert f"invalid choice: {command!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
-    ret = tmp_path / "ret"
-    code = main(
-        [
-            "retrieve",
-            "--data", str(data_dir),
-            "--embeddings", str(enc / "embeddings.jsonl"),
-            "--out", str(ret),
-            "--targets", "0,1,2",
-            "--k", "4",
-        ]
-    )
-    assert code == 0
-    rows = [
-        json.loads(line)
-        for line in (ret / "influencers.jsonl").read_text().splitlines()
-    ]
-    assert [r["target"] for r in rows] == [0, 1, 2]
-    assert all(len(r["candidates"]) == 4 for r in rows)
+
+def test_help_lists_exactly_the_pipeline_commands_and_replay(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "{synth,attack,evaluate,audit,replay}" in capsys.readouterr().out
+    assert list(cli._COMMANDS) == ["synth", "attack", "evaluate", "audit"]
+
+
+def test_library_encode_and_retrieve_all_give_k_influencers_per_target(data_dir):
+    # the introspection the retired encode/retrieve commands dumped to files
+    from tagsiege.retrieval import retrieve_all
+
+    graph = load_graph(data_dir)
+    X = featurize(graph.texts, build_vocabulary(graph))
+    trained = encoder.train_encoder(graph, X, EncoderConfig(hidden=16, epochs=50, seed=1))
+    Z = encoder.encode(trained, graph, X)
+    assert Z.shape == (graph.node_count, 16)
+    sets = retrieve_all(Z, [0, 1, 2], k=4)
+    assert list(sets) == [0, 1, 2]
+    for target, found in sets.items():
+        assert len(found.candidates) == 4
+        assert target not in found.candidates
 
 
 def test_llm_backend_without_key_exits_two(tmp_path, capsys, data_dir, monkeypatch):
@@ -723,19 +748,33 @@ def test_a_recorded_non_finite_value_exits_two_before_reading(
 @pytest.mark.parametrize("argv, message", [
     (["attack", "--data", "{none}", "--num-targets", "2", "--hidden", "0"],
      "hidden width must be >= 1"),
-    (["encode", "--data", "{none}", "--epochs", "0"], "epochs must be >= 1"),
+    (["attack", "--data", "{none}", "--num-targets", "2", "--epochs", "0"],
+     "epochs must be >= 1"),
+    (["attack", "--data", "{none}", "--num-targets", "2", "--learning-rate", "0"],
+     "learning rate must be positive"),
+    (["attack", "--data", "{none}", "--num-targets", "2", "--weight-decay", "-1"],
+     "weight decay must be >= 0"),
+    (["attack", "--data", "{none}", "--num-targets", "2", "--max-vocab", "0"],
+     "vocabulary max_size must be >= 1"),
+    (["evaluate", "--clean", "{none}", "--epochs", "0"], "epochs must be >= 1"),
     (["evaluate", "--clean", "{none}", "--sgc-steps", "0"], "sgc_steps must be >= 1"),
     (["evaluate", "--clean", "{none}", "--victims", "nope"],
      "unknown victim 'nope'; choose from gcn, sgc, sage_mean"),
     (["evaluate", "--clean", "{none}", "--baseline", "bad"],
      "baseline must look like NAME=PLAN_PATH, got 'bad'"),
-], ids=["attack-hidden-0", "encode-epochs-0", "evaluate-sgc-steps-0", "evaluate-unknown-victim",
-        "evaluate-malformed-baseline"])
+    (["evaluate", "--clean", "{none}", "--max-vocab", "0"], "vocabulary max_size must be >= 1"),
+    (["audit", "--clean", "{none}", "--max-vocab", "0"], "vocabulary max_size must be >= 1"),
+], ids=["attack-hidden-0", "attack-epochs-0", "attack-learning-rate-0",
+        "attack-weight-decay-negative", "attack-max-vocab-0", "evaluate-epochs-0", "evaluate-sgc-steps-0",
+        "evaluate-unknown-victim", "evaluate-malformed-baseline", "evaluate-max-vocab-0",
+        "audit-max-vocab-0"])
 def test_config_errors_are_found_before_a_missing_dataset(tmp_path, capsys, argv, message):
     none = str(tmp_path / "none")
     argv = [arg.format(none=none) for arg in argv]
+    if argv[0] in ("evaluate", "audit"):
+        argv += ["--perturbed", none]
     if argv[0] == "evaluate":
-        argv += ["--perturbed", none, "--plan", str(tmp_path / "none.jsonl")]
+        argv += ["--plan", str(tmp_path / "none.jsonl")]
     capsys.readouterr()
     out = tmp_path / "o"
     assert main([*argv, "--out", str(out)]) == 2
@@ -743,26 +782,39 @@ def test_config_errors_are_found_before_a_missing_dataset(tmp_path, capsys, argv
     assert not (out / "report.json").exists()
 
 
-@pytest.mark.parametrize("command, cls, given", [
-    ("synth", SynthConfig, {"split_fractions": (0.6, 0.2, 0.2)}),
-    ("encode", EncoderConfig, {}),
-    ("attack", EncoderConfig, {}),
-    ("attack", LLMConfig, {}),
-    ("evaluate", victims.VictimConfig, {}),
+@pytest.mark.parametrize("command, cls", [
+    ("synth", SynthConfig),
+    ("attack", EncoderConfig),
+    ("attack", LLMConfig),
+    ("evaluate", victims.VictimConfig),
 ])
-def test_every_config_field_is_an_option_of_its_command(command, cls, given):
-    spec = cli._COMMANDS[command][0]
-    options = {name for name, *_ in spec}
-    assert {f.name for f in fields(cls)} - set(given) <= options
-    defaults = {name: default for name, _, default, _ in spec}
-    config = cli._config(cls, defaults, **given)
+def test_every_config_field_is_an_option_of_its_command(command, cls):
+    defaults = {name: default for name, _, default, _ in cli._COMMANDS[command][0]}
+    if cls is SynthConfig:
+        defaults["split_fractions"] = tuple(
+            defaults[f"{split}_frac"] for split in ("train", "val", "test")
+        )
     for f in fields(cls):
-        assert getattr(config, f.name) == (given | defaults)[f.name]
+        assert f.name in defaults, f"{command} has no option for {cls.__name__}.{f.name}"
+        assert defaults[f.name] == f.default, f"{command} default of {f.name}"
 
 
 def test_config_helper_never_falls_back_to_a_field_default():
     with pytest.raises(KeyError, match="learning_rate"):
         cli._config(EncoderConfig, {"hidden": 8, "epochs": 2, "weight_decay": 0.0, "seed": 1})
+
+
+@pytest.mark.parametrize("command", ["encode", "retrieve"])
+def test_a_manifest_of_a_retired_command_does_not_replay(tmp_path, capsys, data_dir, command):
+    manifest = read_manifest(data_dir)
+    manifest["command"] = command
+    old = tmp_path / "manifest.json"
+    old.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert main(["replay", str(old), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: manifest names unknown command {command!r}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("run", ["synth", "attack"])

@@ -6,7 +6,6 @@ from tagsiege.errors import ParseError
 from tagsiege.graph import load_graph
 from tagsiege.plan import load_plan
 from tagsiege.records import dumps, integer, number, read_jsonl, write_jsonl
-from tagsiege.text_features import load_embeddings
 
 NODE_0 = '{"id":0,"label":0,"split":"train","text":"alpha beta"}'
 
@@ -41,9 +40,6 @@ JSONL_READERS = {
               '{"add_influencer":3,"delete_neighbor":null,"target":"2"}',
               '{"skipped":"isolated","target":2.0}'],
              lambda d: load_plan(d / "plan.jsonl")),
-    "embeddings": ("embeddings.jsonl", '{"id":0,"vec":[1.0,2.0]}', '{"id":1,"vec":"12"}',
-                   ['{"id":1.0,"vec":[1.0,2.0]}', '{"id":true,"vec":[1.0,2.0]}'],
-                   lambda d: load_embeddings(d / "embeddings.jsonl")),
 }
 
 
@@ -98,16 +94,6 @@ def test_number_rejects_everything_but_a_finite_json_number(value):
 def test_number_passes_finite_numbers_as_floats(value, want):
     got = number(value)
     assert type(got) is float and got == want
-
-
-@pytest.mark.parametrize("vec", ['["1.5",true]', "[1.5,true]", '[1.5,"2"]', "[NaN,1.0]",
-                                 "[1.0,Infinity]"])
-def test_embedding_line_with_a_non_number_is_rejected(tmp_path, vec):
-    path = tmp_path / "embeddings.jsonl"
-    path.write_text(f'{{"id":0,"vec":[1.0,2.0]}}\n{{"id":1,"vec":{vec}}}\n')
-    with pytest.raises(ParseError) as err:
-        load_embeddings(path)
-    assert str(err.value).startswith(f"{path}:2: bad record: expected a finite number")
 
 
 def test_plan_line_with_float_target_and_bool_influencer_is_rejected(tmp_path):

@@ -8,15 +8,13 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tagsiege.errors import DegenerateInputError, ParseError, ShapeError
+from tagsiege.errors import DegenerateInputError
 from tagsiege.graph import TextAttributedGraph
 from tagsiege.metrics import bound_audit
 from tagsiege.text_features import (
     Vocabulary,
     build_vocabulary,
     featurize,
-    load_embeddings,
-    save_embeddings,
     token_edit_distance,
     tokenize,
 )
@@ -137,24 +135,3 @@ def test_estimate_lipschitz_matches_hand_computation():
     # one token added: drift == idf(gamma), distance == 1
     expected = vocab.idf("gamma")
     assert audit["lipschitz_est"] == pytest.approx(expected)
-
-
-def test_embeddings_roundtrip(tmp_path):
-    Z = np.arange(12, dtype=float).reshape(4, 3) / 7.0
-    path = tmp_path / "emb.jsonl"
-    save_embeddings(Z, path)
-    back = load_embeddings(path, node_count=4)
-    np.testing.assert_allclose(back, Z)
-
-
-def test_load_embeddings_validates(tmp_path):
-    path = tmp_path / "emb.jsonl"
-    path.write_text('{"id":0,"vec":[1.0,2.0]}\n{"id":1,"vec":[1.0]}\n')
-    with pytest.raises(ParseError):
-        load_embeddings(path)
-    path.write_text('{"id":0,"vec":[1.0]}\n{"id":2,"vec":[2.0]}\n')
-    with pytest.raises(ParseError):
-        load_embeddings(path)
-    path.write_text('{"id":0,"vec":[1.0]}\n')
-    with pytest.raises(ShapeError):
-        load_embeddings(path, node_count=3)
