@@ -22,10 +22,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .backends import AttackerBackend, validate_text_decision, validate_topology_decision
+from .config import DEFAULT_K
 from .errors import BackendError, ConfigurationError, TagSiegeError
 from .graph import TextAttributedGraph
 from .nnops import pair_cosines, unit_rows
-from .plan import DEFAULT_K, PerturbationPlan, PlanEntry, ordered_targets
+from .plan import PerturbationPlan, PlanEntry, ordered_targets
 from .prompts import (
     PromptTemplate,
     TopologyPrompt,

@@ -23,6 +23,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
+from .config import LLMConfig
 from .errors import BackendError, ConfigurationError, RetrievalExhaustedError
 from .graph import TextAttributedGraph
 from .nnops import pair_cosines, unit_rows
@@ -256,24 +257,6 @@ def api_key() -> str:
     return key
 
 
-@dataclass
-class LLMConfig:
-    model: str = "gpt-4o-mini"
-    base_url: str | None = None
-    temperature: float = 0.0
-    timeout: float = 60.0
-    max_attempts: int = 3
-
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ConfigurationError("max_attempts must be >= 1")
-        if not self.timeout > 0:
-            raise ConfigurationError("timeout must be > 0 seconds")
-
-    def resolved_base_url(self) -> str:
-        return self.base_url or os.environ.get(BASE_URL_ENV, DEFAULT_BASE_URL)
-
-
 _sessions = threading.local()
 
 
@@ -333,18 +316,14 @@ class LLMBackend(AttackerBackend):
         self.fallback = fallback
         self.transport = transport or _default_transport
         self.sleep = sleep
-        if transport is None:
-            api_key()
-
-    def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
-        key = os.environ.get(API_KEY_ENV)
+        key = api_key() if transport is None else os.environ.get(API_KEY_ENV)
+        self.headers = {"Content-Type": "application/json"}
         if key:
-            headers["Authorization"] = f"Bearer {key}"
-        return headers
+            self.headers["Authorization"] = f"Bearer {key}"
+        base_url = config.base_url or os.environ.get(BASE_URL_ENV, DEFAULT_BASE_URL)
+        self.url = base_url.rstrip("/") + "/chat/completions"
 
     def _complete(self, prompt_text: str) -> str:
-        url = self.config.resolved_base_url().rstrip("/") + "/chat/completions"
         payload = {
             "model": self.config.model,
             "temperature": self.config.temperature,
@@ -356,7 +335,7 @@ class LLMBackend(AttackerBackend):
                 self._count(retries=1)
                 self.sleep(BACKOFF_BASE_S * (2 ** (attempt - 1)))
             try:
-                body = self.transport(url, self._headers(), payload, self.config.timeout)
+                body = self.transport(self.url, self.headers, payload, self.config.timeout)
                 return body["choices"][0]["message"]["content"]
             except Exception as exc:  # transport or shape failure; retry
                 last_error = exc

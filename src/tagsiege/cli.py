@@ -8,17 +8,19 @@ with ``tagsiege replay``.
 Option precedence: CLI flags > ``--config`` file (flat ``key=value`` lines,
 ``#`` comments) > built-in defaults. Flags and file lines share one parser
 per option kind (``_parse``) and ``replay`` checks recorded values with the
-``records`` rules, so a non-finite float is refused from every source. Each
-runner builds its config objects field by field (``_config``) and checks
-them before it reads a dataset, plan or report; ``main`` and ``replay`` run
-it through ``_run``. Exit codes: 0 ok, 2 config/validation, 3 an attack in
+``records`` rules, so a non-finite float is refused from every source. An
+option backed by a field of a ``config`` dataclass takes its kind, default
+and help from that field (``_options``), and each runner builds its config
+objects from the options of the same names (``_config``) and checks them
+before it reads a dataset, plan or report; ``main`` and ``replay`` run it
+through ``_run``. Exit codes: 0 ok, 2 config/validation, 3 an attack in
 which every target was skipped, 4 training.
 
 Module level imports only what parsing, manifests and ``replay``'s checks
-need, none of which loads numpy; every other layer (seeding, synth, features,
-encoder, backends, attack, victims, metrics) is imported by the runner or
-helper that uses it. So ``--help`` and argument errors start without importing
-numpy, and ``synth`` and a replayed ``synth`` without importing scipy.
+need (``config`` among them), none of which loads numpy; every other layer
+is imported by the runner or helper that uses it. So ``--help`` and argument
+errors start without importing numpy, and ``synth`` and a replayed ``synth``
+without importing scipy.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from functools import partial
 from pathlib import Path
 
 from . import __version__
+from .config import DEFAULT_K, MAX_VOCAB, EncoderConfig, LLMConfig, SynthConfig, VictimConfig
 from .errors import (
     ConfigurationError,
     ParseError,
@@ -43,15 +46,13 @@ from .errors import (
     TrainingError,
 )
 from .graph import dataset_files, load_graph, save_graph
-from .plan import DEFAULT_K, apply_plan, load_plan, save_plan
+from .plan import apply_plan, load_plan, save_plan
 from .records import dumps, integer, number, read_json, typed
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BACKEND = 3
 EXIT_TRAINING = 4
-
-COST_PER_NODE_USD = 0.0009
 
 _REQUIRED = object()
 
@@ -196,29 +197,24 @@ def _parse_target_list(raw: str) -> list[int]:
     return ids
 
 
-def _resolve_targets(cfg: dict, graph) -> list[int]:
-    """Explicit --targets list, or --num-targets sampled from --target-split."""
-    raw, num = cfg["targets"], cfg["num_targets"]
-    if raw is not None and num is not None:
-        raise ConfigurationError("pass either --targets or --num-targets, not both")
-    if raw is not None:
-        ids = _parse_target_list(raw)
+def _resolve_targets(ids: list[int] | None, cfg: dict, graph) -> list[int]:
+    """The parsed --targets list `ids`, checked against the graph, or
+    --num-targets sampled from --target-split."""
+    if ids is not None:
         bad = [i for i in ids if not 0 <= i < graph.node_count]
         if bad:
             raise ConfigurationError(f"targets out of range: {bad}")
         return ids
-    if num is not None:
-        from .seeding import substream
+    from .seeding import substream
 
-        split = cfg["target_split"]
-        pool = sorted(graph.split_nodes(split))
-        if not 1 <= num <= len(pool):
-            raise ConfigurationError(
-                f"num_targets must be in [1, {len(pool)}] for split {split!r}"
-            )
-        rng = substream(int(cfg["seed"]), "targets")
-        return sorted(rng.choice(pool, size=num, replace=False).tolist())
-    raise ConfigurationError("attack needs --targets or --num-targets")
+    split, num = cfg["target_split"], cfg["num_targets"]
+    pool = sorted(graph.split_nodes(split))
+    if not 1 <= num <= len(pool):
+        raise ConfigurationError(
+            f"num_targets must be in [1, {len(pool)}] for split {split!r}"
+        )
+    rng = substream(int(cfg["seed"]), "targets")
+    return sorted(rng.choice(pool, size=num, replace=False).tolist())
 
 
 def _check_max_vocab(cfg: dict) -> None:
@@ -238,11 +234,10 @@ def _load_featurized(data_dir: str, max_vocab: int):
     return graph, vocab, featurize(graph.texts, vocab)
 
 
-def _config(cls, cfg: dict, **given):
-    """A `cls` whose every dataclass field is the option of the same name or a
-    `given` value; a field with neither is a KeyError, never its default."""
-    values = cfg | given
-    return cls(**{f.name: values[f.name] for f in fields(cls)})
+def _config(cls, cfg: dict):
+    """A `cls` whose every dataclass field is the option of the same name; a
+    field with no option is a KeyError, never its default."""
+    return cls(**{f.name: cfg[f.name] for f in fields(cls)})
 
 
 def _counters(features, operand_forms: dict[str, dict[str, str]]) -> dict:
@@ -261,10 +256,9 @@ def _counters(features, operand_forms: dict[str, dict[str, str]]) -> dict:
 
 
 def _run_synth(cfg: dict, out: Path):
-    from .synth import SynthConfig, generate, summarize
+    from .synth import generate, summarize
 
-    fractions = (cfg["train_frac"], cfg["val_frac"], cfg["test_frac"])
-    graph = generate(_config(SynthConfig, cfg, split_fractions=fractions))
+    graph = generate(_config(SynthConfig, cfg))
     save_graph(graph, out)
     summary = summarize(graph)
     print(
@@ -284,8 +278,8 @@ def _load_templates(cfg: dict):
 
 def _run_attack(cfg: dict, out: Path):
     from .attack import attack, check_attack_config
-    from .backends import LLMBackend, LLMConfig, OracleBackend, api_key
-    from .encoder import EncoderConfig, encode, train_encoder
+    from .backends import LLMBackend, OracleBackend, api_key
+    from .encoder import encode, train_encoder
 
     # every config error is found before a template or the dataset is read
     check_attack_config(cfg["text_budget"], cfg["k"])
@@ -296,9 +290,15 @@ def _run_attack(cfg: dict, out: Path):
     if cfg["backend"] == "llm":
         api_key()
         llm_config = _config(LLMConfig, cfg)
+    raw, num = cfg["targets"], cfg["num_targets"]
+    if raw is not None and num is not None:
+        raise ConfigurationError("pass either --targets or --num-targets, not both")
+    if raw is None and num is None:
+        raise ConfigurationError("attack needs --targets or --num-targets")
+    ids = None if raw is None else _parse_target_list(raw)
     templates, template_paths = _load_templates(cfg)
     graph, vocab, features = _load_featurized(cfg["data"], cfg["max_vocab"])
-    targets = _resolve_targets(cfg, graph)
+    targets = _resolve_targets(ids, cfg, graph)
     started = time.perf_counter()
     trained = train_encoder(graph, features, encoder_config)
     embeddings = encode(trained, graph, features)
@@ -342,8 +342,6 @@ def _run_attack(cfg: dict, out: Path):
         },
         "counters": _counters(features, {"encoder": trained.operand_forms}),
     }
-    if cfg["backend"] == "llm":
-        extra["cost_estimate_usd"] = round(COST_PER_NODE_USD * completed, 6)
     inputs = _dataset_inputs(cfg["data"]) | _file_inputs(*template_paths)
     if not completed:
         extra["error"] = (
@@ -400,7 +398,7 @@ def _train_victims(kinds: list[str], clean, clean_x, config):
 def _run_evaluate(cfg: dict, out: Path):
     from .metrics import aggregate, bound_audit, synergy_test
     from .text_features import featurize
-    from .victims import VICTIM_KINDS, VictimConfig, accuracy
+    from .victims import VICTIM_KINDS, accuracy
 
     # every config error is found before a dataset or plan is read
     kinds = [k for k in cfg["victims"].split(",") if k]
@@ -543,46 +541,32 @@ def _run_audit(cfg: dict, out: Path):
 # ---------------------------------------------------------------------------
 # command table and entry point
 
+
+def _options(cls, *names):
+    """Option rows of the fields of config class `cls` (those in `names`, or
+    all): the kind is the annotation less its " | None", the default and the
+    help are the field's."""
+    return [
+        (f.name, f.type.removesuffix(" | None"), f.default, f.metadata["help"])
+        for f in fields(cls) if not names or f.name in names
+    ]
+
+
 # the surrogate encoder in attack, the victims in evaluate
-_TRAINING_FLAGS = [
-    ("hidden", "int", 64, "hidden layer width"),
-    ("learning_rate", "float", 0.01, "Adam learning rate"),
-    ("epochs", "int", 200, "training epochs"),
-    ("weight_decay", "float", 5e-4, "L2 weight decay"),
-]
+_TRAINING_FLAGS = _options(EncoderConfig, "hidden", "learning_rate", "epochs", "weight_decay")
+_MAX_VOCAB = ("max_vocab", "int", MAX_VOCAB, "vocabulary size cap")
 
 _COMMANDS = {
-    "synth": (
-        [
-            ("node_count", "int", 300, "number of nodes"),
-            ("class_count", "int", 4, "number of classes"),
-            ("p_in", "float", 0.05, "intra-class edge probability"),
-            ("p_out", "float", 0.005, "inter-class edge probability"),
-            ("tokens_per_text", "int", 6, "tokens drawn per node text"),
-            ("class_vocab_size", "int", 8, "terms per class vocabulary"),
-            ("shared_vocab_size", "int", 12, "terms shared across classes"),
-            ("noise_rate", "float", 0.05, "probability of a one-off noise token"),
-            ("seed", "int", 0, "generation seed"),
-            ("train_frac", "float", 0.6, "train split fraction"),
-            ("val_frac", "float", 0.2, "validation split fraction"),
-            ("test_frac", "float", 0.2, "test split fraction"),
-        ],
-        _run_synth,
-        "generate a synthetic text-attributed graph",
-    ),
+    "synth": (_options(SynthConfig), _run_synth, "generate a synthetic text-attributed graph"),
     "attack": (
         [
             ("data", "str", _REQUIRED, "dataset directory"),
             ("backend", "str", "oracle", "attacker backend: oracle or llm"),
-            ("model", "str", "gpt-4o-mini", "chat model name (llm backend)"),
-            ("base_url", "str", None, "API base URL (llm backend)"),
-            ("temperature", "float", 0.0, "sampling temperature (llm backend)"),
-            ("timeout", "float", 60.0, "request timeout seconds (llm backend)"),
-            ("max_attempts", "int", 3, "transport attempts per query (llm backend)"),
+            *_options(LLMConfig),
             ("text_budget", "int", 12, "per-node token edit budget"),
             ("k", "int", DEFAULT_K, "influencers retrieved per target"),
-            ("seed", "int", 0, "run seed (encoder, sampling, prompts)"),
-            ("max_vocab", "int", 2000, "vocabulary size cap"),
+            *_options(EncoderConfig, "seed"),
+            _MAX_VOCAB,
             ("topology_template", "str", None, "custom topology prompt file"),
             ("text_template", "str", None, "custom text prompt file"),
             ("anchor_mismatch", "bool", False, "ablation: mis-anchor the text step"),
@@ -602,9 +586,8 @@ _COMMANDS = {
             ("victims", "str", "gcn,sgc,sage_mean", "comma-separated victim kinds"),
             ("attacker_label", "str", "tagsiege", "row label for the main attacker"),
             ("baseline", "list", [], "extra NAME=PLAN_PATH row (repeatable)"),
-            ("max_vocab", "int", 2000, "vocabulary size cap"),
-            ("seed", "int", 0, "victim training seed"),
-            ("sgc_steps", "int", 2, "SGC propagation steps"),
+            _MAX_VOCAB,
+            *_options(VictimConfig, "seed", "sgc_steps"),
             *_TRAINING_FLAGS,
         ],
         _run_evaluate,
@@ -614,7 +597,7 @@ _COMMANDS = {
         [
             ("clean", "str", _REQUIRED, "clean dataset directory"),
             ("perturbed", "str", _REQUIRED, "perturbed dataset directory"),
-            ("max_vocab", "int", 2000, "vocabulary size cap"),
+            _MAX_VOCAB,
             ("report", "str", None, "report.json to pull accuracy aggregates from"),
         ],
         _run_audit,

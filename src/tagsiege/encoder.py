@@ -19,7 +19,8 @@ from typing import Iterator
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigurationError, ShapeError, TrainingError
+from .config import EncoderConfig
+from .errors import ShapeError, TrainingError
 from .graph import TextAttributedGraph
 from .nnops import (
     add_decay, as_dense, cross_entropy_with_grad, fit, glorot, l2_penalty, operand_form,
@@ -44,25 +45,6 @@ def normalize_adjacency(graph: TextAttributedGraph) -> sp.csr_matrix:
     inv_sqrt = 1.0 / np.sqrt(deg)  # deg >= 1 thanks to the self loop
     d_half = sp.diags(inv_sqrt)
     return (d_half @ a_tilde @ d_half).tocsr()
-
-
-@dataclass
-class EncoderConfig:
-    hidden: int = 64
-    learning_rate: float = 0.01
-    epochs: int = 200
-    weight_decay: float = 5e-4
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.hidden < 1:
-            raise ConfigurationError("hidden width must be >= 1")
-        if self.epochs < 1:
-            raise ConfigurationError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning rate must be positive")
-        if self.weight_decay < 0:
-            raise ConfigurationError("weight decay must be >= 0")
 
 
 @dataclass

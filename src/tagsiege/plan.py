@@ -19,9 +19,6 @@ from .errors import BudgetError, ConfigurationError, PlanInconsistencyError, Sha
 from .graph import TextAttributedGraph, canonical_edge
 from .records import integer, read_jsonl, typed, write_jsonl
 
-# influencer candidates retrieved per target, offered to each topology query
-DEFAULT_K = 5
-
 
 @dataclass(frozen=True)
 class Budgets:

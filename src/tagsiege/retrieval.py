@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_K
 from .errors import DegenerateVectorWarning, ShapeError
 from .nnops import pair_cosines, unit_rows
-from .plan import DEFAULT_K
 
 # targets scored together: at most this many (target, node) cosines at once
 SCORE_BLOCK = 1 << 16

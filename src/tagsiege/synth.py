@@ -8,49 +8,11 @@ exploit — without being trivially separable from either alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConfigurationError
+from .config import SynthConfig
 from .graph import TextAttributedGraph
 from .seeding import substream
-
-
-@dataclass(frozen=True)
-class SynthConfig:
-    node_count: int = 300
-    class_count: int = 4
-    p_in: float = 0.05
-    p_out: float = 0.005
-    tokens_per_text: int = 6
-    class_vocab_size: int = 8
-    shared_vocab_size: int = 12
-    noise_rate: float = 0.05
-    seed: int = 0
-    split_fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)
-
-    def __post_init__(self):
-        if self.node_count < 2 or self.class_count < 1:
-            raise ConfigurationError("need at least 2 nodes and 1 class")
-        if self.node_count < self.class_count:
-            raise ConfigurationError("fewer nodes than classes")
-        for name in ("p_in", "p_out", "noise_rate"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ConfigurationError(f"{name}={p} outside [0, 1]")
-        if self.p_in <= self.p_out:
-            raise ConfigurationError(
-                f"p_in ({self.p_in}) must exceed p_out ({self.p_out})"
-            )
-        if self.tokens_per_text < 1:
-            raise ConfigurationError("tokens_per_text must be >= 1")
-        if self.class_vocab_size < 1:
-            raise ConfigurationError("class_vocab_size must be >= 1")
-        if len(self.split_fractions) != 3 or any(f < 0 for f in self.split_fractions):
-            raise ConfigurationError("split_fractions must be three non-negative values")
-        if abs(sum(self.split_fractions) - 1.0) > 1e-9:
-            raise ConfigurationError("split_fractions must sum to 1")
 
 
 def class_vocabulary(config: SynthConfig, label: int) -> list[str]:
@@ -96,12 +58,11 @@ def generate(config: SynthConfig) -> TextAttributedGraph:
 
     split_rng = substream(config.seed, "synth-splits")
     splits = [""] * n
-    f_train, f_val, _ = config.split_fractions
     for c in range(config.class_count):
         members = [i for i in range(n) if labels[i] == c]
         members = [members[j] for j in split_rng.permutation(len(members))]
-        n_train = round(f_train * len(members))
-        n_val = round(f_val * len(members))
+        n_train = round(config.train_frac * len(members))
+        n_val = round(config.val_frac * len(members))
         for idx, node in enumerate(members):
             if idx < n_train:
                 splits[node] = "train"

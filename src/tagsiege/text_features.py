@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from .config import MAX_VOCAB
 from .errors import DegenerateInputError
 from .graph import TextAttributedGraph
 
@@ -47,7 +48,7 @@ class Vocabulary:
     document_count: int
 
     @classmethod
-    def from_texts(cls, texts: Iterable[str], max_size: int = 2000) -> "Vocabulary":
+    def from_texts(cls, texts: Iterable[str], max_size: int = MAX_VOCAB) -> "Vocabulary":
         texts = list(texts)
         if not texts:
             raise DegenerateInputError("cannot build a vocabulary from an empty corpus")
@@ -82,7 +83,7 @@ class Vocabulary:
         return out
 
 
-def build_vocabulary(graph: TextAttributedGraph, max_size: int = 2000) -> Vocabulary:
+def build_vocabulary(graph: TextAttributedGraph, max_size: int = MAX_VOCAB) -> Vocabulary:
     return Vocabulary.from_texts(graph.texts, max_size=max_size)
 
 

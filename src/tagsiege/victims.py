@@ -20,14 +20,13 @@ every entry a thread will need (`_propagation`) before starting the threads.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
 
+from .config import VictimConfig
 from .encoder import (
-    EncoderConfig,
     TrainedModel,
     adjacency_matrix,
     forward,
@@ -44,16 +43,6 @@ from .nnops import (
 from .seeding import substream
 
 VICTIM_KINDS = ("gcn", "sgc", "sage_mean")
-
-
-@dataclass
-class VictimConfig(EncoderConfig):
-    sgc_steps: int = 2
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.sgc_steps < 1:
-            raise ConfigurationError("sgc_steps must be >= 1")
 
 
 def mean_aggregation(graph: TextAttributedGraph) -> sp.csr_matrix:

@@ -363,6 +363,19 @@ def test_llm_base_url_from_env(monkeypatch):
     assert transport.calls[0]["url"] == "https://example.test/v1/chat/completions"
 
 
+def test_llm_endpoint_and_key_are_read_once_when_the_backend_is_built(monkeypatch):
+    monkeypatch.setenv("TAGSIEGE_API_KEY", "first")
+    monkeypatch.setenv("TAGSIEGE_BASE_URL", "https://first.test/v1")
+    g, backend, transport = llm_pair([json.dumps({"delete_id": 2, "add_id": 3})])
+    monkeypatch.setenv("TAGSIEGE_API_KEY", "second")
+    monkeypatch.setenv("TAGSIEGE_BASE_URL", "https://second.test/v1")
+    backend.topology_decision(build_topology_prompt(g, 0, InfluencerSet(0, (3,))))
+    assert transport.calls[0]["url"] == "https://first.test/v1/chat/completions"
+    assert transport.calls[0]["headers"] == {
+        "Content-Type": "application/json", "Authorization": "Bearer first",
+    }
+
+
 def test_default_transport_reuses_one_session(monkeypatch):
     import threading
 

@@ -666,7 +666,7 @@ def test_llm_unreachable_endpoint_exits_three(tmp_path, data_dir, monkeypatch):
     assert manifest["query_count"] == 0
     assert len(manifest["skipped"]) == 2
     assert manifest["error"].startswith("all 2 targets failed; first reason: ")
-    assert manifest["cost_estimate_usd"] == 0.0
+    assert "cost_estimate_usd" not in manifest
     plan = load_plan(out / "plan.jsonl")
     assert plan.entries == {}
     assert {str(t): r for t, r in plan.skipped.items()} == manifest["skipped"]
@@ -764,10 +764,17 @@ def test_a_recorded_non_finite_value_exits_two_before_reading(
      "baseline must look like NAME=PLAN_PATH, got 'bad'"),
     (["evaluate", "--clean", "{none}", "--max-vocab", "0"], "vocabulary max_size must be >= 1"),
     (["audit", "--clean", "{none}", "--max-vocab", "0"], "vocabulary max_size must be >= 1"),
+    (["attack", "--data", "{none}"], "attack needs --targets or --num-targets"),
+    (["attack", "--data", "{none}", "--targets", "1,2", "--num-targets", "2"],
+     "pass either --targets or --num-targets, not both"),
+    (["attack", "--data", "{none}", "--targets", "1,x"],
+     "targets must be comma-separated integers, got '1,x'"),
+    (["synth", "--train-frac", "0.5"], "split_fractions must sum to 1"),
 ], ids=["attack-hidden-0", "attack-epochs-0", "attack-learning-rate-0",
         "attack-weight-decay-negative", "attack-max-vocab-0", "evaluate-epochs-0", "evaluate-sgc-steps-0",
         "evaluate-unknown-victim", "evaluate-malformed-baseline", "evaluate-max-vocab-0",
-        "audit-max-vocab-0"])
+        "audit-max-vocab-0", "attack-no-target-flag", "attack-both-target-flags",
+        "attack-malformed-targets", "synth-fractions-not-summing-to-1"])
 def test_config_errors_are_found_before_a_missing_dataset(tmp_path, capsys, argv, message):
     none = str(tmp_path / "none")
     argv = [arg.format(none=none) for arg in argv]
@@ -789,14 +796,13 @@ def test_config_errors_are_found_before_a_missing_dataset(tmp_path, capsys, argv
     ("evaluate", victims.VictimConfig),
 ])
 def test_every_config_field_is_an_option_of_its_command(command, cls):
-    defaults = {name: default for name, _, default, _ in cli._COMMANDS[command][0]}
-    if cls is SynthConfig:
-        defaults["split_fractions"] = tuple(
-            defaults[f"{split}_frac"] for split in ("train", "val", "test")
-        )
+    options = {name: (kind, default) for name, kind, default, _ in cli._COMMANDS[command][0]}
     for f in fields(cls):
-        assert f.name in defaults, f"{command} has no option for {cls.__name__}.{f.name}"
-        assert defaults[f.name] == f.default, f"{command} default of {f.name}"
+        assert f.name in options, f"{command} has no option for {cls.__name__}.{f.name}"
+        kind, default = options[f.name]
+        # the annotation is a string: config.py postpones annotations
+        assert f.type in (kind, f"{kind} | None"), f"{command} kind of {f.name}"
+        assert default == f.default, f"{command} default of {f.name}"
 
 
 def test_config_helper_never_falls_back_to_a_field_default():

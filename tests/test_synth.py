@@ -17,7 +17,7 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         SynthConfig(p_in=1.5)
     with pytest.raises(ConfigurationError):
-        SynthConfig(split_fractions=(0.5, 0.2, 0.2))
+        SynthConfig(train_frac=0.5)
     with pytest.raises(ConfigurationError):
         SynthConfig(node_count=3, class_count=5)
 
