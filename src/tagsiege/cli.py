@@ -28,16 +28,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .config import DEFAULT_K, MAX_VOCAB, EncoderConfig, LLMConfig, SynthConfig, VictimConfig
+from .config import (
+    DEFAULT_K, MAX_VOCAB, VICTIM_KINDS, EncoderConfig, LLMConfig, SynthConfig, VictimConfig,
+)
 from .errors import (
     ConfigurationError,
     ParseError,
@@ -45,7 +45,7 @@ from .errors import (
     TagSiegeError,
     TrainingError,
 )
-from .graph import dataset_files, load_graph, save_graph
+from .graph import SPLITS, dataset_files, load_graph, save_graph
 from .plan import apply_plan, load_plan, save_plan
 from .records import dumps, integer, number, read_json, typed
 
@@ -199,7 +199,8 @@ def _parse_target_list(raw: str) -> list[int]:
 
 def _resolve_targets(ids: list[int] | None, cfg: dict, graph) -> list[int]:
     """The parsed --targets list `ids`, checked against the graph, or
-    --num-targets sampled from --target-split."""
+    --num-targets sampled from --target-split; `_run_attack` has checked the
+    split's name and that --num-targets is at least 1."""
     if ids is not None:
         bad = [i for i in ids if not 0 <= i < graph.node_count]
         if bad:
@@ -295,6 +296,12 @@ def _run_attack(cfg: dict, out: Path):
         raise ConfigurationError("pass either --targets or --num-targets, not both")
     if raw is None and num is None:
         raise ConfigurationError("attack needs --targets or --num-targets")
+    if num is not None and num < 1:
+        raise ConfigurationError(f"--num-targets must be >= 1, got {num}")
+    if cfg["target_split"] not in SPLITS:
+        raise ConfigurationError(
+            f"unknown --target-split {cfg['target_split']!r}; choose from {', '.join(SPLITS)}"
+        )
     ids = None if raw is None else _parse_target_list(raw)
     templates, template_paths = _load_templates(cfg)
     graph, vocab, features = _load_featurized(cfg["data"], cfg["max_vocab"])
@@ -357,48 +364,10 @@ def _run_attack(cfg: dict, out: Path):
     return inputs, extra, EXIT_OK
 
 
-# submission order: the longest training first, so the others fill the
-# remaining workers around it
-_LONGEST_FIRST = ("sage_mean", "gcn", "sgc")
-
-
-def _train_victims(kinds: list[str], clean, clean_x, config):
-    """Train each kind on the clean graph, concurrently on up to one thread
-    per available core; returns (victims, timings, worker count).
-
-    Each victim's training is deterministic and shares nothing mutable with
-    the others, so the results do not depend on the core count. The
-    propagation cache is filled before the pool starts, since two threads
-    must not fill it at once."""
-    from .victims import _propagation, train_victim
-
-    kinds = sorted(set(kinds), key=_LONGEST_FIRST.index)
-    for kind in kinds:
-        _propagation(kind, clean)
-
-    def timed(kind: str):
-        started = time.perf_counter()
-        model = train_victim(kind, clean, clean_x, config)
-        return model, round(time.perf_counter() - started, 3)
-
-    workers = min(len(kinds), len(os.sched_getaffinity(0)))
-    started = time.perf_counter()
-    with ThreadPoolExecutor(workers) as pool:
-        futures = {kind: pool.submit(timed, kind) for kind in kinds}
-    timings = {"victims_wall_s": round(time.perf_counter() - started, 3)}
-    victims = {}
-    for kind in sorted(futures):
-        try:
-            victims[kind], timings[f"train_{kind}_s"] = futures[kind].result()
-        except TrainingError as exc:
-            raise TrainingError(f"victim {kind}: {exc}") from exc
-    return victims, timings, workers
-
-
 def _run_evaluate(cfg: dict, out: Path):
     from .metrics import aggregate, bound_audit, synergy_test
     from .text_features import featurize
-    from .victims import VICTIM_KINDS, accuracy
+    from .victims import accuracy, train_victims
 
     # every config error is found before a dataset or plan is read
     kinds = [k for k in cfg["victims"].split(",") if k]
@@ -445,55 +414,49 @@ def _run_evaluate(cfg: dict, out: Path):
             f"makes of --clean {cfg['clean']}"
         )
 
-    victims, timings, workers = _train_victims(kinds, clean, clean_x, victim_config)
+    victims, seconds, wall_s, workers = train_victims(kinds, clean, clean_x, victim_config)
 
-    rows = []
+    # the one per-victim table: the report, summary.csv and the printout read it
     victims_out = {}
-    for kind in sorted(victims):
-        model = victims[kind]
+    for kind, model in victims.items():
         clean_acc = accuracy(model, clean, clean_x, targets)
         per_attacker = {}
-        for name in sorted(attackers):
-            graph_a, features_a = attackers[name]
+        for name, (graph_a, features_a) in sorted(attackers.items()):
             perturbed_acc = accuracy(model, graph_a, features_a, targets)
-            rows.append((kind, name, clean_acc, perturbed_acc))
             per_attacker[name] = {
                 "clean_accuracy": clean_acc,
                 "perturbed_accuracy": perturbed_acc,
                 "drop": clean_acc - perturbed_acc,
             }
-        victims_out[kind] = {
-            "val_accuracy": model.val_accuracy,
-            "attackers": per_attacker,
-        }
+        victims_out[kind] = {"val_accuracy": model.val_accuracy, "attackers": per_attacker}
 
-    ordered = sorted(victims)
-    main_rows = {k: victims_out[k]["attackers"][label] for k in ordered}
-    synergy = synergy_test(
-        clean, joint, clean_x, joint_x, victims, targets,
-        {k: row["clean_accuracy"] for k, row in main_rows.items()},
-        {k: row["perturbed_accuracy"] for k, row in main_rows.items()},
-    )
+    def column(key: str) -> dict:
+        return {kind: row["attackers"][label][key] for kind, row in victims_out.items()}
+
+    clean_accs, joint_accs = column("clean_accuracy"), column("perturbed_accuracy")
     report = {
         "attacker": label,
         "targets": targets,
         "query_count": plan.query_count,
         "victims": victims_out,
-        "aggregates_clean": aggregate([r["clean_accuracy"] for r in main_rows.values()]),
-        "aggregates_perturbed": aggregate([r["perturbed_accuracy"] for r in main_rows.values()]),
+        "aggregates_clean": aggregate(list(clean_accs.values())),
+        "aggregates_perturbed": aggregate(list(joint_accs.values())),
+        "synergy": synergy_test(
+            clean, joint, clean_x, joint_x, victims, targets, clean_accs, joint_accs
+        ),
         "audit": bound_audit(clean, joint, clean_x, joint_x),
-        "synergy": {kind: row.as_dict() for kind, row in synergy.items()},
         "skipped": {str(t): r for t, r in sorted(plan.skipped.items())},
         "extra": {"baselines": sorted(set(attackers) - {label})},
     }
     (out / "report.json").write_text(dumps(report) + "\n")
 
     lines = ["victim,attacker,clean_accuracy,perturbed_accuracy,drop"]
-    for kind, name, clean_acc, perturbed_acc in sorted(rows):
-        lines.append(
-            f"{kind},{name},{clean_acc:.6f},{perturbed_acc:.6f},"
-            f"{clean_acc - perturbed_acc:.6f}"
-        )
+    for kind, row in victims_out.items():
+        for name, acc in row["attackers"].items():
+            lines.append(
+                f"{kind},{name},{acc['clean_accuracy']:.6f},"
+                f"{acc['perturbed_accuracy']:.6f},{acc['drop']:.6f}"
+            )
     (out / "summary.csv").write_text("\n".join(lines) + "\n")
 
     inputs = (
@@ -501,11 +464,13 @@ def _run_evaluate(cfg: dict, out: Path):
         | _dataset_inputs(cfg["perturbed"])
         | _file_inputs(*plan_paths.values())
     )
-    drops = ", ".join(f"{k}={row['drop']:.3f}" for k, row in main_rows.items())
+    drops = ", ".join(f"{kind}={drop:.3f}" for kind, drop in column("drop").items())
     print(f"evaluate: drops {drops} -> {out}")
+    timings = {f"train_{kind}_s": round(s, 3) for kind, s in seconds.items()}
+    timings["victims_wall_s"] = round(wall_s, 3)
     forms = {kind: model.operand_forms for kind, model in victims.items()}
     counters = _counters(clean_x, forms) | {"victim_workers": workers}
-    extra = {"seed": cfg["seed"], "victims": ordered, "timings": timings, "counters": counters}
+    extra = {"seed": cfg["seed"], "victims": list(victims), "timings": timings, "counters": counters}
     return inputs, extra, EXIT_OK
 
 
@@ -583,7 +548,7 @@ _COMMANDS = {
             ("clean", "str", _REQUIRED, "clean dataset directory"),
             ("perturbed", "str", _REQUIRED, "perturbed dataset directory"),
             ("plan", "str", _REQUIRED, "plan file from attack"),
-            ("victims", "str", "gcn,sgc,sage_mean", "comma-separated victim kinds"),
+            ("victims", "str", ",".join(VICTIM_KINDS), "comma-separated victim kinds"),
             ("attacker_label", "str", "tagsiege", "row label for the main attacker"),
             ("baseline", "list", [], "extra NAME=PLAN_PATH row (repeatable)"),
             _MAX_VOCAB,

@@ -14,6 +14,7 @@ from .errors import ConfigurationError
 
 MAX_VOCAB = 2000  # vocabulary size cap
 DEFAULT_K = 5  # influencer candidates retrieved per target, offered to each topology query
+VICTIM_KINDS = ("gcn", "sgc", "sage_mean")  # the victim models `evaluate` trains
 
 
 def option(default, help: str):
@@ -55,9 +56,9 @@ class SynthConfig:
             raise ConfigurationError("class_vocab_size must be >= 1")
         fractions = (self.train_frac, self.val_frac, self.test_frac)
         if any(f < 0 for f in fractions):
-            raise ConfigurationError("split_fractions must be three non-negative values")
+            raise ConfigurationError("train_frac, val_frac and test_frac must be non-negative")
         if abs(sum(fractions) - 1.0) > 1e-9:
-            raise ConfigurationError("split_fractions must sum to 1")
+            raise ConfigurationError("train_frac, val_frac and test_frac must sum to 1")
 
 
 @dataclass

@@ -13,7 +13,6 @@ victims' accuracies on both, and predicts the two single-modality halves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -142,30 +141,17 @@ def aggregate(accuracies: Sequence[float]) -> dict:
     return out
 
 
-@dataclass
-class SynergyRow:
-    drop_struct: float
-    drop_text: float
-    drop_joint: float
-
-    @property
-    def synergy_hard(self) -> bool:
-        """Joint at least as damaging as the better single modality."""
-        return self.drop_joint >= max(self.drop_struct, self.drop_text)
-
-    @property
-    def synergy_soft(self) -> bool:
-        """Joint strictly beats the sum of the parts."""
-        return self.drop_joint > self.drop_struct + self.drop_text
-
-    def as_dict(self) -> dict:
-        return {
-            "drop_struct": self.drop_struct,
-            "drop_text": self.drop_text,
-            "drop_joint": self.drop_joint,
-            "synergy_hard": self.synergy_hard,
-            "synergy_soft": self.synergy_soft,
-        }
+def synergy_row(drop_struct: float, drop_text: float, drop_joint: float) -> dict:
+    """One victim's synergy row of the report: `synergy_hard` when the joint
+    drop is at least the better single modality's, `synergy_soft` when it
+    strictly beats the sum of the two."""
+    return {
+        "drop_struct": drop_struct,
+        "drop_text": drop_text,
+        "drop_joint": drop_joint,
+        "synergy_hard": drop_joint >= max(drop_struct, drop_text),
+        "synergy_soft": drop_joint > drop_struct + drop_text,
+    }
 
 
 def synergy_test(
@@ -177,8 +163,9 @@ def synergy_test(
     targets: list[int],
     clean_accuracy: dict[str, float],
     joint_accuracy: dict[str, float],
-) -> dict[str, SynergyRow]:
-    """Accuracy drops under structure-only, text-only and joint perturbation.
+) -> dict[str, dict]:
+    """Each victim's `synergy_row`: its accuracy drops under structure-only,
+    text-only and joint perturbation.
 
     `joint` is the graph a plan makes of `clean`; each single-modality graph
     takes one half of it. Victims stay frozen, and `clean_accuracy` and
@@ -189,15 +176,11 @@ def synergy_test(
         (clean.with_changes(edges=joint.edges), features_clean),
         (clean.with_changes(texts=joint.texts), features_joint),
     )
-    out: dict[str, SynergyRow] = {}
+    out = {}
     for name, model in victims.items():
         base = clean_accuracy[name]
         drop_struct, drop_text = (
             base - accuracy(model, graph, feats, targets) for graph, feats in halves
         )
-        out[name] = SynergyRow(
-            drop_struct=drop_struct,
-            drop_text=drop_text,
-            drop_joint=base - joint_accuracy[name],
-        )
+        out[name] = synergy_row(drop_struct, drop_text, base - joint_accuracy[name])
     return out

@@ -13,19 +13,23 @@ backend with the attacker.
 
 Each training allocates its buffers once and shares nothing mutable with
 another, so several victims may train at once on separate threads, as
-`evaluate` does. The propagation cache is the one shared structure: build
-every entry a thread will need (`_propagation`) before starting the threads.
+`train_victims` does for `evaluate`. The propagation cache is the one shared
+structure: `train_victims` builds every entry its threads will need before
+starting them.
 """
 
 from __future__ import annotations
 
+import os
+import time
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
 
-from .config import VictimConfig
+from .config import VICTIM_KINDS, VictimConfig
 from .encoder import (
     TrainedModel,
     adjacency_matrix,
@@ -34,7 +38,7 @@ from .encoder import (
     train_gcn,
     train_split,
 )
-from .errors import ConfigurationError, DegenerateInputError, ShapeError
+from .errors import ConfigurationError, DegenerateInputError, ShapeError, TrainingError
 from .graph import TextAttributedGraph
 from .nnops import (
     add_decay, cross_entropy_with_grad, fit, glorot, l2_penalty, operand_form, product,
@@ -42,7 +46,9 @@ from .nnops import (
 )
 from .seeding import substream
 
-VICTIM_KINDS = ("gcn", "sgc", "sage_mean")
+# submission order: the longest training first, so the others fill the
+# remaining workers around it
+_LONGEST_FIRST = ("sage_mean", "gcn", "sgc")
 
 
 def mean_aggregation(graph: TextAttributedGraph) -> sp.csr_matrix:
@@ -228,6 +234,45 @@ def train_victim(
     if val:
         model.val_accuracy = accuracy(model, graph, features, list(val))
     return model
+
+
+def train_victims(
+    kinds: list[str],
+    graph: TextAttributedGraph,
+    features: np.ndarray | sp.csr_matrix,
+    config: VictimConfig | None = None,
+) -> tuple[dict[str, TrainedModel], dict[str, float], float, int]:
+    """Train each of `kinds` as `train_victim` does, concurrently on up to one
+    thread per available core, longest training first; returns the models and
+    the training seconds by kind, the pool's wall seconds and the worker count.
+
+    Each training is deterministic and shares nothing mutable with the others,
+    so the models do not depend on the worker count. This thread fills the
+    propagation cache before the pool starts, since two threads must not fill
+    it at once. A failed training's TrainingError names its kind."""
+    if not kinds or not set(kinds) <= set(VICTIM_KINDS):
+        raise ConfigurationError(f"victim kinds must be among {VICTIM_KINDS}, got {kinds!r}")
+    kinds = sorted(set(kinds), key=_LONGEST_FIRST.index)
+    for kind in kinds:
+        _propagation(kind, graph)
+
+    def timed(kind: str):
+        started = time.perf_counter()
+        model = train_victim(kind, graph, features, config)
+        return model, time.perf_counter() - started
+
+    workers = min(len(kinds), len(os.sched_getaffinity(0)))
+    started = time.perf_counter()
+    with ThreadPoolExecutor(workers) as pool:
+        futures = {kind: pool.submit(timed, kind) for kind in kinds}
+    wall_s = time.perf_counter() - started
+    models, seconds = {}, {}
+    for kind in sorted(futures):
+        try:
+            models[kind], seconds[kind] = futures[kind].result()
+        except TrainingError as exc:
+            raise TrainingError(f"victim {kind}: {exc}") from exc
+    return models, seconds, wall_s, workers
 
 
 def predict(

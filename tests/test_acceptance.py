@@ -284,11 +284,11 @@ def test_criterion_3_synergy(experiment):
         e.graph, e.perturbed, e.features, e.perturbed_features, e.victims, e.targets,
         e.clean_accuracy, e.perturbed_accuracy,
     )
-    hard_all = all(row.synergy_hard for row in rows.values())
-    soft_count = sum(row.synergy_soft for row in rows.values())
+    hard_all = all(row["synergy_hard"] for row in rows.values())
+    soft_count = sum(row["synergy_soft"] for row in rows.values())
     detail = "; ".join(
-        f"{kind} struct {row.drop_struct:.3f} text {row.drop_text:.3f} "
-        f"joint {row.drop_joint:.3f}"
+        f"{kind} struct {row['drop_struct']:.3f} text {row['drop_text']:.3f} "
+        f"joint {row['drop_joint']:.3f}"
         for kind, row in sorted(rows.items())
     )
     ok = hard_all and soft_count >= 2

@@ -214,6 +214,26 @@ def test_victims_trained_on_more_threads_than_cores_match_serial_training(monkey
         assert together.val_accuracy == alone.val_accuracy
 
 
+@pytest.mark.parametrize("cores", [{0}, {0, 1}])
+def test_train_victims_matches_serial_training_on_one_or_two_workers(monkeypatch, cores):
+    graph = FIXTURES["dense"][0]()
+    features = features_of(graph)
+    cfg = VictimConfig(hidden=8, epochs=40, seed=3)
+    serial = {kind: train_victim(kind, graph, features, cfg) for kind in VICTIM_KINDS}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+    models, seconds, wall_s, workers = victims.train_victims(
+        list(VICTIM_KINDS), graph, features, cfg
+    )
+    assert workers == len(cores)
+    assert list(models) == list(seconds) == sorted(VICTIM_KINDS)
+    assert wall_s >= 0.0 and all(s >= 0.0 for s in seconds.values())
+    for kind, alone in serial.items():
+        assert [w.tobytes() for w in models[kind].weights.values()] == [
+            w.tobytes() for w in alone.weights.values()
+        ]
+        assert models[kind].val_accuracy == alone.val_accuracy
+
+
 SYNTH_FLAGS = ["--node-count", "120", "--class-count", "4", "--seed", "0"]
 
 

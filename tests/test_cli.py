@@ -769,12 +769,17 @@ def test_a_recorded_non_finite_value_exits_two_before_reading(
      "pass either --targets or --num-targets, not both"),
     (["attack", "--data", "{none}", "--targets", "1,x"],
      "targets must be comma-separated integers, got '1,x'"),
-    (["synth", "--train-frac", "0.5"], "split_fractions must sum to 1"),
+    (["attack", "--data", "{none}", "--num-targets", "0"], "--num-targets must be >= 1, got 0"),
+    (["attack", "--data", "{none}", "--targets", "5", "--target-split", "nope"],
+     "unknown --target-split 'nope'; choose from train, val, test"),
+    (["synth", "--train-frac", "0.5"], "train_frac, val_frac and test_frac must sum to 1"),
+    (["synth", "--val-frac", "-0.1"], "train_frac, val_frac and test_frac must be non-negative"),
 ], ids=["attack-hidden-0", "attack-epochs-0", "attack-learning-rate-0",
         "attack-weight-decay-negative", "attack-max-vocab-0", "evaluate-epochs-0", "evaluate-sgc-steps-0",
         "evaluate-unknown-victim", "evaluate-malformed-baseline", "evaluate-max-vocab-0",
         "audit-max-vocab-0", "attack-no-target-flag", "attack-both-target-flags",
-        "attack-malformed-targets", "synth-fractions-not-summing-to-1"])
+        "attack-malformed-targets", "attack-num-targets-0", "attack-unknown-target-split",
+        "synth-fractions-not-summing-to-1", "synth-negative-fraction"])
 def test_config_errors_are_found_before_a_missing_dataset(tmp_path, capsys, argv, message):
     none = str(tmp_path / "none")
     argv = [arg.format(none=none) for arg in argv]

@@ -11,11 +11,11 @@ from tagsiege.attack import attack
 from tagsiege.errors import DegenerateInputError, ShapeError
 from tagsiege.graph import TextAttributedGraph
 from tagsiege.metrics import (
-    SynergyRow,
     aggregate,
     bound_audit,
     homophily_edge,
     homophily_node,
+    synergy_row,
     synergy_test,
 )
 from tagsiege.plan import PerturbationPlan, PlanEntry, apply_plan
@@ -252,9 +252,9 @@ def test_synergy_empty_plan_is_all_zero():
     # an empty plan leaves the joint graph equal to the clean one
     rows = measured_synergy(g, g, victims, feats, targets)
     for row in rows.values():
-        assert row.drop_struct == row.drop_text == row.drop_joint == 0.0
-        assert row.synergy_hard
-        assert not row.synergy_soft
+        assert row["drop_struct"] == row["drop_text"] == row["drop_joint"] == 0.0
+        assert row["synergy_hard"]
+        assert not row["synergy_soft"]
 
 
 def test_synergy_structure_only_plan_has_zero_text_drop():
@@ -265,8 +265,8 @@ def test_synergy_structure_only_plan_has_zero_text_drop():
     joint = apply_plan(g, stripped).graph
     rows = measured_synergy(g, joint, victims, feats, targets)
     for row in rows.values():
-        assert row.drop_text == 0.0
-        assert row.drop_struct == pytest.approx(row.drop_joint)
+        assert row["drop_text"] == 0.0
+        assert row["drop_struct"] == pytest.approx(row["drop_joint"])
 
 
 def test_synergy_joint_dominates_each_modality():
@@ -274,18 +274,21 @@ def test_synergy_joint_dominates_each_modality():
     rows = measured_synergy(g, apply_plan(g, plan).graph, victims, feats, targets)
     assert set(rows) == set(victims)
     for row in rows.values():
-        assert row.synergy_hard
+        assert row["synergy_hard"]
 
 
 def test_synergy_row_flags():
-    hard_only = SynergyRow(drop_struct=0.3, drop_text=0.2, drop_joint=0.4)
-    assert hard_only.synergy_hard and not hard_only.synergy_soft
-    both = SynergyRow(drop_struct=0.1, drop_text=0.1, drop_joint=0.5)
-    assert both.synergy_hard and both.synergy_soft
-    neither = SynergyRow(drop_struct=0.3, drop_text=0.0, drop_joint=0.2)
-    assert not neither.synergy_hard
-    d = both.as_dict()
-    assert d["synergy_soft"] is True
+    hard_only = synergy_row(drop_struct=0.3, drop_text=0.2, drop_joint=0.4)
+    assert hard_only["synergy_hard"] and not hard_only["synergy_soft"]
+    both = synergy_row(drop_struct=0.1, drop_text=0.1, drop_joint=0.5)
+    assert both["synergy_hard"] and both["synergy_soft"]
+    neither = synergy_row(drop_struct=0.3, drop_text=0.0, drop_joint=0.2)
+    assert not neither["synergy_hard"]
+    assert both == {
+        "drop_struct": 0.1, "drop_text": 0.1, "drop_joint": 0.5,
+        "synergy_hard": True, "synergy_soft": True,
+    }
+    assert both["synergy_soft"] is True
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -19,6 +19,7 @@ from tagsiege.victims import (
     sgc_logits,
     sgc_loss_and_grads,
     train_victim,
+    train_victims,
     victim_logits,
 )
 
@@ -261,6 +262,9 @@ def test_shape_and_kind_validation():
     g = clustered_graph(n=6)
     with pytest.raises(ConfigurationError):
         train_victim("gat", g, np.ones((6, 3)))
+    for kinds in (["gcn", "gat"], []):
+        with pytest.raises(ConfigurationError):
+            train_victims(kinds, g, np.ones((6, 3)))
     with pytest.raises(ShapeError):
         train_victim("gcn", g, np.ones((5, 3)))
     model = train_victim("gcn", g, block_features(g), VictimConfig(hidden=3, epochs=2))
