@@ -133,7 +133,6 @@ def attack(
         except TagSiegeError as exc:
             return exc
 
-    graph.adjacency  # build the cached neighbor lists before the workers share them
     pool = ThreadPoolExecutor(backend.max_in_flight)
     try:
         outcomes = list(pool.map(attack_target, ordered))

@@ -13,8 +13,10 @@ option backed by a field of a ``config`` dataclass takes its kind, default
 and help from that field (``_options``), and each runner builds its config
 objects from the options of the same names (``_config``) and checks them
 before it reads a dataset, plan or report; ``main`` and ``replay`` run it
-through ``_run``. Exit codes: 0 ok, 2 config/validation, 3 an attack in
-which every target was skipped, 4 training.
+through ``_run``. A runner creates ``--out`` with its first output and
+returns the files it wrote, which alone the manifest lists. Exit codes: 0
+ok, 2 config/validation, 3 an attack in which every target was skipped, 4
+training.
 
 Module level imports only what parsing, manifests and ``replay``'s checks
 need (``config`` among them), none of which loads numpy; every other layer
@@ -47,7 +49,7 @@ from .errors import (
 )
 from .graph import SPLITS, dataset_files, load_graph, save_graph
 from .plan import apply_plan, load_plan, save_plan
-from .records import dumps, integer, number, read_json, typed
+from .records import dumps, integer, number, read_json, typed, write_jsonl
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -159,13 +161,10 @@ def _file_inputs(*paths: str) -> dict[str, str]:
 
 
 def _write_manifest(
-    out: Path, command: str, config: dict, inputs: dict, extra: dict
+    out: Path, command: str, config: dict, inputs: dict, written: list[Path], extra: dict
 ) -> None:
-    outputs = {
-        str(f.relative_to(out)): _sha256_file(f)
-        for f in sorted(out.rglob("*"))
-        if f.is_file() and f.name != "manifest.json"
-    }
+    """Record the run into `out`; `written` are the files the run wrote there."""
+    outputs = {str(f.relative_to(out)): _sha256_file(f) for f in written}
     manifest = {
         "tool": "tagsiege",
         "version": __version__,
@@ -253,19 +252,19 @@ def _counters(features, operand_forms: dict[str, dict[str, str]]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# command runners; each returns (inputs, manifest extra, exit code)
+# command runners; each returns (inputs, files written, manifest extra, exit code)
 
 
 def _run_synth(cfg: dict, out: Path):
     from .synth import generate, summarize
 
     graph = generate(_config(SynthConfig, cfg))
-    save_graph(graph, out)
+    written = save_graph(graph, out)
     summary = summarize(graph)
     print(
         f"synth: {summary['node_count']} nodes, {summary['edge_count']} edges -> {out}"
     )
-    return {}, {"seed": cfg["seed"], "summary": summary}, EXIT_OK
+    return {}, written, {"seed": cfg["seed"], "summary": summary}, EXIT_OK
 
 
 def _load_templates(cfg: dict):
@@ -329,10 +328,10 @@ def _run_attack(cfg: dict, out: Path):
     )
     attack_s = time.perf_counter() - started
 
-    save_plan(plan, out / "plan.jsonl")
+    written = [save_plan(plan, out / "plan.jsonl")]
     completed = len(plan.entries)
     if completed:
-        save_graph(apply_plan(graph, plan).graph, out / "perturbed")
+        written += save_graph(apply_plan(graph, plan).graph, out / "perturbed")
 
     extra = {
         "seed": cfg["seed"],
@@ -356,12 +355,12 @@ def _run_attack(cfg: dict, out: Path):
             f"{next(iter(plan.skipped.values()))}"
         )
         print(f"error: {extra['error']}", file=sys.stderr)
-        return inputs, extra, EXIT_BACKEND
+        return inputs, written, extra, EXIT_BACKEND
     print(
         f"attack: {completed}/{len(targets)} targets, "
         f"{plan.query_count} queries -> {out}"
     )
-    return inputs, extra, EXIT_OK
+    return inputs, written, extra, EXIT_OK
 
 
 def _run_evaluate(cfg: dict, out: Path):
@@ -448,7 +447,7 @@ def _run_evaluate(cfg: dict, out: Path):
         "skipped": {str(t): r for t, r in sorted(plan.skipped.items())},
         "extra": {"baselines": sorted(set(attackers) - {label})},
     }
-    (out / "report.json").write_text(dumps(report) + "\n")
+    write_jsonl(out / "report.json", [report])
 
     lines = ["victim,attacker,clean_accuracy,perturbed_accuracy,drop"]
     for kind, row in victims_out.items():
@@ -471,7 +470,7 @@ def _run_evaluate(cfg: dict, out: Path):
     forms = {kind: model.operand_forms for kind, model in victims.items()}
     counters = _counters(clean_x, forms) | {"victim_workers": workers}
     extra = {"seed": cfg["seed"], "victims": list(victims), "timings": timings, "counters": counters}
-    return inputs, extra, EXIT_OK
+    return inputs, [out / "report.json", out / "summary.csv"], extra, EXIT_OK
 
 
 def _run_audit(cfg: dict, out: Path):
@@ -495,12 +494,12 @@ def _run_audit(cfg: dict, out: Path):
         ])
         audit["average_accuracy_clean"], audit["average_accuracy_perturbed"] = averages
         inputs |= _file_inputs(cfg["report"])
-    (out / "audit.json").write_text(dumps(audit) + "\n")
+    write_jsonl(out / "audit.json", [audit])
     print(
         f"audit: delta_h_edge {audit['delta_H_edge']:+.5f}, "
         f"perturb ratio {audit['perturb_ratio']:.5f} -> {out}"
     )
-    return inputs, {}, EXIT_OK
+    return inputs, [out / "audit.json"], {}, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -620,9 +619,8 @@ def _run(command: str, config: dict, out: str) -> int:
     """Run `command` on its resolved `config` into `out`, then record the
     manifest; `main` and `replay` both run a command through here."""
     root = Path(out)
-    root.mkdir(parents=True, exist_ok=True)
-    inputs, extra, code = _COMMANDS[command][1](config, root)
-    _write_manifest(root, command, config, inputs, extra)
+    inputs, written, extra, code = _COMMANDS[command][1](config, root)
+    _write_manifest(root, command, config, inputs, written, extra)
     return code
 
 

@@ -34,8 +34,7 @@ class SynthConfig:
     noise_rate: float = option(0.05, "probability of a one-off noise token")
     seed: int = option(0, "generation seed")
     train_frac: float = option(0.6, "train split fraction")
-    val_frac: float = option(0.2, "validation split fraction")
-    test_frac: float = option(0.2, "test split fraction")
+    val_frac: float = option(0.2, "validation split fraction")  # the rest is test
 
     def __post_init__(self):
         if self.node_count < 2 or self.class_count < 1:
@@ -54,11 +53,10 @@ class SynthConfig:
             raise ConfigurationError("tokens_per_text must be >= 1")
         if self.class_vocab_size < 1:
             raise ConfigurationError("class_vocab_size must be >= 1")
-        fractions = (self.train_frac, self.val_frac, self.test_frac)
-        if any(f < 0 for f in fractions):
-            raise ConfigurationError("train_frac, val_frac and test_frac must be non-negative")
-        if abs(sum(fractions) - 1.0) > 1e-9:
-            raise ConfigurationError("train_frac, val_frac and test_frac must sum to 1")
+        if self.train_frac < 0 or self.val_frac < 0:
+            raise ConfigurationError("train_frac and val_frac must be non-negative")
+        if self.train_frac + self.val_frac > 1.0 + 1e-9:
+            raise ConfigurationError("train_frac + val_frac must be at most 1")
 
 
 @dataclass

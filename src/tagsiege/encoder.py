@@ -8,7 +8,8 @@ Node embeddings are the penultimate (post-relu) hidden activations.
 The `gcn` victim is this same model: `train_gcn` initialises and fits both,
 each from its own seed substream ("encoder-init" here, "victim-gcn" there),
 and both come back as one `TrainedModel` (the record of every trained model,
-victims included) whose `{"w1", "w2"}` weights `forward` runs.
+victims included) whose `{"w1", "w2"}` weights `forward` runs over the
+graph's `gcn_propagation` (`normalize_adjacency`, re-exported from `graph`).
 """
 
 from __future__ import annotations
@@ -21,30 +22,12 @@ import scipy.sparse as sp
 
 from .config import EncoderConfig
 from .errors import ShapeError, TrainingError
-from .graph import TextAttributedGraph
+from .graph import TextAttributedGraph, normalize_adjacency
 from .nnops import (
     add_decay, as_dense, cross_entropy_with_grad, fit, glorot, l2_penalty, operand_form,
     product, product_buffer, relu, training_operand,
 )
 from .seeding import substream
-
-
-def adjacency_matrix(graph: TextAttributedGraph) -> sp.csr_matrix:
-    """Symmetric 0/1 adjacency A as CSR with sorted indices, no self loops."""
-    n = graph.node_count
-    edges = np.array(list(graph.edges), dtype=np.int64).reshape(-1, 2)
-    rows = np.concatenate([edges[:, 0], edges[:, 1]])
-    cols = np.concatenate([edges[:, 1], edges[:, 0]])
-    return sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
-
-
-def normalize_adjacency(graph: TextAttributedGraph) -> sp.csr_matrix:
-    """Symmetric renormalized adjacency D^{-1/2} (A + I) D^{-1/2} as CSR."""
-    a_tilde = adjacency_matrix(graph) + sp.identity(graph.node_count, format="csr")
-    deg = np.asarray(a_tilde.sum(axis=1)).ravel()
-    inv_sqrt = 1.0 / np.sqrt(deg)  # deg >= 1 thanks to the self loop
-    d_half = sp.diags(inv_sqrt)
-    return (d_half @ a_tilde @ d_half).tocsr()
 
 
 @dataclass
@@ -165,14 +148,15 @@ def train_encoder(
     """The surrogate: `train_gcn` on the "encoder-init" substream;
     deterministic given the config seed."""
     config = config or EncoderConfig()
-    a_hat = normalize_adjacency(graph)
-    return train_gcn(graph, a_hat, features, config, "encoder-init", "training loss")
+    return train_gcn(
+        graph, graph.gcn_propagation, features, config, "encoder-init", "training loss"
+    )
 
 
 def encode(
     trained: TrainedModel, graph: TextAttributedGraph, features: np.ndarray | sp.csr_matrix
 ) -> np.ndarray:
-    _, z = forward(trained.weights, normalize_adjacency(graph), features)
+    _, z = forward(trained.weights, graph.gcn_propagation, features)
     return z
 
 

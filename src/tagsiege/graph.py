@@ -2,6 +2,11 @@
 
 Graphs are undirected, simple (no self-loops, no multi-edges) and immutable
 after construction; every node carries a text, a class label and a split tag.
+
+What a graph derives from its edges, `adjacency` (numpy CSR neighbour
+arrays), `gcn_propagation` and `mean_propagation` (scipy CSR), it builds on
+first read, read-only, and keeps. Any thread may read them: Python 3.11
+builds each once under a lock, 3.12+ may build an equal value twice.
 """
 
 from __future__ import annotations
@@ -94,19 +99,40 @@ class TextAttributedGraph:
         )
 
     @cached_property
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        """Sorted neighbor tuple per node (empty tuple for isolated nodes)."""
-        nbrs: dict[int, list[int]] = {i: [] for i in range(self.node_count)}
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return {i: tuple(sorted(vs)) for i, vs in nbrs.items()}
+    def adjacency(self):
+        """CSR neighbour arrays (indptr, indices), int64 and read-only: node
+        i's neighbours, ascending, are indices[indptr[i]:indptr[i + 1]]."""
+        import numpy as np
+
+        ends = np.array(list(self.edges), dtype=np.int64).reshape(-1, 2)
+        rows = np.concatenate([ends[:, 0], ends[:, 1]])
+        cols = np.concatenate([ends[:, 1], ends[:, 0]])
+        indptr = np.zeros(self.node_count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.node_count), out=indptr[1:])
+        indices = cols[np.lexsort((cols, rows))]
+        indptr.flags.writeable = indices.flags.writeable = False
+        return indptr, indices
+
+    @cached_property
+    def gcn_propagation(self):
+        """`normalize_adjacency` of this graph, the GCN's and SGC's â."""
+        return _read_only(normalize_adjacency(self))
+
+    @cached_property
+    def mean_propagation(self):
+        """`mean_aggregation` of this graph, mean-SAGE's neighbour mean."""
+        return _read_only(mean_aggregation(self))
 
     def neighbors(self, node: int) -> tuple[int, ...]:
-        return self.adjacency[node]
+        """Ascending neighbour ids (empty for an isolated node); IndexError
+        for an id that is not a node."""
+        if not 0 <= node < self.node_count:
+            raise IndexError(f"node {node} not in [0, {self.node_count})")
+        indptr, indices = self.adjacency
+        return tuple(indices[indptr[node]:indptr[node + 1]].tolist())
 
     def degree(self, node: int) -> int:
-        return len(self.adjacency[node])
+        return len(self.neighbors(node))
 
     def has_edge(self, u: int, v: int) -> bool:
         """False for u == v: a simple graph has no self-loops."""
@@ -132,6 +158,44 @@ class TextAttributedGraph:
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
+
+
+def _read_only(matrix):
+    """`matrix` with its CSR arrays read-only, so an in-place write raises."""
+    for array in (matrix.data, matrix.indices, matrix.indptr):
+        array.flags.writeable = False
+    return matrix
+
+
+def adjacency_matrix(graph: TextAttributedGraph):
+    """Symmetric 0/1 adjacency A as a scipy CSR matrix over `graph.adjacency`."""
+    import numpy as np
+    import scipy.sparse as sp
+
+    indptr, indices = graph.adjacency
+    return sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(graph.node_count,) * 2)
+
+
+def normalize_adjacency(graph: TextAttributedGraph):
+    """Symmetric renormalized adjacency D^{-1/2} (A + I) D^{-1/2} as CSR."""
+    import numpy as np
+    import scipy.sparse as sp
+
+    a_tilde = adjacency_matrix(graph) + sp.identity(graph.node_count, format="csr")
+    deg = np.asarray(a_tilde.sum(axis=1)).ravel()
+    d_half = sp.diags(1.0 / np.sqrt(deg))  # deg >= 1 thanks to the self loop
+    return (d_half @ a_tilde @ d_half).tocsr()
+
+
+def mean_aggregation(graph: TextAttributedGraph):
+    """Row-normalized adjacency D^{-1} A as CSR; isolated nodes get an all-zero row."""
+    import numpy as np
+    import scipy.sparse as sp
+
+    a = adjacency_matrix(graph)
+    deg = np.asarray(a.sum(axis=1)).ravel()
+    inv = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
+    return (sp.diags(inv) @ a).tocsr()
 
 
 NODE_FILE = "nodes.jsonl"
@@ -203,16 +267,17 @@ def load_graph(path: str | Path) -> TextAttributedGraph:
     )
 
 
-def save_graph(graph: TextAttributedGraph, path: str | Path) -> None:
-    """Write the dataset directory (nodes.jsonl + edges.csv) with deterministic bytes."""
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-    write_jsonl(root / NODE_FILE, (
+def save_graph(graph: TextAttributedGraph, path: str | Path) -> list[Path]:
+    """Write the dataset directory (nodes.jsonl + edges.csv) with deterministic
+    bytes; returns the two paths written."""
+    node_path = write_jsonl(Path(path) / NODE_FILE, (
         {"id": i, "text": graph.texts[i], "label": graph.labels[i], "split": graph.splits[i]}
         for i in range(graph.node_count)
     ))
-    with (root / EDGE_FILE_CSV).open("w", newline="") as fh:
+    edge_path = node_path.with_name(EDGE_FILE_CSV)
+    with edge_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["src", "dst"])
         for u, v in graph.sorted_edges():
             writer.writerow([u, v])
+    return [node_path, edge_path]

@@ -174,11 +174,11 @@ def edit_counts(clean: TextAttributedGraph, perturbed: TextAttributedGraph) -> P
     return PlanAudit(edge_edits, text_edits, ratio)
 
 
-def save_plan(plan: PerturbationPlan, path: str | Path) -> None:
+def save_plan(plan: PerturbationPlan, path: str | Path) -> Path:
     """One JSON object per line: entries sorted by target, then skips."""
     entries = (asdict(plan.entries[t]) for t in sorted(plan.entries))
     skips = ({"target": t, "skipped": plan.skipped[t]} for t in sorted(plan.skipped))
-    write_jsonl(path, chain(entries, skips))
+    return write_jsonl(path, chain(entries, skips))
 
 
 def _optional(rec: dict, key: str, convert):

@@ -72,11 +72,14 @@ def _decode(text: str, convert: Callable[[dict], T], path: str, line: int) -> T:
         raise ParseError(f"bad record: {exc}", path, line) from exc
 
 
-def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
-    """Write one `dumps` line per record."""
-    with Path(path).open("w") as fh:
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> Path:
+    """Write one `dumps` line per record, creating the file's directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w") as fh:
         for rec in records:
             fh.write(dumps(rec) + "\n")
+    return path
 
 
 def read_jsonl(path: str | Path, convert: Callable[[dict], T]) -> Iterator[tuple[int, T]]:

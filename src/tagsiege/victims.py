@@ -2,27 +2,24 @@
 
 These stand in for the deployed models under attack. They are trained once on
 the clean graph, frozen, and then queried on whatever graph the evaluation
-hands them (clean or perturbed) — propagation always comes from that graph,
-built once per graph and reused across predictions. The `gcn` victim is the
-surrogate's GCN (`encoder.train_gcn` and `encoder.forward`) on its own
-"victim-gcn" seed substream, and `VictimConfig` is `EncoderConfig` plus
-`sgc_steps`. All kinds size their output by `graph.class_count`, train with
-`nnops.fit` and come back as the surrogate's record, `encoder.TrainedModel`,
-with their loss curve; but victims share no weights, embeddings, plan or
-backend with the attacker.
+hands them (clean or perturbed) — propagation always comes from that graph:
+its `gcn_propagation` or `mean_propagation` (`mean_aggregation`, re-exported
+from `graph`). The `gcn` victim is the surrogate's GCN (`encoder.train_gcn`
+and `encoder.forward`) on its own "victim-gcn" seed substream, and
+`VictimConfig` is `EncoderConfig` plus `sgc_steps`. All kinds size their
+output by `graph.class_count`, train with `nnops.fit` and come back as the
+surrogate's record, `encoder.TrainedModel`, with their loss curve; but
+victims share no weights, embeddings, plan or backend with the attacker.
 
 Each training allocates its buffers once and shares nothing mutable with
 another, so several victims may train at once on separate threads, as
-`train_victims` does for `evaluate`. The propagation cache is the one shared
-structure: `train_victims` builds every entry its threads will need before
-starting them.
+`train_victims` does for `evaluate`.
 """
 
 from __future__ import annotations
 
 import os
 import time
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator
 
@@ -30,16 +27,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .config import VICTIM_KINDS, VictimConfig
-from .encoder import (
-    TrainedModel,
-    adjacency_matrix,
-    forward,
-    normalize_adjacency,
-    train_gcn,
-    train_split,
-)
+from .encoder import TrainedModel, forward, train_gcn, train_split
 from .errors import ConfigurationError, DegenerateInputError, ShapeError, TrainingError
-from .graph import TextAttributedGraph
+from .graph import TextAttributedGraph, mean_aggregation
 from .nnops import (
     add_decay, cross_entropy_with_grad, fit, glorot, l2_penalty, operand_form, product,
     product_buffer, relu, training_operand,
@@ -49,44 +39,6 @@ from .seeding import substream
 # submission order: the longest training first, so the others fill the
 # remaining workers around it
 _LONGEST_FIRST = ("sage_mean", "gcn", "sgc")
-
-
-def mean_aggregation(graph: TextAttributedGraph) -> sp.csr_matrix:
-    """Row-normalized adjacency D^{-1} A; isolated nodes get an all-zero row."""
-    a = adjacency_matrix(graph)
-    deg = np.asarray(a.sum(axis=1)).ravel()
-    inv = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
-    return (sp.diags(inv) @ a).tocsr()
-
-
-_PROPAGATION: "weakref.WeakKeyDictionary[TextAttributedGraph, sp.csr_matrix]" = (
-    weakref.WeakKeyDictionary()
-)
-_MEAN_AGGREGATION: "weakref.WeakKeyDictionary[TextAttributedGraph, sp.csr_matrix]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _propagation(kind: str, graph: TextAttributedGraph) -> sp.csr_matrix:
-    """The kind's propagation matrix for `graph`, built once per graph.
-
-    `normalize_adjacency` for gcn and sgc, `mean_aggregation` for sage_mean.
-    An entry lives as long as its graph does. Its value and index arrays are
-    read-only, so an in-place write raises instead of changing what later
-    calls are handed. Reading the cache from several threads is safe;
-    filling it from two at once is not.
-    """
-    cache, build = (
-        (_MEAN_AGGREGATION, mean_aggregation) if kind == "sage_mean"
-        else (_PROPAGATION, normalize_adjacency)
-    )
-    matrix = cache.get(graph)
-    if matrix is None:
-        matrix = build(graph)
-        for array in (matrix.data, matrix.indices, matrix.indptr):
-            array.flags.writeable = False
-        cache[graph] = matrix
-    return matrix
 
 
 def sgc_logits(
@@ -120,12 +72,12 @@ def victim_logits(
         raise ShapeError(
             f"feature dim {features.shape[1]} != weight fan-in {first.shape[0]}"
         )
-    propagation = _propagation(model.kind, graph)
     if model.kind == "gcn":
-        return forward(model.weights, propagation, features)[0]
+        return forward(model.weights, graph.gcn_propagation, features)[0]
     if model.kind == "sgc":
-        return sgc_logits(propagation, features, model.weights["w"], model.config.sgc_steps)
-    return sage_logits(propagation, features, model.weights)
+        steps = model.config.sgc_steps
+        return sgc_logits(graph.gcn_propagation, features, model.weights["w"], steps)
+    return sage_logits(graph.mean_propagation, features, model.weights)
 
 
 def sgc_loss_and_grads(
@@ -191,16 +143,15 @@ def _train_weights(kind, graph, X, cfg) -> TrainedModel:
 
     The model records its loss curve and the form (`nnops.training_operand`)
     each fixed operand took."""
-    propagation = _propagation(kind, graph)
     if kind == "gcn":
-        return train_gcn(graph, propagation, X, cfg, "victim-gcn", "gcn loss")
+        return train_gcn(graph, graph.gcn_propagation, X, cfg, "victim-gcn", "gcn loss")
     labels, rows = train_split(graph, X)
     classes, wd = graph.class_count, cfg.weight_decay
     if kind == "sgc":
         rng = substream(cfg.seed, "victim-sgc")
         propagated = X
         for _ in range(cfg.sgc_steps):
-            propagated = propagation @ propagated
+            propagated = graph.gcn_propagation @ propagated
         weights = {"w": glorot(rng, X.shape[1], classes)}
         operands = {"propagated": training_operand(propagated)}
         steps = sgc_loss_and_grads(weights["w"], operands["propagated"], labels, rows, wd)
@@ -212,8 +163,9 @@ def _train_weights(kind, graph, X, cfg) -> TrainedModel:
             "ws2": glorot(rng, cfg.hidden, classes),
             "wn2": glorot(rng, cfg.hidden, classes),
         }
-        operands = {"x": training_operand(X), "x_nbr": training_operand(propagation @ X)}
-        steps = sage_loss_and_grads(weights, propagation, *operands.values(), labels, rows, wd)
+        m = graph.mean_propagation
+        operands = {"x": training_operand(X), "x_nbr": training_operand(m @ X)}
+        steps = sage_loss_and_grads(weights, m, *operands.values(), labels, rows, wd)
     history = fit(list(weights.values()), steps, cfg.epochs, cfg.learning_rate, f"{kind} loss")
     forms = {name: operand_form(op) for name, op in operands.items()}
     return TrainedModel(kind, weights, cfg, history, forms)
@@ -247,14 +199,11 @@ def train_victims(
     the training seconds by kind, the pool's wall seconds and the worker count.
 
     Each training is deterministic and shares nothing mutable with the others,
-    so the models do not depend on the worker count. This thread fills the
-    propagation cache before the pool starts, since two threads must not fill
-    it at once. A failed training's TrainingError names its kind."""
+    so the models do not depend on the worker count. A failed training's
+    TrainingError names its kind."""
     if not kinds or not set(kinds) <= set(VICTIM_KINDS):
         raise ConfigurationError(f"victim kinds must be among {VICTIM_KINDS}, got {kinds!r}")
     kinds = sorted(set(kinds), key=_LONGEST_FIRST.index)
-    for kind in kinds:
-        _propagation(kind, graph)
 
     def timed(kind: str):
         started = time.perf_counter()

@@ -25,6 +25,7 @@ import pytest
 import scipy.sparse as sp
 
 import tagsiege.encoder as encoder
+import tagsiege.graph as graph_module
 import tagsiege.nnops as nnops
 import tagsiege.victims as victims
 from tagsiege.cli import main
@@ -194,11 +195,11 @@ def test_victims_trained_on_more_threads_than_cores_match_serial_training(monkey
     serial = [train_victim(kind, graph, features, cfg) for kind, cfg in jobs]
 
     def no_build(graph):
-        raise AssertionError("propagation cache filled from a worker thread")
+        raise AssertionError("propagation built again on a worker thread")
 
-    # the serial pass filled the cache; the threads may only read it
-    monkeypatch.setattr(victims, "normalize_adjacency", no_build)
-    monkeypatch.setattr(victims, "mean_aggregation", no_build)
+    # the serial pass built the graph's propagations; the threads only read them
+    monkeypatch.setattr(graph_module, "normalize_adjacency", no_build)
+    monkeypatch.setattr(graph_module, "mean_aggregation", no_build)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -212,6 +213,43 @@ def test_victims_trained_on_more_threads_than_cores_match_serial_training(monkey
             w.tobytes() for w in alone.weights.values()
         ]
         assert together.val_accuracy == alone.val_accuracy
+
+
+def test_a_graphs_arrays_filled_from_many_threads_at_once_are_one_value(monkeypatch):
+    graph = FIXTURES["dense"][0]()  # nothing built yet
+    builds, lock = [], threading.Lock()
+
+    def counted(build):
+        def wrapper(g):
+            with lock:
+                builds.append(build.__name__)
+            return build(g)
+        return wrapper
+
+    for name in ("normalize_adjacency", "mean_aggregation"):
+        monkeypatch.setattr(graph_module, name, counted(getattr(graph_module, name)))
+    threads = 8
+    start = threading.Barrier(threads)
+
+    def read():
+        start.wait(timeout=30)
+        return graph.gcn_propagation, graph.mean_propagation, graph.adjacency
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(threads) as pool:
+            futures = [pool.submit(read) for _ in range(threads)]
+            seen = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    a_hat, m, (indptr, indices) = seen[0]
+    for other_a_hat, other_m, (other_indptr, other_indices) in seen:
+        assert (other_a_hat != a_hat).nnz == 0 and (other_m != m).nnz == 0
+        assert np.array_equal(other_indptr, indptr) and np.array_equal(other_indices, indices)
+    if sys.version_info < (3, 12):  # cached_property builds under a lock there
+        assert sorted(builds) == ["mean_aggregation", "normalize_adjacency"]
+        assert all(got[0] is a_hat and got[1] is m for got in seen)
 
 
 @pytest.mark.parametrize("cores", [{0}, {0, 1}])

@@ -673,6 +673,35 @@ def test_llm_unreachable_endpoint_exits_three(tmp_path, data_dir, monkeypatch):
     assert not (out / "perturbed").exists()  # a plan with no entries perturbs nothing
 
 
+def test_a_manifest_lists_only_the_files_its_own_run_wrote(tmp_path, attack_run, monkeypatch):
+    out = tmp_path / "atk"
+    shutil.copytree(attack_run, out)  # a completed attack's plan and perturbed/
+    monkeypatch.setenv("TAGSIEGE_API_KEY", "dummy")
+    data = read_manifest(attack_run)["config"]["data"]
+    code = main(["attack", "--data", data, "--out", str(out), "--num-targets", "2",
+                 "--epochs", "2", "--backend", "llm", "--base-url", "http://127.0.0.1:9",
+                 "--timeout", "1", "--max-attempts", "1"])
+    assert code == 3
+    assert (out / "perturbed" / "edges.csv").exists()  # left by the earlier run
+    assert set(read_manifest(out)["outputs"]) == {"plan.jsonl"}
+
+
+def test_replaying_a_synth_manifest_that_records_test_frac_drops_it(
+    tmp_path, capsys, data_dir
+):
+    manifest = read_manifest(data_dir)
+    manifest["config"]["test_frac"] = 0.2
+    old = tmp_path / "manifest.json"
+    old.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    out = tmp_path / "again"
+    assert main(["replay", str(old), "--out", str(out)]) == 0
+    assert "warning: replay drops unknown config keys: test_frac\n" in capsys.readouterr().err
+    assert "test_frac" not in read_manifest(out)["config"]
+    names = ("nodes.jsonl", "edges.csv")
+    assert file_bytes(out, names) == file_bytes(data_dir, names)
+
+
 def test_module_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "tagsiege", "--version"],
@@ -772,14 +801,14 @@ def test_a_recorded_non_finite_value_exits_two_before_reading(
     (["attack", "--data", "{none}", "--num-targets", "0"], "--num-targets must be >= 1, got 0"),
     (["attack", "--data", "{none}", "--targets", "5", "--target-split", "nope"],
      "unknown --target-split 'nope'; choose from train, val, test"),
-    (["synth", "--train-frac", "0.5"], "train_frac, val_frac and test_frac must sum to 1"),
-    (["synth", "--val-frac", "-0.1"], "train_frac, val_frac and test_frac must be non-negative"),
+    (["synth", "--train-frac", "0.9"], "train_frac + val_frac must be at most 1"),
+    (["synth", "--val-frac", "-0.1"], "train_frac and val_frac must be non-negative"),
 ], ids=["attack-hidden-0", "attack-epochs-0", "attack-learning-rate-0",
         "attack-weight-decay-negative", "attack-max-vocab-0", "evaluate-epochs-0", "evaluate-sgc-steps-0",
         "evaluate-unknown-victim", "evaluate-malformed-baseline", "evaluate-max-vocab-0",
         "audit-max-vocab-0", "attack-no-target-flag", "attack-both-target-flags",
         "attack-malformed-targets", "attack-num-targets-0", "attack-unknown-target-split",
-        "synth-fractions-not-summing-to-1", "synth-negative-fraction"])
+        "synth-fractions-above-1", "synth-negative-fraction"])
 def test_config_errors_are_found_before_a_missing_dataset(tmp_path, capsys, argv, message):
     none = str(tmp_path / "none")
     argv = [arg.format(none=none) for arg in argv]
@@ -791,7 +820,7 @@ def test_config_errors_are_found_before_a_missing_dataset(tmp_path, capsys, argv
     out = tmp_path / "o"
     assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, cls", [

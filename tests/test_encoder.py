@@ -117,6 +117,24 @@ def test_embeddings_are_penultimate_layer():
     assert np.all(z >= 0)  # post-relu
 
 
+def test_train_encoder_and_encode_build_the_propagation_once_per_graph(monkeypatch):
+    import tagsiege.graph as graph_module
+
+    builds = []
+    real = graph_module.normalize_adjacency
+    monkeypatch.setattr(
+        graph_module, "normalize_adjacency", lambda graph: builds.append(graph) or real(graph)
+    )
+    g = ring_graph()
+    X = random_features(g)
+    trained = train_encoder(g, X, EncoderConfig(hidden=6, epochs=3, seed=2))
+    encode(trained, g, X)
+    assert builds == [g]
+    other = g.with_changes(edges=sorted(g.edges)[1:])
+    encode(trained, other, X)
+    assert builds == [g, other]
+
+
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         EncoderConfig(hidden=0)

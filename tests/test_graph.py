@@ -1,7 +1,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tagsiege.errors import GraphValidationError, ParseError
 from tagsiege.graph import (
@@ -58,6 +61,45 @@ def test_isolated_node_has_empty_neighbors():
     )
     assert g.neighbors(2) == ()
     assert g.degree(2) == 0
+
+
+@st.composite
+def graphs(draw):
+    """Up to 12 nodes with any edge set, the empty one included, so isolated
+    nodes and edgeless graphs come up."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=30)) if pairs else []
+    return TextAttributedGraph.build(
+        texts=["t"] * n, labels=[0] * n, splits=["train"] * n, edges=edges
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs())
+def test_neighbors_and_degree_match_the_edge_set(g):
+    for node in range(g.node_count):
+        expected = sorted({u + v - node for u, v in g.edges if node in (u, v)})
+        assert g.neighbors(node) == tuple(expected)
+        assert all(type(v) is int for v in g.neighbors(node))
+        assert g.degree(node) == len(expected)
+    for missing in (-1, g.node_count):
+        with pytest.raises(IndexError):
+            g.neighbors(missing)
+    indptr, indices = g.adjacency
+    assert indptr.tolist()[-1] == indices.size == 2 * g.edge_count
+    for array in (indptr, indices):
+        with pytest.raises(ValueError):
+            array[...] = 0
+
+
+def test_edgeless_graph_has_empty_adjacency():
+    g = TextAttributedGraph.build(texts=["a", "b"], labels=[0, 1], splits=["train"] * 2, edges=[])
+    indptr, indices = g.adjacency
+    assert indptr.tolist() == [0, 0, 0] and indices.size == 0
+    assert g.neighbors(1) == () and g.degree(0) == 0
+    assert np.array_equal(g.gcn_propagation.toarray(), np.eye(2))
+    assert not g.mean_propagation.toarray().any()
 
 
 def test_split_nodes():

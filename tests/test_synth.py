@@ -16,8 +16,10 @@ def test_config_validation():
         SynthConfig(p_in=0.01, p_out=0.05)
     with pytest.raises(ConfigurationError):
         SynthConfig(p_in=1.5)
-    with pytest.raises(ConfigurationError):
-        SynthConfig(train_frac=0.5)
+    with pytest.raises(ConfigurationError, match="at most 1"):
+        SynthConfig(train_frac=0.9)
+    with pytest.raises(ConfigurationError, match="non-negative"):
+        SynthConfig(val_frac=-0.1)
     with pytest.raises(ConfigurationError):
         SynthConfig(node_count=3, class_count=5)
 
@@ -32,6 +34,13 @@ def test_balanced_labels_and_valid_graph():
         members = [i for i in range(g.node_count) if g.labels[i] == c]
         train = [i for i in members if g.splits[i] == "train"]
         assert len(train) == round(0.6 * len(members))
+
+
+def test_test_split_takes_what_train_and_val_leave():
+    g = generate(SynthConfig(node_count=100, class_count=2, train_frac=0.5, seed=3))
+    for c in range(2):
+        splits = [s for s, label in zip(g.splits, g.labels) if label == c]
+        assert [splits.count(s) for s in ("train", "val", "test")] == [25, 10, 15]
 
 
 def test_seed_determinism_bytes(tmp_path):

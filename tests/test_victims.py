@@ -294,13 +294,16 @@ def test_permutation_equivariance():
 
 @pytest.mark.parametrize("kind", ["gcn", "sgc", "sage_mean"])
 def test_propagation_built_once_per_graph_and_read_only(monkeypatch, kind):
-    import tagsiege.victims as victims
+    import tagsiege.graph as graph_module
 
     g = clustered_graph(n=22, seed=9)
     X = block_features(g)
     model = train_victim(kind, g, X, VictimConfig(epochs=5, seed=2))
-    builder = "mean_aggregation" if kind == "sage_mean" else "normalize_adjacency"
-    fresh = getattr(victims, builder)(g)
+    builder, prop = (
+        ("mean_aggregation", "mean_propagation") if kind == "sage_mean"
+        else ("normalize_adjacency", "gcn_propagation")
+    )
+    fresh = getattr(graph_module, builder)(g)
     expected = {
         "gcn": lambda: forward(model.weights, fresh, X)[0],
         "sgc": lambda: sgc_logits(fresh, X, model.weights["w"], model.config.sgc_steps),
@@ -308,8 +311,8 @@ def test_propagation_built_once_per_graph_and_read_only(monkeypatch, kind):
     }[kind]()
 
     builds = []
-    real = getattr(victims, builder)
-    monkeypatch.setattr(victims, builder, lambda graph: builds.append(graph) or real(graph))
+    real = getattr(graph_module, builder)
+    monkeypatch.setattr(graph_module, builder, lambda graph: builds.append(graph) or real(graph))
     for nodes in ([0, 1, 2], [5, 17], list(range(22))):
         accuracy(model, g, X, nodes)
     assert np.array_equal(victim_logits(model, g, X), expected)
@@ -320,6 +323,7 @@ def test_propagation_built_once_per_graph_and_read_only(monkeypatch, kind):
     predict(model, other, X)
     assert builds == [other]
 
-    cached = victims._propagation(kind, g)
-    with pytest.raises(ValueError):
-        cached.data[0] = 5.0
+    cached = getattr(g, prop)
+    for array in (cached.data, cached.indices, cached.indptr):
+        with pytest.raises(ValueError):
+            array[0] = 5
