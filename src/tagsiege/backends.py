@@ -5,9 +5,11 @@ cosine geometry over the surrogate embeddings and by TF-IDF weight for the
 keyword, so it is pure, reproducible and usable offline. The LLM backend
 speaks the common chat-completions JSON protocol; malformed or
 constraint-violating replies (an id that is not a JSON integer, or a keyword
-or rewrite that is not a string, among them) get one corrective re-prompt and then fall back to the oracle;
-`fallback_count` counts those fallbacks. A backend error is the failure of
-one target, which `attack` records as a skip.
+or rewrite that is not a string, among them) get one corrective re-prompt and
+then fall back to the oracle; `fallback_count` counts those fallbacks. It
+posts through the standard library's `http.client`, on one kept-alive
+connection per thread. A backend error is the failure of one target, which
+`attack` records as a skip.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import select
 import threading
 import time
 from abc import ABC, abstractmethod
@@ -257,23 +260,73 @@ def api_key() -> str:
     return key
 
 
-_sessions = threading.local()
+_connections = threading.local()
+
+
+def _open(url: str, timeout: float):
+    """(connection, request target, extra headers) for POSTs to `url`: a
+    direct connection, or one through the proxy that the environment names
+    for the URL's scheme (`HTTP_PROXY`, `HTTPS_PROXY`) unless `NO_PROXY`
+    exempts its host. Through a proxy, an http URL is requested whole and an
+    https URL goes through a CONNECT tunnel. HTTPS verifies the server
+    against `ssl.create_default_context()`'s trust store. The standard
+    library's HTTP and TLS modules are imported here, so only LLM runs load
+    them."""
+    import base64
+    import http.client
+    import ssl
+    from urllib.parse import unquote, urlsplit
+    from urllib.request import getproxies, proxy_bypass
+
+    parts = urlsplit(url)
+    https = parts.scheme == "https"
+    host, port = parts.hostname, parts.port or (443 if https else 80)
+    target, extra, tunnel = parts._replace(scheme="", netloc="").geturl(), {}, None
+    proxy = getproxies().get(parts.scheme)
+    if proxy and not proxy_bypass(parts.netloc.rpartition("@")[2]):
+        proxy = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+        if proxy.username:
+            login = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}"
+            extra["Proxy-Authorization"] = "Basic " + base64.b64encode(login.encode()).decode()
+        if https:
+            tunnel = host, port
+        else:
+            target = url
+        host, port = proxy.hostname, proxy.port or 80
+    if not https:
+        return http.client.HTTPConnection(host, port, timeout=timeout), target, extra
+    conn = http.client.HTTPSConnection(
+        host, port, timeout=timeout, context=ssl.create_default_context()
+    )
+    if tunnel:
+        conn.set_tunnel(*tunnel, headers=extra)
+    return conn, target, {} if tunnel else extra
 
 
 def _default_transport(url: str, headers: dict, payload: dict, timeout: float) -> dict:
-    """POST through one `requests.Session` per thread, so successive queries
-    of a thread reuse its kept-alive connection instead of opening one each
-    (a session is not documented as safe to share between threads).
-    `requests` is imported on first use, keeping it out of start-up for
-    commands that never query an LLM."""
-    session = getattr(_sessions, "session", None)
-    if session is None:
-        import requests
-
-        session = _sessions.session = requests.Session()
-    resp = session.post(url, headers=headers, json=payload, timeout=timeout)
-    resp.raise_for_status()
-    return resp.json()
+    """POST `payload` as JSON to `url` through the calling thread's kept-alive
+    connection (an `http.client` connection is not safe to share between
+    threads) and decode the JSON reply. A reply with status 400 or above
+    raises BackendError. Any failed exchange closes the connection, so the
+    next attempt opens a fresh one; so does a server that closed it while idle."""
+    held = getattr(_connections, "held", None)
+    if held is None or held[0] != (url, timeout):
+        if held is not None:
+            held[1].close()
+        held = _connections.held = ((url, timeout), *_open(url, timeout))
+    _, conn, target, extra = held
+    if conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
+        conn.close()  # readable while idle: the server closed it (http.client reopens)
+    try:
+        conn.request("POST", target, body=json.dumps(payload).encode(), headers=headers | extra)
+        reply = conn.getresponse()
+        body = reply.read()
+        if reply.status >= 400:
+            raise BackendError(f"HTTP {reply.status} {reply.reason} from {url}")
+        return json.loads(body)
+    except BaseException:
+        conn.close()
+        raise
 
 
 def extract_json_object(content: str) -> dict:

@@ -14,15 +14,16 @@ and help from that field (``_options``), and each runner builds its config
 objects from the options of the same names (``_config``) and checks them
 before it reads a dataset, plan or report; ``main`` and ``replay`` run it
 through ``_run``. A runner creates ``--out`` with its first output and
-returns the files it wrote, which alone the manifest lists. Exit codes: 0
-ok, 2 config/validation, 3 an attack in which every target was skipped, 4
-training.
+returns the files it wrote, which alone the manifest lists; the files that an
+earlier manifest of the same command there lists, and this run did not
+write, are removed. Exit codes: 0 ok, 2 config/validation, 3 an attack in
+which every target was skipped, 4 training.
 
 Module level imports only what parsing, manifests and ``replay``'s checks
 need (``config`` among them), none of which loads numpy; every other layer
 is imported by the runner or helper that uses it. So ``--help`` and argument
-errors start without importing numpy, and ``synth`` and a replayed ``synth``
-without importing scipy.
+errors start without importing numpy, and ``synth``, a replayed ``synth``
+and ``audit`` (whose features stay numpy CSR rows) without importing scipy.
 """
 
 from __future__ import annotations
@@ -364,6 +365,11 @@ def _run_attack(cfg: dict, out: Path):
 
 
 def _run_evaluate(cfg: dict, out: Path):
+    # imported before any data, outside the victims' worker threads: first
+    # imported inside a worker, scipy read up to 1 MB higher peak RSS
+    # (evaluate on the 300-node quickstart data)
+    import scipy.sparse  # noqa: F401
+
     from .metrics import aggregate, bound_audit, synergy_test
     from .text_features import featurize
     from .victims import accuracy, train_victims
@@ -615,11 +621,34 @@ def _check_recorded(name: str, kind: str, default, value) -> None:
         raise ConfigurationError(f"manifest config {name}: {exc}") from None
 
 
+def _remove_stale(out: Path, command: str, written: list[Path]) -> None:
+    """Delete the files that an earlier manifest of `command` in `out` lists
+    and this run did not write, with the directories that leaves empty. Only
+    paths that resolve inside `out` go; another command's files stay, since
+    `attack --out` may be the dataset directory it reads."""
+    try:
+        earlier = json.loads((out / "manifest.json").read_text())
+        listed = set(typed(earlier["outputs"], dict)) if earlier["command"] == command else set()
+    except (OSError, ValueError, KeyError, TypeError):
+        return
+    root = out.resolve()
+    for name in listed - {str(f.relative_to(out)) for f in written}:
+        path = (out / name).resolve()
+        if path.is_relative_to(root) and path.is_file():
+            path.unlink()
+            for parent in path.parents:
+                if parent == root or any(parent.iterdir()):
+                    break
+                parent.rmdir()
+
+
 def _run(command: str, config: dict, out: str) -> int:
-    """Run `command` on its resolved `config` into `out`, then record the
-    manifest; `main` and `replay` both run a command through here."""
+    """Run `command` on its resolved `config` into `out`, remove what an
+    earlier run of it left there (`_remove_stale`), then record the manifest;
+    `main` and `replay` both run a command through here."""
     root = Path(out)
     inputs, written, extra, code = _COMMANDS[command][1](config, root)
+    _remove_stale(root, command, written)
     _write_manifest(root, command, config, inputs, written, extra)
     return code
 

@@ -1,9 +1,11 @@
 """Surrogate graph encoder: a two-layer GCN trained with manual backprop.
 
 The attacker owns this model outright (it never touches the victim), so it is
-kept small and auditable: symmetric-normalized propagation, relu, full-batch
-Adam, and a finite-difference gradient check over every weight coordinate.
-Node embeddings are the penultimate (post-relu) hidden activations.
+kept small and auditable: symmetric-normalized propagation, relu and
+full-batch Adam on hand-written gradients. Node embeddings are the
+penultimate (post-relu) hidden activations. Features may be dense, scipy CSR
+or `text_features.featurize`'s CSRRows, which `nnops.scipy_rows` wraps where
+the products start.
 
 The `gcn` victim is this same model: `train_gcn` initialises and fits both,
 each from its own seed substream ("encoder-init" here, "victim-gcn" there),
@@ -15,19 +17,21 @@ graph's `gcn_propagation` (`normalize_adjacency`, re-exported from `graph`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
-import scipy.sparse as sp
 
 from .config import EncoderConfig
 from .errors import ShapeError, TrainingError
 from .graph import TextAttributedGraph, normalize_adjacency
 from .nnops import (
-    add_decay, as_dense, cross_entropy_with_grad, fit, glorot, l2_penalty, operand_form,
-    product, product_buffer, relu, training_operand,
+    CSRRows, add_decay, cross_entropy_with_grad, fit, glorot, l2_penalty, operand_form, product,
+    product_buffer, relu, scipy_rows, training_operand,
 )
 from .seeding import substream
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass
@@ -48,13 +52,15 @@ class TrainedModel:
 
 
 def forward(
-    weights: dict[str, np.ndarray], a_hat: sp.csr_matrix, features: np.ndarray | sp.csr_matrix
+    weights: dict[str, np.ndarray],
+    a_hat: sp.csr_matrix,
+    features: np.ndarray | CSRRows | sp.spmatrix,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Return (logits, embeddings); embeddings are the post-relu hidden layer."""
     w1, w2 = weights["w1"], weights["w2"]
     if features.shape[1] != w1.shape[0]:
         raise ShapeError(f"feature dim {features.shape[1]} != weight fan-in {w1.shape[0]}")
-    h = relu(a_hat @ (features @ w1))
+    h = relu(a_hat @ (scipy_rows(features) @ w1))
     logits = a_hat @ (h @ w2)
     return logits, h
 
@@ -97,7 +103,7 @@ def _loss_and_grads(
 
 
 def train_split(
-    graph: TextAttributedGraph, features: np.ndarray | sp.csr_matrix
+    graph: TextAttributedGraph, features: np.ndarray | CSRRows | sp.spmatrix
 ) -> tuple[np.ndarray, np.ndarray]:
     """(labels, train rows) of `graph` as int arrays. ShapeError unless
     `features` has one row per node, TrainingError if there are no train nodes."""
@@ -112,7 +118,7 @@ def train_split(
 def train_gcn(
     graph: TextAttributedGraph,
     a_hat: sp.csr_matrix,
-    features: np.ndarray | sp.csr_matrix,
+    features: np.ndarray | CSRRows | sp.spmatrix,
     config: EncoderConfig,
     stream: str,
     what: str,
@@ -124,7 +130,7 @@ def train_gcn(
     `u` = a_hat @ features is kept in the form `nnops.training_operand`
     picks for it, recorded in `operand_forms`."""
     labels, rows = train_split(graph, features)
-    u = training_operand(a_hat @ features)
+    u = training_operand(a_hat @ scipy_rows(features))
     rng = substream(config.seed, stream)
     weights = {
         "w1": glorot(rng, features.shape[1], config.hidden),
@@ -142,7 +148,7 @@ def train_gcn(
 
 def train_encoder(
     graph: TextAttributedGraph,
-    features: np.ndarray | sp.csr_matrix,
+    features: np.ndarray | CSRRows | sp.spmatrix,
     config: EncoderConfig | None = None,
 ) -> TrainedModel:
     """The surrogate: `train_gcn` on the "encoder-init" substream;
@@ -154,53 +160,9 @@ def train_encoder(
 
 
 def encode(
-    trained: TrainedModel, graph: TextAttributedGraph, features: np.ndarray | sp.csr_matrix
+    trained: TrainedModel,
+    graph: TextAttributedGraph,
+    features: np.ndarray | CSRRows | sp.spmatrix,
 ) -> np.ndarray:
     _, z = forward(trained.weights, graph.gcn_propagation, features)
     return z
-
-
-def gradient_check(
-    weights: dict[str, np.ndarray],
-    a_hat: sp.csr_matrix,
-    features: np.ndarray | sp.csr_matrix,
-    labels: np.ndarray,
-    train_rows: np.ndarray,
-    weight_decay: float = 0.0,
-    step: float = 1e-5,
-    kink_tol: float = 1e-3,
-) -> float:
-    """Max relative error of analytic vs central-difference gradients.
-
-    Coordinates of W1 whose perturbation could flip a relu unit (some
-    pre-activation within kink_tol of zero on a row the coordinate feeds)
-    are skipped: the numeric difference is one-sided there and disagreement
-    is expected rather than a bug.
-    """
-    u = as_dense(a_hat @ features)
-    h_pre = u @ weights["w1"]
-
-    def loss_at(p: dict[str, np.ndarray]) -> float:
-        return next(_loss_and_grads(p, a_hat, u, labels, train_rows, weight_decay))[0]
-
-    _, (dw1, dw2) = next(_loss_and_grads(weights, a_hat, u, labels, train_rows, weight_decay))
-    worst = 0.0
-    for which, analytic in (("w1", dw1), ("w2", dw2)):
-        w = weights[which]
-        for a in range(w.shape[0]):
-            for b in range(w.shape[1]):
-                if which == "w1":
-                    feeding = np.abs(u[:, a]) > 0
-                    if np.any(np.abs(h_pre[feeding, b]) < kink_tol):
-                        continue
-                orig = w[a, b]
-                w[a, b] = orig + step
-                up = loss_at(weights)
-                w[a, b] = orig - step
-                down = loss_at(weights)
-                w[a, b] = orig
-                numeric = (up - down) / (2 * step)
-                denom = max(abs(analytic[a, b]), abs(numeric), 1e-8)
-                worst = max(worst, abs(analytic[a, b] - numeric) / denom)
-    return worst
-

@@ -16,34 +16,47 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .encoder import TrainedModel
 from .errors import DegenerateInputError, ShapeError
 from .graph import TextAttributedGraph
-from .nnops import pair_cosines, unit_rows
+from .nnops import csr_rows, merge_entries, pair_cosines, unit_rows
 from .plan import edit_counts
 from .text_features import token_edit_distance
 from .victims import accuracy
 
 
-def _check_features(graph: TextAttributedGraph, features) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted (m, 2) edge array and the cosine of each edge's endpoint
-    features; the features (dense or CSR) need one row per node."""
-    unit = unit_rows(features)
-    if unit.shape[0] != graph.node_count:
+def _edge_cosines(
+    graph: TextAttributedGraph, features
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each edge's endpoints (u < v, sorted by (u, v), read off
+    `graph.adjacency`) and the cosine of their features; the features (dense
+    or CSR) need one row per node."""
+    if features.shape[0] != graph.node_count:
         raise ShapeError(
-            f"feature rows {unit.shape[0]} != node count {graph.node_count}"
+            f"feature rows {features.shape[0]} != node count {graph.node_count}"
         )
     if not graph.edges:
         raise DegenerateInputError("homophily of an edgeless graph is undefined")
-    edges = np.array(graph.sorted_edges())
-    return edges, pair_cosines(unit, edges[:, 0], edges[:, 1])
+    indptr, indices = graph.adjacency
+    ends = np.repeat(np.arange(graph.node_count), np.diff(indptr))
+    upper = ends < indices
+    u, v = ends[upper], indices[upper]
+    return u, v, pair_cosines(unit_rows(features), u, v)
+
+
+def _node_mean(node_count: int, u: np.ndarray, v: np.ndarray, cosines: np.ndarray) -> float:
+    # larger endpoint first: a node meets its smaller neighbors, then its larger
+    ends = np.concatenate([v, u])
+    sums = np.bincount(ends, weights=np.concatenate([cosines, cosines]), minlength=node_count)
+    degree = np.bincount(ends, minlength=node_count)
+    linked = degree > 0
+    return float(np.mean(sums[linked] / degree[linked]))
 
 
 def homophily_edge(graph: TextAttributedGraph, features: np.ndarray) -> float:
     """Mean cosine similarity across edge endpoints."""
-    return float(np.mean(_check_features(graph, features)[1]))
+    return float(np.mean(_edge_cosines(graph, features)[2]))
 
 
 def homophily_node(graph: TextAttributedGraph, features: np.ndarray) -> float:
@@ -52,15 +65,22 @@ def homophily_node(graph: TextAttributedGraph, features: np.ndarray) -> float:
     Each node's cosines are summed over its neighbors in ascending id order,
     left to right, then divided by its degree.
     """
-    edges, cosines = _check_features(graph, features)
-    # larger endpoint first: a node meets its smaller neighbors, then its larger
-    ends = np.concatenate([edges[:, 1], edges[:, 0]])
-    sums = np.bincount(
-        ends, weights=np.concatenate([cosines, cosines]), minlength=graph.node_count
-    )
-    degree = np.bincount(ends, minlength=graph.node_count)
-    linked = degree > 0
-    return float(np.mean(sums[linked] / degree[linked]))
+    return _node_mean(graph.node_count, *_edge_cosines(graph, features))
+
+
+def _drifts(clean, perturbed, rows: list[int]) -> np.ndarray:
+    """L2 norm of perturbed[i] - clean[i] for each i in `rows`, each square
+    summed in column order from 0.0 (as scipy sums a CSR difference)."""
+    keys_c, values_c = csr_rows(clean).entries(rows)
+    keys, diff = merge_entries(csr_rows(perturbed).entries(rows), (keys_c, -values_c))
+    # a shared column's perturbed value absorbs the clean one: p + (-c) is p - c
+    second = np.flatnonzero(keys[1:] == keys[:-1]) + 1
+    diff[second - 1] += diff[second]
+    keep = np.ones(keys.size, dtype=bool)
+    keep[second] = False
+    keys, diff = keys[keep], diff[keep]
+    width = clean.shape[1]
+    return np.sqrt(np.bincount(keys // width, weights=diff * diff, minlength=len(rows)))
 
 
 def bound_audit(
@@ -76,17 +96,19 @@ def bound_audit(
     per-token Lipschitz estimate of the featurizer, and
     |ΔH_edge| / (Δ_E + L̂·τ_max) as `empirical_ratio` (0 when the denominator
     vanishes). Nothing is asserted here — the constants are unknown.
-    Features may be dense or CSR and stay in that form.
+    Features may be dense or CSR and are never made dense; each graph's edge
+    cosines are taken once and serve both homophilies.
     """
-    h_edge_clean = homophily_edge(clean, features_clean)
-    h_edge_pert = homophily_edge(perturbed, features_pert)
-    h_node_clean = homophily_node(clean, features_clean)
-    h_node_pert = homophily_node(perturbed, features_pert)
+    edges_clean = _edge_cosines(clean, features_clean)
+    edges_pert = _edge_cosines(perturbed, features_pert)
+    h_edge_clean = float(np.mean(edges_clean[2]))
+    h_edge_pert = float(np.mean(edges_pert[2]))
+    h_node_clean = _node_mean(clean.node_count, *edges_clean)
+    h_node_pert = _node_mean(perturbed.node_count, *edges_pert)
     counts = edit_counts(clean, perturbed)
 
     changed = [i for i, (old, new) in enumerate(zip(clean.texts, perturbed.texts)) if old != new]
-    diff = sp.csr_matrix(features_pert[changed] - features_clean[changed])
-    drifts = np.sqrt(diff.multiply(diff) @ np.ones(diff.shape[1]))
+    drifts = _drifts(features_clean, features_pert, changed)
     lipschitz = 0.0
     for i, drift in zip(changed, drifts.tolist()):
         edits = token_edit_distance(clean.texts[i], perturbed.texts[i])

@@ -1,22 +1,28 @@
-"""Small shared numerics: init, activations, the loss, the training loop, the
-dense-or-CSR choice for fixed training operands, and the package's one cosine.
+"""Small shared numerics: init, activations, the loss, the training loop,
+read-only CSR rows, the dense-or-CSR choice for fixed training operands, and
+the package's one cosine.
 
 `fit` is the one full-batch Adam loop that trains the surrogate encoder and
 every victim. Its losses write their dense activations and gradients into
 buffers they allocate once per training run (`product` into `out=`), and its
 Adam step does the same, so an epoch allocates only (n, classes) arrays (the
 loss and scipy's sparse @ dense propagations) plus scipy's first-layer products
-with a CSR operand. Everything here is plain numpy/scipy on float64, bit-stable per platform.
+with a CSR operand. Everything here is plain numpy on float64, bit-stable per
+platform; scipy is imported only where a CSR training operand is built
+(`training_operand`, `scipy_rows`), so the cosine and the audit never load it.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import TrainingError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # A fixed training operand (a_hat @ X, X, m @ X, a_hat^K @ X) stays CSR when at
 # most this share of its entries is nonzero. Measured crossover of `u @ W1`
@@ -28,15 +34,96 @@ from .errors import TrainingError
 SPARSE_OPERAND_MAX_DENSITY = 0.10
 
 
-def as_dense(x: np.ndarray | sp.spmatrix) -> np.ndarray:
+@dataclass(frozen=True)
+class CSRRows:
+    """A (rows, columns) float matrix as read-only CSR arrays, in the style of
+    `graph.adjacency`: row i's columns, ascending and each stored once, are
+    indices[indptr[i]:indptr[i + 1]], and its values the same slice of data."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+    ndim = 2
+
+    def __post_init__(self):
+        for array in (self.indptr, self.indices, self.data):
+            array.flags.writeable = False
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    def row_ids(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(key, value) of every stored entry of the rows `rows` (ids, in any
+        order, repeats allowed), where key = i * columns + column for an entry
+        of rows[i]: ascending, since each row's columns ascend."""
+        rows = np.asarray(rows, dtype=np.intp)
+        starts, counts = self.indptr[rows], np.diff(self.indptr)[rows]
+        ends = np.cumsum(counts)
+        at = np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - (ends - counts), counts)
+        keys = np.repeat(np.arange(rows.size) * self.shape[1], counts) + self.indices[at]
+        return keys, self.data[at]
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.row_ids(), self.indices] = self.data
+        return out
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        # numpy and scipy callers (np.asarray(X), scipy_matrix @ X) see a
+        # dense copy
+        return self.toarray() if dtype is None else self.toarray().astype(dtype)
+
+
+def _is_sparse(x) -> bool:
+    """True for CSRRows and scipy sparse matrices, without importing scipy."""
+    return isinstance(x, CSRRows) or hasattr(x, "tocsr")
+
+
+def csr_rows(x: np.ndarray | CSRRows | sp.spmatrix) -> CSRRows:
+    """`x` as CSRRows: itself, a scipy matrix's entries with its duplicates
+    summed, or a dense array's nonzero entries."""
+    if isinstance(x, CSRRows):
+        return x
+    if hasattr(x, "tocsr"):
+        x = x.tocsr(copy=True)
+        x.sum_duplicates()  # sorted columns, each once
+        return CSRRows(x.indptr, x.indices, np.asarray(x.data, dtype=float), x.shape)
+    x = np.asarray(x, dtype=float)
+    rows, cols = np.nonzero(x)  # row-major, so columns ascend within a row
+    indptr = np.zeros(x.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=x.shape[0]), out=indptr[1:])
+    return CSRRows(indptr, cols, x[rows, cols], x.shape)
+
+
+def scipy_rows(x: np.ndarray | CSRRows | sp.spmatrix) -> np.ndarray | sp.spmatrix:
+    """`x` as an operand of scipy products: CSRRows become a scipy CSR matrix
+    over the same arrays; anything else comes back as it is. Training and
+    prediction call this where their products start, so features from
+    `text_features.featurize` go in as they are."""
+    if not isinstance(x, CSRRows):
+        return x
+    import scipy.sparse as sp
+
+    return sp.csr_matrix((x.data, x.indices, x.indptr), shape=x.shape)
+
+
+def as_dense(x: np.ndarray | CSRRows | sp.spmatrix) -> np.ndarray:
     """`x` as a float ndarray, whether it came in dense or sparse."""
-    return x.toarray() if sp.issparse(x) else np.asarray(x, dtype=float)
+    return x.toarray() if _is_sparse(x) else np.asarray(x, dtype=float)
 
 
 def training_operand(x: np.ndarray | sp.spmatrix) -> sp.csr_matrix | np.ndarray:
     """`x` as CSR if at most SPARSE_OPERAND_MAX_DENSITY of its entries are
     nonzero, else as a dense ndarray. Products with either form agree up to
     float summation order."""
+    import scipy.sparse as sp
+
     nnz = x.count_nonzero() if sp.issparse(x) else np.count_nonzero(x)
     size = x.shape[0] * x.shape[1]
     if size and nnz / size > SPARSE_OPERAND_MAX_DENSITY:
@@ -45,38 +132,53 @@ def training_operand(x: np.ndarray | sp.spmatrix) -> sp.csr_matrix | np.ndarray:
 
 
 def operand_form(x: np.ndarray | sp.spmatrix) -> str:
-    return "csr" if sp.issparse(x) else "dense"
+    return "dense" if isinstance(x, np.ndarray) else "csr"
 
 
-def unit_rows(x: np.ndarray | sp.spmatrix) -> np.ndarray | sp.csr_matrix:
+def unit_rows(x: np.ndarray | CSRRows | sp.spmatrix) -> np.ndarray | CSRRows:
     """Each row divided by its largest |entry|, then by its L2 norm.
 
     The first division keeps the squares from under- or overflowing; the norm
     is summed like `pair_cosines`. Zero rows stay zero, so they score cosine
-    0.0 against every row. Dense input gives a new ndarray, sparse input a new
-    CSR matrix with sorted column indices.
+    0.0 against every row. Dense input gives a new ndarray, sparse input
+    (CSRRows or scipy) new CSRRows.
     """
-    if sp.issparse(x):
-        x = sp.csr_matrix(x, dtype=float, copy=True)
-        x.sum_duplicates()  # sorted columns: every row sum runs left to right
-        values, scale = x.data, abs(x).max(axis=1).toarray().ravel()
-    else:
-        x = values = np.array(x, dtype=float)
-        scale = np.max(np.abs(x), axis=1, initial=0.0)
+    def nonzero(divisor: np.ndarray) -> np.ndarray:
+        return np.where(divisor == 0.0, 1.0, divisor)
 
-    def divide_rows(divisor: np.ndarray) -> None:
-        divisor = np.where(divisor == 0.0, 1.0, divisor)
-        per_value = np.repeat(divisor, np.diff(x.indptr)) if sp.issparse(x) else divisor[:, None]
-        np.divide(values, per_value, out=values)
+    if not _is_sparse(x):
+        x = np.array(x, dtype=float)
+        rows = np.arange(x.shape[0])
+        x /= nonzero(np.max(np.abs(x), axis=1, initial=0.0))[:, None]
+        x /= nonzero(np.sqrt(pair_cosines(x, rows, rows)))[:, None]
+        return x
+    x = csr_rows(x)
+    counts, magnitudes = np.diff(x.indptr), np.abs(x.data)
+    scale = np.zeros(x.shape[0])
+    stored = counts > 0
+    if magnitudes.size:
+        scale[stored] = np.maximum.reduceat(magnitudes, x.indptr[:-1][stored])
+    values = x.data / np.repeat(nonzero(scale), counts)
+    # each row's squares in column order from 0.0, as `pair_cosines` sums them
+    squares = np.bincount(x.row_ids(), weights=values * values, minlength=x.shape[0])
+    values /= np.repeat(nonzero(np.sqrt(squares)), counts)
+    return CSRRows(x.indptr, x.indices, values, x.shape)
 
-    divide_rows(scale)
-    rows = np.arange(x.shape[0])
-    divide_rows(np.sqrt(pair_cosines(x, rows, rows)))
-    return x
+
+def merge_entries(
+    first: tuple[np.ndarray, np.ndarray], second: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two ascending (key, value) runs of `CSRRows.entries` as one ascending
+    run; on a key both hold, `first`'s entry comes just before `second`'s. A
+    stable argsort merges the two runs in linear time, with the sort code
+    `graph.adjacency`'s lexsort already runs."""
+    keys = np.concatenate([first[0], second[0]])
+    order = np.argsort(keys, kind="stable")
+    return keys[order], np.concatenate([first[1], second[1]])[order]
 
 
 def pair_cosines(
-    unit: np.ndarray | sp.csr_matrix, a: np.ndarray, b: np.ndarray
+    unit: np.ndarray | CSRRows, a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
     """Cosine of rows `a[i]` and `b[i]` of `unit_rows` output: their dot,
     summed left to right over the columns, starting from 0.0.
@@ -87,9 +189,15 @@ def pair_cosines(
     against many rows, or a block of targets against all rows).
     """
     a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
-    if sp.issparse(unit):
-        # csr_matvec keeps one running sum per row, in stored (column) order
-        return unit[a].multiply(unit[b]) @ np.ones(unit.shape[1])
+    if isinstance(unit, CSRRows):
+        # scipy's `unit[a].multiply(unit[b]) @ ones` in numpy: the products
+        # over the columns a pair shares, one running sum per pair
+        keys, values = merge_entries(unit.entries(a), unit.entries(b))
+        shared = np.flatnonzero(keys[1:] == keys[:-1])  # a's entry, then b's
+        return np.bincount(
+            keys[shared] // unit.shape[1], weights=values[shared] * values[shared + 1],
+            minlength=a.size,
+        )
     out = np.zeros(np.broadcast(a, b).shape)
     for column in unit.T:  # column by column, so every pair sums left to right
         out += column[a] * column[b]
@@ -101,13 +209,13 @@ def product(
 ) -> np.ndarray:
     """a @ b, written into `out` when `a` is dense. scipy's sparse @ dense
     takes no `out=`, so a sparse `a` ignores `out` and gives a new array."""
-    return a @ b if sp.issparse(a) else np.matmul(a, b, out=out)
+    return np.matmul(a, b, out=out) if isinstance(a, np.ndarray) else a @ b
 
 
 def product_buffer(a: np.ndarray | sp.spmatrix, columns: int) -> np.ndarray | None:
     """The `out` for `product(a, b)` with `b` of `columns` columns: None for
     a sparse `a`, else an uninitialised (rows of a, columns) array."""
-    return None if sp.issparse(a) else np.empty((a.shape[0], columns))
+    return np.empty((a.shape[0], columns)) if isinstance(a, np.ndarray) else None
 
 
 def l2_penalty(weights: list[np.ndarray], scratch: list[np.ndarray]) -> float:

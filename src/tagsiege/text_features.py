@@ -11,16 +11,14 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .config import MAX_VOCAB
 from .errors import DegenerateInputError
 from .graph import TextAttributedGraph
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+from .nnops import CSRRows
 
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
 
@@ -87,29 +85,30 @@ def build_vocabulary(graph: TextAttributedGraph, max_size: int = MAX_VOCAB) -> V
     return Vocabulary.from_texts(graph.texts, max_size=max_size)
 
 
-def featurize(texts: Sequence[str], vocab: Vocabulary) -> sp.csr_matrix:
-    """(n, |V|) TF-IDF matrix as CSR: raw term count times smoothed idf.
+def featurize(texts: Sequence[str], vocab: Vocabulary) -> CSRRows:
+    """(n, |V|) TF-IDF matrix as read-only CSR rows: raw term count times
+    smoothed idf.
 
     Terms outside the vocabulary are dropped; texts with no known terms get an
     empty row. Column indices are sorted within each row and duplicate terms
-    are summed into one entry, so each value equals count * idf exactly.
+    are summed into one entry, so each value equals count * idf exactly. The
+    index arrays are int32, scipy's own choice, whenever they fit, so
+    `nnops.scipy_rows` wraps them without a copy.
     """
-    # imported here: `plan` imports this module for token_edit_distance, and
-    # processes that never featurize (the RND/FLIP baselines) skip ~0.2 s
-    import scipy.sparse as sp
-
-    rows: list[int] = []
-    cols: list[int] = []
-    for row, text in enumerate(texts):
+    indptr, indices, counts = [0], [], []
+    for text in texts:
+        row: dict[int, int] = {}
         for term in tokenize(text):
             col = vocab.index.get(term)
             if col is not None:
-                rows.append(row)
-                cols.append(col)
-    counts = sp.csr_matrix(
-        (np.ones(len(cols)), (rows, cols)), shape=(len(texts), len(vocab))
-    )
-    counts.sum_duplicates()
-    counts.data *= vocab.idf_vector()[counts.indices]
-    return counts
-
+                row[col] = row.get(col, 0) + 1
+        cols = sorted(row)
+        indices += cols
+        counts += [row[col] for col in cols]
+        indptr.append(len(indices))
+    shape = (len(indptr) - 1, len(vocab))
+    index_type = np.int32 if max(len(indices), *shape) < 2**31 else np.int64
+    indices = np.array(indices, dtype=index_type)
+    data = np.array(counts, dtype=float)
+    data *= vocab.idf_vector()[indices]
+    return CSRRows(np.array(indptr, dtype=index_type), indices, data, shape)

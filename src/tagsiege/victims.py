@@ -21,20 +21,22 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
-import scipy.sparse as sp
 
 from .config import VICTIM_KINDS, VictimConfig
 from .encoder import TrainedModel, forward, train_gcn, train_split
 from .errors import ConfigurationError, DegenerateInputError, ShapeError, TrainingError
 from .graph import TextAttributedGraph, mean_aggregation
 from .nnops import (
-    add_decay, cross_entropy_with_grad, fit, glorot, l2_penalty, operand_form, product,
-    product_buffer, relu, training_operand,
+    CSRRows, add_decay, cross_entropy_with_grad, fit, glorot, l2_penalty, operand_form, product,
+    product_buffer, relu, scipy_rows, training_operand,
 )
 from .seeding import substream
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # submission order: the longest training first, so the others fill the
 # remaining workers around it
@@ -64,9 +66,12 @@ def sage_logits(
 
 
 def victim_logits(
-    model: TrainedModel, graph: TextAttributedGraph, features: np.ndarray | sp.csr_matrix
+    model: TrainedModel,
+    graph: TextAttributedGraph,
+    features: np.ndarray | CSRRows | sp.spmatrix,
 ) -> np.ndarray:
     """Forward pass with propagation taken from the *given* graph."""
+    features = scipy_rows(features)
     first = next(iter(model.weights.values()))
     if features.shape[1] != first.shape[0]:
         raise ShapeError(
@@ -145,6 +150,7 @@ def _train_weights(kind, graph, X, cfg) -> TrainedModel:
     each fixed operand took."""
     if kind == "gcn":
         return train_gcn(graph, graph.gcn_propagation, X, cfg, "victim-gcn", "gcn loss")
+    X = scipy_rows(X)
     labels, rows = train_split(graph, X)
     classes, wd = graph.class_count, cfg.weight_decay
     if kind == "sgc":
@@ -174,7 +180,7 @@ def _train_weights(kind, graph, X, cfg) -> TrainedModel:
 def train_victim(
     kind: str,
     graph: TextAttributedGraph,
-    features: np.ndarray | sp.csr_matrix,
+    features: np.ndarray | CSRRows | sp.spmatrix,
     config: VictimConfig | None = None,
 ) -> TrainedModel:
     """Fit one victim on the clean graph's train split; deterministic by seed.
@@ -191,7 +197,7 @@ def train_victim(
 def train_victims(
     kinds: list[str],
     graph: TextAttributedGraph,
-    features: np.ndarray | sp.csr_matrix,
+    features: np.ndarray | CSRRows | sp.spmatrix,
     config: VictimConfig | None = None,
 ) -> tuple[dict[str, TrainedModel], dict[str, float], float, int]:
     """Train each of `kinds` as `train_victim` does, concurrently on up to one
@@ -225,7 +231,9 @@ def train_victims(
 
 
 def predict(
-    model: TrainedModel, graph: TextAttributedGraph, features: np.ndarray | sp.csr_matrix
+    model: TrainedModel,
+    graph: TextAttributedGraph,
+    features: np.ndarray | CSRRows | sp.spmatrix,
 ) -> np.ndarray:
     """Per-node argmax labels; ties resolve to the lowest class id."""
     logits = victim_logits(model, graph, features)
@@ -235,7 +243,7 @@ def predict(
 def accuracy(
     model: TrainedModel,
     graph: TextAttributedGraph,
-    features: np.ndarray | sp.csr_matrix,
+    features: np.ndarray | CSRRows | sp.spmatrix,
     node_set: list[int],
 ) -> float:
     if not node_set:

@@ -21,7 +21,6 @@ from tagsiege.encoder import (
     EncoderConfig,
     encode,
     forward,
-    gradient_check,
     normalize_adjacency,
     train_encoder,
 )
@@ -40,6 +39,7 @@ from tagsiege.victims import (
     train_victim,
 )
 
+from gradient_reference import gradient_check
 from test_encoder import gcn_weights
 
 SEED = 1

@@ -1,8 +1,11 @@
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
 
+import tagsiege.backends as backends
 from tagsiege.backends import (
     LLMBackend,
     LLMConfig,
@@ -376,45 +379,143 @@ def test_llm_endpoint_and_key_are_read_once_when_the_backend_is_built(monkeypatc
     }
 
 
-def test_default_transport_reuses_one_session(monkeypatch):
-    import threading
+class Recorder(BaseHTTPRequestHandler):
+    """A chat-completions endpoint (and, as a server of its own, a proxy) that
+    records (client port, request path, prompt) per POST and each CONNECT.
+    A prompt in `failing` gets one 500 reply first; the reply to "close" is
+    followed by closing the kept-alive connection without announcing it."""
 
-    import requests
+    protocol_version = "HTTP/1.1"
 
-    import tagsiege.backends as backends
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        prompt = body["messages"][0]["content"]
+        self.server.seen.append((self.client_address[1], self.path, prompt))
+        self.server.auth.add(self.headers["Authorization"])
+        self.server.proxy_auth.add(self.headers["Proxy-Authorization"])
+        if prompt in self.server.failing:
+            self.server.failing.discard(prompt)
+            self.reply(500, b"{}")
+            return
+        content = {"choices": [{"message": {"content": f"reply to {prompt}"}}]}
+        self.reply(200, json.dumps(content).encode())
+        self.close_connection = prompt == "close"
 
-    sessions = []
+    def do_CONNECT(self):
+        self.server.connects.append(self.path)
+        self.reply(405, b"")
 
-    class FakeResponse:
-        def raise_for_status(self):
-            pass
+    def reply(self, status, body):
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
 
-        def json(self):
-            return {"choices": [{"message": {"content": "reply"}}]}
+    def log_message(self, *args):
+        pass
 
-    class FakeSession:
-        def __init__(self):
-            self.posts = []
-            sessions.append(self)
 
-        def post(self, url, headers, json, timeout):
-            self.posts.append(url)
-            return FakeResponse()
+class Server(ThreadingHTTPServer):
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.set()
 
-    monkeypatch.setattr(requests, "Session", FakeSession)
-    monkeypatch.setattr(backends, "_sessions", threading.local())
-    monkeypatch.setenv("TAGSIEGE_API_KEY", "test-key")
-    backend = LLMBackend(LLMConfig(base_url="http://localhost:1/v1"), fallback=make_oracle())
-    # two calls on one thread share its session
-    assert backend._complete("first") == "reply"
-    assert backend._complete("second") == "reply"
-    assert len(sessions) == 1
-    assert sessions[0].posts == ["http://localhost:1/v1/chat/completions"] * 2
 
-    # a second thread gets a session of its own
+def serve():
+    server = Server(("127.0.0.1", 0), Recorder)
+    server.seen, server.connects, server.failing = [], [], set()
+    server.auth, server.proxy_auth, server.closed = set(), set(), threading.Event()
+    threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
+    return server
+
+
+@pytest.fixture
+def servers():
+    """An endpoint and a proxy on the loopback interface, and an environment
+    that names no proxy and holds an API key."""
+    endpoint, proxy = serve(), serve()
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("HTTP_PROXY", "HTTPS_PROXY", "NO_PROXY", "ALL_PROXY"):
+            mp.delenv(name, raising=False)
+            mp.delenv(name.lower(), raising=False)
+        mp.setenv("TAGSIEGE_API_KEY", "test-key")
+        mp.setattr(backends, "_connections", threading.local())
+        yield endpoint, proxy
+        held = getattr(backends._connections, "held", None)
+        if held is not None:
+            held[1].close()
+    for server in (endpoint, proxy):
+        server.shutdown()
+        server.server_close()
+
+
+def llm_client(base_url, max_attempts=3):
+    return LLMBackend(
+        LLMConfig(base_url=base_url, max_attempts=max_attempts, timeout=5),
+        fallback=make_oracle(), sleep=lambda seconds: None,
+    )
+
+
+def url_of(server, host="127.0.0.1"):
+    return f"http://{host}:{server.server_address[1]}/v1"
+
+
+def test_default_transport_keeps_one_connection_per_thread(servers):
+    endpoint, _ = servers
+    backend = llm_client(url_of(endpoint))
+    assert backend._complete("first") == "reply to first"
+    assert backend._complete("second") == "reply to second"
     worker = threading.Thread(target=backend._complete, args=("third",))
     worker.start()
     worker.join(timeout=10)
     assert not worker.is_alive()
-    assert len(sessions) == 2
-    assert [len(s.posts) for s in sessions] == [2, 1]
+    ports = [port for port, _, _ in endpoint.seen]
+    # the first thread's two requests share its connection; the second thread opens its own
+    assert ports[0] == ports[1] != ports[2]
+    assert {path for _, path, _ in endpoint.seen} == {"/v1/chat/completions"}
+    assert endpoint.auth == {"Bearer test-key"}
+    assert backend.retry_count == 0
+
+
+def test_an_error_status_is_retried_on_a_fresh_connection(servers):
+    endpoint, _ = servers
+    backend = llm_client(url_of(endpoint))
+    backend._complete("warm")
+    endpoint.failing.add("flaky")
+    assert backend._complete("flaky") == "reply to flaky"
+    assert backend.retry_count == 1
+    ports = [port for port, _, _ in endpoint.seen]
+    assert ports[0] == ports[1] != ports[2]  # the failed exchange closed the connection
+    endpoint.failing.add("dead")
+    with pytest.raises(BackendError, match="HTTP 500"):
+        llm_client(url_of(endpoint), max_attempts=1)._complete("dead")
+
+
+def test_a_connection_the_server_closed_is_survived_by_the_next_attempt(servers):
+    endpoint, _ = servers
+    backend = llm_client(url_of(endpoint))
+    assert backend._complete("close") == "reply to close"
+    assert endpoint.closed.wait(timeout=10)
+    # the idle connection reads as closed, so the request goes out on a new one
+    assert backend._complete("after") == "reply to after"
+    assert backend.retry_count == 0
+    assert endpoint.seen[0][0] != endpoint.seen[1][0]
+
+
+def test_requests_go_through_the_proxy_the_environment_names(servers, monkeypatch):
+    endpoint, proxy = servers
+    monkeypatch.setenv("HTTP_PROXY", url_of(proxy, "user:pw@127.0.0.1").removesuffix("/v1"))
+    # an http URL is requested whole from the proxy; the .invalid host is never resolved
+    backend = llm_client("http://llm.invalid/v1")
+    assert backend._complete("proxied") == "reply to proxied"
+    assert [path for _, path, _ in proxy.seen] == ["http://llm.invalid/v1/chat/completions"]
+    assert proxy.proxy_auth == {"Basic dXNlcjpwdw=="}  # user:pw
+    # NO_PROXY sends a request for its host straight to the endpoint
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    assert llm_client(url_of(endpoint))._complete("direct") == "reply to direct"
+    assert [prompt for _, _, prompt in endpoint.seen] == ["direct"]
+    # an https URL is tunnelled with CONNECT; this proxy refuses the tunnel
+    monkeypatch.setenv("HTTPS_PROXY", url_of(proxy).removesuffix("/v1"))
+    with pytest.raises(BackendError, match="Tunnel connection failed"):
+        llm_client("https://llm.invalid/v1", max_attempts=1)._complete("tunnelled")
+    assert proxy.connects == ["llm.invalid:443"]

@@ -682,8 +682,31 @@ def test_a_manifest_lists_only_the_files_its_own_run_wrote(tmp_path, attack_run,
                  "--epochs", "2", "--backend", "llm", "--base-url", "http://127.0.0.1:9",
                  "--timeout", "1", "--max-attempts", "1"])
     assert code == 3
-    assert (out / "perturbed" / "edges.csv").exists()  # left by the earlier run
+    # the earlier run's perturbed dataset is gone with its emptied directory
+    assert not (out / "perturbed").exists()
     assert set(read_manifest(out)["outputs"]) == {"plan.jsonl"}
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "plan.jsonl"]
+
+
+def test_a_run_removes_only_its_own_commands_stale_files_inside_out(tmp_path, data_dir):
+    # attack into the dataset directory it reads: synth's files stay
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    assert main(["attack", "--data", str(data), "--out", str(data), "--num-targets", "2",
+                 "--epochs", "2"]) == 0
+    assert {"nodes.jsonl", "edges.csv"} <= {p.name for p in data.iterdir()}
+    # an earlier manifest of the same command that lists paths outside --out
+    # (or a symlink leading out of it) removes none of them
+    outside = tmp_path / "outside.txt"
+    outside.write_text("keep")
+    (data / "link.txt").symlink_to(outside)
+    manifest = read_manifest(data)
+    manifest["outputs"] |= {"../outside.txt": "", str(outside): "", "link.txt": ""}
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["attack", "--data", str(data), "--out", str(data), "--num-targets", "2",
+                 "--epochs", "2"]) == 0
+    assert outside.read_text() == "keep"
+    assert (data / "nodes.jsonl").exists() and (data / "plan.jsonl").exists()
 
 
 def test_replaying_a_synth_manifest_that_records_test_frac_drops_it(

@@ -5,7 +5,6 @@ from tagsiege.encoder import (
     EncoderConfig,
     encode,
     forward,
-    gradient_check,
     normalize_adjacency,
     train_encoder,
 )
@@ -13,6 +12,8 @@ from tagsiege.errors import ConfigurationError, ShapeError, TrainingError
 from tagsiege.graph import TextAttributedGraph
 from tagsiege.nnops import glorot
 from tagsiege.seeding import substream
+
+from gradient_reference import gradient_check
 
 
 def gcn_weights(input_dim, hidden, class_count, seed):

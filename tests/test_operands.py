@@ -9,11 +9,16 @@ operand) changes nothing beyond float summation order.
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tagsiege.nnops as nnops
 from tagsiege.encoder import EncoderConfig, encode, forward, normalize_adjacency, train_encoder
 from tagsiege.graph import TextAttributedGraph
-from tagsiege.nnops import SPARSE_OPERAND_MAX_DENSITY, pair_cosines, training_operand, unit_rows
+from tagsiege.nnops import (
+    SPARSE_OPERAND_MAX_DENSITY, CSRRows, csr_rows, pair_cosines, scipy_rows, training_operand,
+    unit_rows,
+)
 from tagsiege.seeding import substream
 from tagsiege.text_features import Vocabulary, featurize
 from tagsiege.victims import VICTIM_KINDS, VictimConfig, predict, train_victim, victim_logits
@@ -158,8 +163,38 @@ def test_pair_cosines_equal_the_scalar_reference_in_both_forms():
     a, b = rng.integers(0, 30, size=80), rng.integers(0, 30, size=80)
     expected = [cosine(X[i], X[j]) for i, j in zip(a, b)]
     dense, csr = unit_rows(X), unit_rows(sp.csr_matrix(X))
-    assert isinstance(dense, np.ndarray) and sp.issparse(csr)
+    assert isinstance(dense, np.ndarray) and isinstance(csr, CSRRows)
     assert dense.tolist() == [unit_row(row) for row in X]
     assert csr.toarray().tolist() == dense.tolist()
     assert pair_cosines(dense, a, b).tolist() == expected
     assert pair_cosines(csr, a, b).tolist() == expected
+
+
+entry = st.one_of(st.just(0.0), st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+matrices = st.integers(1, 6).flatmap(lambda width: st.lists(
+    st.lists(entry, min_size=width, max_size=width), min_size=1, max_size=8))
+
+
+@given(matrices, st.data())
+@settings(max_examples=300)
+def test_numpy_csr_cosines_equal_dense_and_scipy_bits(rows, data):
+    width = len(rows[0])
+    # an empty row, and two rows that share no column when there are two columns
+    X = np.array(rows + [[0.0] * width, [1.5] + [0.0] * (width - 1), [0.0] * (width - 1) + [2.0]])
+    n = X.shape[0]
+    ids = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(ids, ids), max_size=12))
+    pairs += [(0, 0), (n - 2, n - 1), (n - 3, 0)]
+    pairs += pairs[:2]  # repeated pairs
+    a, b = (np.array(side) for side in zip(*pairs))
+
+    dense = unit_rows(X)
+    for given_form in (csr_rows(X), sp.csr_matrix(X)):
+        csr = unit_rows(given_form)
+        assert isinstance(csr, CSRRows) and not csr.data.flags.writeable
+        np.testing.assert_array_equal(csr.toarray(), dense)
+        got = pair_cosines(csr, a, b)
+        unit = scipy_rows(csr)  # the scipy sum this numpy code replaced
+        reference = unit[a].multiply(unit[b]) @ np.ones(width)
+        assert got.tobytes() == pair_cosines(dense, a, b).tobytes() == reference.tobytes()
+    assert pair_cosines(unit_rows(csr_rows(X)), a[:0], b[:0]).shape == (0,)

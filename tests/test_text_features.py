@@ -4,13 +4,13 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tagsiege.errors import DegenerateInputError
 from tagsiege.graph import TextAttributedGraph
 from tagsiege.metrics import bound_audit
+from tagsiege.nnops import CSRRows
 from tagsiege.text_features import (
     Vocabulary,
     build_vocabulary,
@@ -72,10 +72,10 @@ def test_idf_formula():
 def test_featurize_counts_times_idf_and_drops_unknown():
     vocab = Vocabulary.from_texts(["a a b", "b"])
     X = featurize(["a a b zzz", "c"], vocab)
-    assert sp.isspmatrix_csr(X) and X.has_canonical_format
+    assert isinstance(X, CSRRows) and X.indices.tolist() == sorted(X.indices.tolist())
     assert X.shape == (2, 2)
-    assert X[0, vocab.index["a"]] == pytest.approx(2 * vocab.idf("a"))
-    assert X[0, vocab.index["b"]] == pytest.approx(1 * vocab.idf("b"))
+    assert X.toarray()[0, vocab.index["a"]] == pytest.approx(2 * vocab.idf("a"))
+    assert X.toarray()[0, vocab.index["b"]] == pytest.approx(1 * vocab.idf("b"))
     assert X.indptr[2] - X.indptr[1] == 0  # all tokens unknown -> empty row
     assert X.nnz == 2  # "a a" is one summed entry
 
@@ -108,7 +108,7 @@ def test_featurize_csr_equals_dense_reference(corpus, texts, max_size):
     texts = texts + ["a a a b", "x y", ""]  # repeats, all-OOV and empty rows
     vocab = Vocabulary.from_texts(corpus, max_size=max_size)
     X = featurize(texts, vocab)
-    assert sp.isspmatrix_csr(X)
+    assert isinstance(X, CSRRows)
     np.testing.assert_array_equal(X.toarray(), dense_featurize_reference(texts, vocab))
 
 
