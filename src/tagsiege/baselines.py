@@ -80,7 +80,7 @@ def flip_attack(
     All ties break toward the lower node id; degrees are read off the clean
     graph. Fully deterministic, no randomness involved.
     """
-    degree = np.diff(graph.adjacency[0])
+    degree = np.diff(graph.adjacency.indptr)
 
     def pick(target, deletable, non_neighbors):
         delete = min(deletable, key=lambda v: (degree[v], v), default=None)

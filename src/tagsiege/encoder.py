@@ -3,8 +3,8 @@
 The attacker owns this model outright (it never touches the victim), so it is
 kept small and auditable: symmetric-normalized propagation, relu and
 full-batch Adam on hand-written gradients. Node embeddings are the
-penultimate (post-relu) hidden activations. Features may be dense, scipy CSR
-or `text_features.featurize`'s CSRRows, which `nnops.scipy_rows` wraps where
+penultimate (post-relu) hidden activations. Features are a dense array or
+`text_features.featurize`'s CSRRows, which `nnops.scipy_rows` wraps where
 the products start.
 
 The `gcn` victim is this same model: `train_gcn` initialises and fits both,
@@ -54,7 +54,7 @@ class TrainedModel:
 def forward(
     weights: dict[str, np.ndarray],
     a_hat: sp.csr_matrix,
-    features: np.ndarray | CSRRows | sp.spmatrix,
+    features: np.ndarray | CSRRows,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Return (logits, embeddings); embeddings are the post-relu hidden layer."""
     w1, w2 = weights["w1"], weights["w2"]
@@ -103,7 +103,7 @@ def _loss_and_grads(
 
 
 def train_split(
-    graph: TextAttributedGraph, features: np.ndarray | CSRRows | sp.spmatrix
+    graph: TextAttributedGraph, features: np.ndarray | CSRRows
 ) -> tuple[np.ndarray, np.ndarray]:
     """(labels, train rows) of `graph` as int arrays. ShapeError unless
     `features` has one row per node, TrainingError if there are no train nodes."""
@@ -118,7 +118,7 @@ def train_split(
 def train_gcn(
     graph: TextAttributedGraph,
     a_hat: sp.csr_matrix,
-    features: np.ndarray | CSRRows | sp.spmatrix,
+    features: np.ndarray | CSRRows,
     config: EncoderConfig,
     stream: str,
     what: str,
@@ -148,7 +148,7 @@ def train_gcn(
 
 def train_encoder(
     graph: TextAttributedGraph,
-    features: np.ndarray | CSRRows | sp.spmatrix,
+    features: np.ndarray | CSRRows,
     config: EncoderConfig | None = None,
 ) -> TrainedModel:
     """The surrogate: `train_gcn` on the "encoder-init" substream;
@@ -162,7 +162,7 @@ def train_encoder(
 def encode(
     trained: TrainedModel,
     graph: TextAttributedGraph,
-    features: np.ndarray | CSRRows | sp.spmatrix,
+    features: np.ndarray | CSRRows,
 ) -> np.ndarray:
     _, z = forward(trained.weights, graph.gcn_propagation, features)
     return z

@@ -3,10 +3,11 @@
 Graphs are undirected, simple (no self-loops, no multi-edges) and immutable
 after construction; every node carries a text, a class label and a split tag.
 
-What a graph derives from its edges, `adjacency` (numpy CSR neighbour
-arrays), `gcn_propagation` and `mean_propagation` (scipy CSR), it builds on
-first read, read-only, and keeps. Any thread may read them: Python 3.11
-builds each once under a lock, 3.12+ may build an equal value twice.
+What a graph derives from its edges, `adjacency` (`nnops.CSRRows`, the type
+of the TF-IDF features too), `gcn_propagation` and `mean_propagation` (scipy
+CSR over `nnops.scipy_rows(adjacency)`), it builds on first read, read-only,
+and keeps. Any thread may read them: Python 3.11 builds each once under a
+lock, 3.12+ may build an equal value twice.
 """
 
 from __future__ import annotations
@@ -100,9 +101,12 @@ class TextAttributedGraph:
 
     @cached_property
     def adjacency(self):
-        """CSR neighbour arrays (indptr, indices), int64 and read-only: node
-        i's neighbours, ascending, are indices[indptr[i]:indptr[i + 1]]."""
+        """The symmetric 0/1 adjacency A as read-only (n, n) `nnops.CSRRows`:
+        node i's neighbours, ascending, are indices[indptr[i]:indptr[i + 1]]
+        (both int64), each with value 1.0."""
         import numpy as np
+
+        from .nnops import CSRRows
 
         ends = np.array(list(self.edges), dtype=np.int64).reshape(-1, 2)
         rows = np.concatenate([ends[:, 0], ends[:, 1]])
@@ -110,8 +114,7 @@ class TextAttributedGraph:
         indptr = np.zeros(self.node_count + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=self.node_count), out=indptr[1:])
         indices = cols[np.lexsort((cols, rows))]
-        indptr.flags.writeable = indices.flags.writeable = False
-        return indptr, indices
+        return CSRRows(indptr, indices, np.ones(indices.size), (self.node_count,) * 2)
 
     @cached_property
     def gcn_propagation(self):
@@ -128,7 +131,7 @@ class TextAttributedGraph:
         for an id that is not a node."""
         if not 0 <= node < self.node_count:
             raise IndexError(f"node {node} not in [0, {self.node_count})")
-        indptr, indices = self.adjacency
+        indptr, indices = self.adjacency.indptr, self.adjacency.indices
         return tuple(indices[indptr[node]:indptr[node + 1]].tolist())
 
     def degree(self, node: int) -> int:
@@ -167,21 +170,14 @@ def _read_only(matrix):
     return matrix
 
 
-def adjacency_matrix(graph: TextAttributedGraph):
-    """Symmetric 0/1 adjacency A as a scipy CSR matrix over `graph.adjacency`."""
-    import numpy as np
-    import scipy.sparse as sp
-
-    indptr, indices = graph.adjacency
-    return sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(graph.node_count,) * 2)
-
-
 def normalize_adjacency(graph: TextAttributedGraph):
     """Symmetric renormalized adjacency D^{-1/2} (A + I) D^{-1/2} as CSR."""
     import numpy as np
     import scipy.sparse as sp
 
-    a_tilde = adjacency_matrix(graph) + sp.identity(graph.node_count, format="csr")
+    from .nnops import scipy_rows
+
+    a_tilde = scipy_rows(graph.adjacency) + sp.identity(graph.node_count, format="csr")
     deg = np.asarray(a_tilde.sum(axis=1)).ravel()
     d_half = sp.diags(1.0 / np.sqrt(deg))  # deg >= 1 thanks to the self loop
     return (d_half @ a_tilde @ d_half).tocsr()
@@ -192,7 +188,9 @@ def mean_aggregation(graph: TextAttributedGraph):
     import numpy as np
     import scipy.sparse as sp
 
-    a = adjacency_matrix(graph)
+    from .nnops import scipy_rows
+
+    a = scipy_rows(graph.adjacency)
     deg = np.asarray(a.sum(axis=1)).ravel()
     inv = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
     return (sp.diags(inv) @ a).tocsr()
@@ -215,6 +213,14 @@ def _edge_record(rec: dict) -> tuple[int, int]:
     return integer(rec["src"]), integer(rec["dst"])
 
 
+def _is_int(field: str) -> bool:
+    try:
+        int(field)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_edge_file(path: Path) -> list[tuple[int, int]]:
     if path.suffix == ".jsonl":
         return [pair for _, pair in read_jsonl(path, _edge_record)]
@@ -223,7 +229,7 @@ def _read_edge_file(path: Path) -> list[tuple[int, int]]:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
-            if lineno == 1 and not row[0].strip().lstrip("-").isdigit():
+            if lineno == 1 and not _is_int(row[0]):
                 continue  # header row
             if len(row) < 2:
                 raise ParseError("edge row needs two columns", str(path), lineno)

@@ -20,14 +20,14 @@ import numpy as np
 from .encoder import TrainedModel
 from .errors import DegenerateInputError, ShapeError
 from .graph import TextAttributedGraph
-from .nnops import csr_rows, merge_entries, pair_cosines, unit_rows
+from .nnops import CSRRows, csr_rows, merge_entries, pair_cosines, unit_rows
 from .plan import edit_counts
 from .text_features import token_edit_distance
 from .victims import accuracy
 
 
 def _edge_cosines(
-    graph: TextAttributedGraph, features
+    graph: TextAttributedGraph, features: np.ndarray | CSRRows
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each edge's endpoints (u < v, sorted by (u, v), read off
     `graph.adjacency`) and the cosine of their features; the features (dense
@@ -38,10 +38,9 @@ def _edge_cosines(
         )
     if not graph.edges:
         raise DegenerateInputError("homophily of an edgeless graph is undefined")
-    indptr, indices = graph.adjacency
-    ends = np.repeat(np.arange(graph.node_count), np.diff(indptr))
-    upper = ends < indices
-    u, v = ends[upper], indices[upper]
+    ends, neighbors = graph.adjacency.row_ids(), graph.adjacency.indices
+    upper = ends < neighbors
+    u, v = ends[upper], neighbors[upper]
     return u, v, pair_cosines(unit_rows(features), u, v)
 
 
@@ -54,12 +53,12 @@ def _node_mean(node_count: int, u: np.ndarray, v: np.ndarray, cosines: np.ndarra
     return float(np.mean(sums[linked] / degree[linked]))
 
 
-def homophily_edge(graph: TextAttributedGraph, features: np.ndarray) -> float:
+def homophily_edge(graph: TextAttributedGraph, features: np.ndarray | CSRRows) -> float:
     """Mean cosine similarity across edge endpoints."""
     return float(np.mean(_edge_cosines(graph, features)[2]))
 
 
-def homophily_node(graph: TextAttributedGraph, features: np.ndarray) -> float:
+def homophily_node(graph: TextAttributedGraph, features: np.ndarray | CSRRows) -> float:
     """Mean over non-isolated nodes of their mean neighbor cosine similarity.
 
     Each node's cosines are summed over its neighbors in ascending id order,
@@ -69,8 +68,9 @@ def homophily_node(graph: TextAttributedGraph, features: np.ndarray) -> float:
 
 
 def _drifts(clean, perturbed, rows: list[int]) -> np.ndarray:
-    """L2 norm of perturbed[i] - clean[i] for each i in `rows`, each square
-    summed in column order from 0.0 (as scipy sums a CSR difference)."""
+    """L2 norm of perturbed[i] - clean[i] for each i in `rows` (both of one
+    shape), each square summed in column order from 0.0 (as scipy sums a CSR
+    difference)."""
     keys_c, values_c = csr_rows(clean).entries(rows)
     keys, diff = merge_entries(csr_rows(perturbed).entries(rows), (keys_c, -values_c))
     # a shared column's perturbed value absorbs the clean one: p + (-c) is p - c
@@ -86,8 +86,8 @@ def _drifts(clean, perturbed, rows: list[int]) -> np.ndarray:
 def bound_audit(
     clean: TextAttributedGraph,
     perturbed: TextAttributedGraph,
-    features_clean: np.ndarray,
-    features_pert: np.ndarray,
+    features_clean: np.ndarray | CSRRows,
+    features_pert: np.ndarray | CSRRows,
 ) -> dict[str, float]:
     """Every component of the homophily-stability bound, plus the observed ratio.
 
@@ -96,9 +96,11 @@ def bound_audit(
     per-token Lipschitz estimate of the featurizer, and
     |ΔH_edge| / (Δ_E + L̂·τ_max) as `empirical_ratio` (0 when the denominator
     vanishes). Nothing is asserted here — the constants are unknown.
-    Features may be dense or CSR and are never made dense; each graph's edge
-    cosines are taken once and serve both homophilies.
+    Features, of one shape, may be dense or CSR and are never made dense;
+    each graph's edge cosines are taken once and serve both homophilies.
     """
+    if features_clean.shape != features_pert.shape:
+        raise ShapeError(f"feature shapes {features_clean.shape} != {features_pert.shape}")
     edges_clean = _edge_cosines(clean, features_clean)
     edges_pert = _edge_cosines(perturbed, features_pert)
     h_edge_clean = float(np.mean(edges_clean[2]))

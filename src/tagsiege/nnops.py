@@ -1,6 +1,7 @@
 """Small shared numerics: init, activations, the loss, the training loop,
-read-only CSR rows, the dense-or-CSR choice for fixed training operands, and
-the package's one cosine.
+`CSRRows` (the one numpy CSR type: a graph's adjacency and its TF-IDF
+features) with `scipy_rows`, its one way into scipy, the dense-or-CSR choice
+for fixed training operands, and the package's one cosine.
 
 `fit` is the one full-batch Adam loop that trains the surrogate encoder and
 every victim. Its losses write their dense activations and gradients into
@@ -36,8 +37,8 @@ SPARSE_OPERAND_MAX_DENSITY = 0.10
 
 @dataclass(frozen=True)
 class CSRRows:
-    """A (rows, columns) float matrix as read-only CSR arrays, in the style of
-    `graph.adjacency`: row i's columns, ascending and each stored once, are
+    """A (rows, columns) float matrix, a graph's adjacency or its features, as
+    read-only CSR arrays: row i's columns, ascending and each stored once, are
     indices[indptr[i]:indptr[i + 1]], and its values the same slice of data."""
 
     indptr: np.ndarray
@@ -80,20 +81,10 @@ class CSRRows:
         return self.toarray() if dtype is None else self.toarray().astype(dtype)
 
 
-def _is_sparse(x) -> bool:
-    """True for CSRRows and scipy sparse matrices, without importing scipy."""
-    return isinstance(x, CSRRows) or hasattr(x, "tocsr")
-
-
-def csr_rows(x: np.ndarray | CSRRows | sp.spmatrix) -> CSRRows:
-    """`x` as CSRRows: itself, a scipy matrix's entries with its duplicates
-    summed, or a dense array's nonzero entries."""
+def csr_rows(x: np.ndarray | CSRRows) -> CSRRows:
+    """`x` as CSRRows: itself, or a dense array's nonzero entries."""
     if isinstance(x, CSRRows):
         return x
-    if hasattr(x, "tocsr"):
-        x = x.tocsr(copy=True)
-        x.sum_duplicates()  # sorted columns, each once
-        return CSRRows(x.indptr, x.indices, np.asarray(x.data, dtype=float), x.shape)
     x = np.asarray(x, dtype=float)
     rows, cols = np.nonzero(x)  # row-major, so columns ascend within a row
     indptr = np.zeros(x.shape[0] + 1, dtype=np.int64)
@@ -101,11 +92,11 @@ def csr_rows(x: np.ndarray | CSRRows | sp.spmatrix) -> CSRRows:
     return CSRRows(indptr, cols, x[rows, cols], x.shape)
 
 
-def scipy_rows(x: np.ndarray | CSRRows | sp.spmatrix) -> np.ndarray | sp.spmatrix:
+def scipy_rows(x: np.ndarray | CSRRows) -> np.ndarray | sp.csr_matrix:
     """`x` as an operand of scipy products: CSRRows become a scipy CSR matrix
-    over the same arrays; anything else comes back as it is. Training and
-    prediction call this where their products start, so features from
-    `text_features.featurize` go in as they are."""
+    over the same arrays; an ndarray comes back as it is. The propagations
+    wrap `graph.adjacency` here, and training and prediction their features
+    where their products start."""
     if not isinstance(x, CSRRows):
         return x
     import scipy.sparse as sp
@@ -113,9 +104,9 @@ def scipy_rows(x: np.ndarray | CSRRows | sp.spmatrix) -> np.ndarray | sp.spmatri
     return sp.csr_matrix((x.data, x.indices, x.indptr), shape=x.shape)
 
 
-def as_dense(x: np.ndarray | CSRRows | sp.spmatrix) -> np.ndarray:
+def as_dense(x: np.ndarray | sp.spmatrix) -> np.ndarray:
     """`x` as a float ndarray, whether it came in dense or sparse."""
-    return x.toarray() if _is_sparse(x) else np.asarray(x, dtype=float)
+    return x.toarray() if hasattr(x, "toarray") else np.asarray(x, dtype=float)
 
 
 def training_operand(x: np.ndarray | sp.spmatrix) -> sp.csr_matrix | np.ndarray:
@@ -135,24 +126,22 @@ def operand_form(x: np.ndarray | sp.spmatrix) -> str:
     return "dense" if isinstance(x, np.ndarray) else "csr"
 
 
-def unit_rows(x: np.ndarray | CSRRows | sp.spmatrix) -> np.ndarray | CSRRows:
+def unit_rows(x: np.ndarray | CSRRows) -> np.ndarray | CSRRows:
     """Each row divided by its largest |entry|, then by its L2 norm.
 
     The first division keeps the squares from under- or overflowing; the norm
     is summed like `pair_cosines`. Zero rows stay zero, so they score cosine
-    0.0 against every row. Dense input gives a new ndarray, sparse input
-    (CSRRows or scipy) new CSRRows.
+    0.0 against every row. Dense input gives a new ndarray, CSRRows new CSRRows.
     """
     def nonzero(divisor: np.ndarray) -> np.ndarray:
         return np.where(divisor == 0.0, 1.0, divisor)
 
-    if not _is_sparse(x):
+    if not isinstance(x, CSRRows):
         x = np.array(x, dtype=float)
         rows = np.arange(x.shape[0])
         x /= nonzero(np.max(np.abs(x), axis=1, initial=0.0))[:, None]
         x /= nonzero(np.sqrt(pair_cosines(x, rows, rows)))[:, None]
         return x
-    x = csr_rows(x)
     counts, magnitudes = np.diff(x.indptr), np.abs(x.data)
     scale = np.zeros(x.shape[0])
     stored = counts > 0

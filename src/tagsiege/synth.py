@@ -82,7 +82,7 @@ def generate(config: SynthConfig) -> TextAttributedGraph:
 
 def summarize(graph: TextAttributedGraph) -> dict:
     """Quick structural profile, including the isolated-node fraction."""
-    degrees = np.diff(graph.adjacency[0])
+    degrees = np.diff(graph.adjacency.indptr)
     intra = sum(1 for u, v in graph.edges if graph.labels[u] == graph.labels[v])
     return {
         "node_count": graph.node_count,

@@ -68,7 +68,7 @@ def sage_logits(
 def victim_logits(
     model: TrainedModel,
     graph: TextAttributedGraph,
-    features: np.ndarray | CSRRows | sp.spmatrix,
+    features: np.ndarray | CSRRows,
 ) -> np.ndarray:
     """Forward pass with propagation taken from the *given* graph."""
     features = scipy_rows(features)
@@ -150,8 +150,8 @@ def _train_weights(kind, graph, X, cfg) -> TrainedModel:
     each fixed operand took."""
     if kind == "gcn":
         return train_gcn(graph, graph.gcn_propagation, X, cfg, "victim-gcn", "gcn loss")
-    X = scipy_rows(X)
     labels, rows = train_split(graph, X)
+    X = scipy_rows(X)
     classes, wd = graph.class_count, cfg.weight_decay
     if kind == "sgc":
         rng = substream(cfg.seed, "victim-sgc")
@@ -180,7 +180,7 @@ def _train_weights(kind, graph, X, cfg) -> TrainedModel:
 def train_victim(
     kind: str,
     graph: TextAttributedGraph,
-    features: np.ndarray | CSRRows | sp.spmatrix,
+    features: np.ndarray | CSRRows,
     config: VictimConfig | None = None,
 ) -> TrainedModel:
     """Fit one victim on the clean graph's train split; deterministic by seed.
@@ -197,7 +197,7 @@ def train_victim(
 def train_victims(
     kinds: list[str],
     graph: TextAttributedGraph,
-    features: np.ndarray | CSRRows | sp.spmatrix,
+    features: np.ndarray | CSRRows,
     config: VictimConfig | None = None,
 ) -> tuple[dict[str, TrainedModel], dict[str, float], float, int]:
     """Train each of `kinds` as `train_victim` does, concurrently on up to one
@@ -233,7 +233,7 @@ def train_victims(
 def predict(
     model: TrainedModel,
     graph: TextAttributedGraph,
-    features: np.ndarray | CSRRows | sp.spmatrix,
+    features: np.ndarray | CSRRows,
 ) -> np.ndarray:
     """Per-node argmax labels; ties resolve to the lowest class id."""
     logits = victim_logits(model, graph, features)
@@ -243,7 +243,7 @@ def predict(
 def accuracy(
     model: TrainedModel,
     graph: TextAttributedGraph,
-    features: np.ndarray | CSRRows | sp.spmatrix,
+    features: np.ndarray | CSRRows,
     node_set: list[int],
 ) -> float:
     if not node_set:

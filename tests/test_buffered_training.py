@@ -243,10 +243,13 @@ def test_a_graphs_arrays_filled_from_many_threads_at_once_are_one_value(monkeypa
             seen = [future.result(timeout=60) for future in futures]
     finally:
         sys.setswitchinterval(interval)
-    a_hat, m, (indptr, indices) = seen[0]
-    for other_a_hat, other_m, (other_indptr, other_indices) in seen:
+    a_hat, m, adjacency = seen[0]
+    assert not adjacency.data.flags.writeable
+    for other_a_hat, other_m, other in seen:
         assert (other_a_hat != a_hat).nnz == 0 and (other_m != m).nnz == 0
-        assert np.array_equal(other_indptr, indptr) and np.array_equal(other_indices, indices)
+        assert np.array_equal(other.indptr, adjacency.indptr)
+        assert np.array_equal(other.indices, adjacency.indices)
+        assert np.array_equal(other.data, adjacency.data)
     if sys.version_info < (3, 12):  # cached_property builds under a lock there
         assert sorted(builds) == ["mean_aggregation", "normalize_adjacency"]
         assert all(got[0] is a_hat and got[1] is m for got in seen)

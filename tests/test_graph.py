@@ -3,7 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tagsiege.errors import GraphValidationError, ParseError
@@ -86,20 +87,51 @@ def test_neighbors_and_degree_match_the_edge_set(g):
     for missing in (-1, g.node_count):
         with pytest.raises(IndexError):
             g.neighbors(missing)
-    indptr, indices = g.adjacency
-    assert indptr.tolist()[-1] == indices.size == 2 * g.edge_count
-    for array in (indptr, indices):
+    adjacency = g.adjacency
+    assert adjacency.shape == (g.node_count, g.node_count)
+    assert adjacency.indptr.tolist()[-1] == adjacency.indices.size == 2 * g.edge_count
+    assert adjacency.data.tolist() == [1.0] * adjacency.nnz
+    for array in (adjacency.indptr, adjacency.indices, adjacency.data):
         with pytest.raises(ValueError):
             array[...] = 0
 
 
 def test_edgeless_graph_has_empty_adjacency():
     g = TextAttributedGraph.build(texts=["a", "b"], labels=[0, 1], splits=["train"] * 2, edges=[])
-    indptr, indices = g.adjacency
-    assert indptr.tolist() == [0, 0, 0] and indices.size == 0
+    adjacency = g.adjacency
+    assert adjacency.indptr.tolist() == [0, 0, 0] and adjacency.indices.size == 0
+    assert adjacency.data.size == 0 and not adjacency.data.flags.writeable
     assert g.neighbors(1) == () and g.degree(0) == 0
     assert np.array_equal(g.gcn_propagation.toarray(), np.eye(2))
     assert not g.mean_propagation.toarray().any()
+
+
+def reference_propagations(g):
+    """(gcn, mean) propagation of `g` built from `g.edges` through COO."""
+    n = g.node_count
+    ends = np.array(sorted(g.edges), dtype=np.int64).reshape(-1, 2)
+    rows, cols = np.concatenate([ends[:, 0], ends[:, 1]]), np.concatenate([ends[:, 1], ends[:, 0]])
+    a = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
+    a_tilde = a + sp.identity(n, format="csr")
+    d_half = sp.diags(1.0 / np.sqrt(np.asarray(a_tilde.sum(axis=1)).ravel()))
+    deg = np.asarray(a.sum(axis=1)).ravel()
+    inv = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
+    return (d_half @ a_tilde @ d_half).tocsr(), (sp.diags(inv) @ a).tocsr()
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs())
+@example(TextAttributedGraph.build(  # node 3 is isolated
+    texts=["t"] * 4, labels=[0] * 4, splits=["train"] * 4, edges=[(0, 1), (1, 2), (0, 2)]))
+@example(TextAttributedGraph.build(  # no edges
+    texts=["t"] * 3, labels=[0] * 3, splits=["train"] * 3, edges=[]))
+def test_propagations_keep_the_bits_of_a_coo_built_reference(g):
+    for got, expected in zip((g.gcn_propagation, g.mean_propagation), reference_propagations(g)):
+        for name in ("data", "indices", "indptr"):
+            got_array, expected_array = getattr(got, name), getattr(expected, name)
+            assert got_array.dtype == expected_array.dtype
+            assert got_array.shape == expected_array.shape
+            assert (got_array == expected_array).all()
 
 
 def test_split_nodes():
@@ -158,6 +190,13 @@ def test_load_accepts_jsonl_edges(tmp_path):
         for u, v in g.sorted_edges():
             fh.write(json.dumps({"src": u, "dst": v}) + "\n")
     assert load_graph(tmp_path) == g
+
+
+@pytest.mark.parametrize("first", ["+0,1", "0,1", " 0 ,1", "-0,1", "src,dst\n0,1"])
+def test_a_first_csv_row_is_a_header_only_when_its_first_field_is_not_an_int(tmp_path, first):
+    save_graph(tiny_graph(), tmp_path)
+    (tmp_path / "edges.csv").write_text(first + "\n1,2\n")
+    assert load_graph(tmp_path).sorted_edges() == [(0, 1), (1, 2)]
 
 
 def test_load_reports_line_numbers(tmp_path):

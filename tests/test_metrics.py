@@ -2,7 +2,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +17,7 @@ from tagsiege.metrics import (
     synergy_row,
     synergy_test,
 )
+from tagsiege.nnops import csr_rows
 from tagsiege.plan import PerturbationPlan, PlanEntry, apply_plan
 from tagsiege.seeding import substream
 from tagsiege.text_features import Vocabulary, featurize
@@ -147,6 +147,18 @@ def test_bound_audit_reports_drift_components():
     assert audit["lipschitz_est"] == pytest.approx(audit["tau_max"])  # 1 edit
     assert audit["edge_ratio"] == 0.0
     assert audit["text_edits"] == 1.0
+
+
+def test_bound_audit_rejects_features_of_different_widths():
+    # equal features but for one all-zero column more: a drift keyed by each
+    # matrix's own width would put one row's entries under another row
+    g = triangle()
+    g2 = g.with_changes(texts=["a", "b", "a"])
+    clean = np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0], [4.0, 0.0, 5.0]])
+    wider = np.hstack([clean, np.zeros((3, 1))])
+    for form in (np.asarray, csr_rows):
+        with pytest.raises(ShapeError, match="feature shapes"):
+            bound_audit(g, g2, form(clean), form(wider))
 
 
 def test_aggregate_worked_example():
@@ -311,6 +323,6 @@ def test_homophily_equals_per_edge_cosine_reference(seed):
                 total += cosine(X[i], X[j])
             node_means.append(total / len(g.neighbors(i)))
     node_ref = float(np.mean(node_means))
-    for features in (X, sp.csr_matrix(X)):
+    for features in (X, csr_rows(X)):
         assert homophily_edge(g, features) == edge_ref
         assert homophily_node(g, features) == node_ref
