@@ -325,18 +325,28 @@ class ScriptedLLM:
     queries overlap. With `malform`, a hash-selected quarter of first asks and
     eighth of re-prompts get a reply with no JSON. A topology (text) call
     whose target text holds a token in `dead_topology` (`dead_text`) raises.
-    `peak` is the most calls seen in flight at once.
+    With `flaky`, the first send of a hash-selected fifth of prompts raises
+    ConnectionResetError, so its retry gets the reply.
+    `peak` is the most calls seen in flight at once, `first_reply_peak` the
+    most before any call returned, and `over_window` the number of calls that
+    found more calls in flight than `backend.window` (once `backend` is set).
     """
 
-    def __init__(self, dead_topology=(), dead_text=(), malform=True,
+    def __init__(self, dead_topology=(), dead_text=(), malform=True, flaky=False,
                  delay=lambda prompt: random.uniform(0.0, 0.005)):
         self.dead_topology = set(dead_topology)
         self.dead_text = set(dead_text)
         self.malform = malform
+        self.flaky = flaky
         self.delay = delay
+        self.backend = None
         self.calls = 0
         self.peak = 0
+        self.first_reply_peak = 0
+        self.over_window = 0
         self._in_flight = 0
+        self._returned = 0
+        self._sent = set()
         self._lock = threading.Lock()
 
     def __call__(self, url, headers, payload, timeout):
@@ -345,12 +355,21 @@ class ScriptedLLM:
             self.calls += 1
             self._in_flight += 1
             self.peak = max(self.peak, self._in_flight)
+            if not self._returned:
+                self.first_reply_peak = max(self.first_reply_peak, self._in_flight)
+            if self.backend is not None and self._in_flight > self.backend.window:
+                self.over_window += 1
+            first_send = prompt not in self._sent
+            self._sent.add(prompt)
         try:
+            if self.flaky and first_send and hashlib.sha256(prompt.encode()).digest()[1] % 5 == 0:
+                raise ConnectionResetError("connection reset by peer")
             time.sleep(self.delay(prompt))
             return {"choices": [{"message": {"content": self.reply(prompt)}}]}
         finally:
             with self._lock:
                 self._in_flight -= 1
+                self._returned += 1
 
     def reply(self, prompt):
         digest = hashlib.sha256(prompt.encode()).digest()[0]
@@ -381,19 +400,23 @@ def scripted_attack(transport, n=40, targets=None):
         LLMConfig(), fallback=OracleBackend(g, Z, Vocabulary.from_texts(g.texts)),
         transport=transport, sleep=lambda s: None,
     )
+    transport.backend = backend
     targets = list(range(n)) if targets is None else targets
     plan = attack(g, targets, Z, backend, TEXT_BUDGET, seed=8)
     return plan, backend
 
 
-def test_concurrent_llm_attack_matches_one_in_flight(monkeypatch):
-    # target 7 loses its text query after its topology query, 12 its topology query
-    concurrent_llm = ScriptedLLM(dead_topology={"id12"}, dead_text={"id7"})
+@pytest.mark.parametrize("flaky", [False, True], ids=["steady", "flaky"])
+def test_concurrent_llm_attack_matches_one_in_flight(monkeypatch, flaky):
+    # target 7 loses its text query after its topology query, 12 its topology
+    # query; with `flaky`, more first sends fail and are retried
+    concurrent_llm = ScriptedLLM(dead_topology={"id12"}, dead_text={"id7"}, flaky=flaky)
     concurrent, backend = scripted_attack(concurrent_llm)
     assert concurrent_llm.peak > 1
+    assert backend.window_cuts > 0
 
     monkeypatch.setattr(LLMBackend, "max_in_flight", 1)
-    serial_llm = ScriptedLLM(dead_topology={"id12"}, dead_text={"id7"})
+    serial_llm = ScriptedLLM(dead_topology={"id12"}, dead_text={"id7"}, flaky=flaky)
     serial, serial_backend = scripted_attack(serial_llm)
     assert serial_llm.peak == 1
 
@@ -405,6 +428,7 @@ def test_concurrent_llm_attack_matches_one_in_flight(monkeypatch):
     assert counts == (
         serial_backend.query_count, serial_backend.retry_count, serial_backend.fallback_count
     )
+    assert backend.window_cuts == serial_backend.window_cuts
     # the backend also counts the queries of the skipped targets it answered:
     # one for target 12 (topology), two for target 7 (topology, then text)
     assert backend.query_count == concurrent.query_count + 1 + 2
@@ -415,8 +439,20 @@ def test_concurrent_llm_attack_matches_one_in_flight(monkeypatch):
     assert concurrent_llm.calls == backend.query_count + backend.retry_count
 
 
+def test_llm_attack_ramps_its_window_from_two_to_max_in_flight():
+    # every exchange takes 10 ms, so the 24 workers queue for the window,
+    # which takes 77 replies to grow from 2 to 24
+    llm = ScriptedLLM(malform=False, delay=lambda prompt: 0.01)
+    plan, backend = scripted_attack(llm, n=120)
+    assert len(plan.entries) == 120
+    assert llm.first_reply_peak == 2  # two exchanges before the first reply
+    assert llm.over_window == 0
+    assert llm.peak == backend.in_flight_peak == LLMBackend.max_in_flight
+    assert backend.window == LLMBackend.max_in_flight and backend.window_cuts == 0
+
+
 def test_counters_lose_no_update_under_fast_thread_switching():
-    # eight workers on fewer cores, switching every microsecond: an unlocked
+    # 24 workers on fewer cores, switching every microsecond: an unlocked
     # read-modify-write of a counter would drop some of the 2 x 120 queries
     llm = ScriptedLLM(malform=False, delay=lambda prompt: 0.0)
     interval = sys.getswitchinterval()

@@ -341,6 +341,61 @@ def test_llm_backoff_sleeps_exponentially():
     assert slept == [0.5, 1.0]
 
 
+GOOD_TOPOLOGY = json.dumps({"delete_id": 2, "add_id": 3})
+
+
+def test_llm_window_grows_by_at_most_four_per_window_of_replies(monkeypatch):
+    monkeypatch.setattr(LLMBackend, "max_in_flight", 8)
+    g, backend, _ = llm_pair([GOOD_TOPOLOGY] * 11)
+    prompt = build_topology_prompt(g, 0, InfluencerSet(0, (3,)))
+    assert (backend.window, backend.in_flight_peak) == (2, 0)
+    windows = []
+    for _ in range(11):
+        backend.topology_decision(prompt)
+        windows.append(backend.window)
+    # one step per reply up to a window of 4, then one per window / 4
+    # replies, up to max_in_flight
+    assert windows == [3, 4, 5, 5, 6, 6, 7, 7, 8, 8, 8]
+    assert (backend.in_flight, backend.in_flight_peak, backend.window_cuts) == (0, 1, 0)
+
+
+@pytest.mark.parametrize("failure", [
+    ConnectionResetError("connection reset by peer"),
+    BackendError("HTTP 429 Too Many Requests from https://llm.test/v1/chat/completions"),
+], ids=["connection-reset", "http-429"])
+def test_llm_failed_exchange_halves_the_window_and_is_retried(failure):
+    g = two_class_graph()
+    transport = canned_transport(
+        [GOOD_TOPOLOGY] * 3 + [failure, GOOD_TOPOLOGY] + [failure, failure, GOOD_TOPOLOGY]
+    )
+    slots_held_while_sleeping = []
+    backend = LLMBackend(
+        LLMConfig(max_attempts=3), fallback=make_oracle(g), transport=transport,
+        sleep=lambda s: slots_held_while_sleeping.append(backend.in_flight),
+    )
+    prompt = build_topology_prompt(g, 0, InfluencerSet(0, (3,)))
+    for _ in range(3):
+        backend.topology_decision(prompt)
+    assert backend.window == 5
+    # 5 halves to 2 on the failure, and the retry's reply grows it to 3
+    assert not backend.topology_decision(prompt).fallback
+    assert (backend.window, backend.window_cuts) == (3, 1)
+    # 3 halves to 1, stays at the floor of 1, then the third attempt's reply makes 2
+    assert not backend.topology_decision(prompt).fallback
+    assert (backend.window, backend.window_cuts) == (2, 3)
+    assert len(transport.calls) == 8 and backend.retry_count == 3
+    # every backoff slept with no exchange in flight: a sleeping retry holds no slot
+    assert slots_held_while_sleeping == [0, 0, 0]
+
+
+def test_llm_malformed_reply_does_not_shrink_the_window():
+    g, backend, transport = llm_pair(["I would rather not say.", GOOD_TOPOLOGY])
+    prompt = build_topology_prompt(g, 0, InfluencerSet(0, (3,)))
+    assert not backend.topology_decision(prompt).fallback
+    assert backend.retry_count == 1  # the corrective re-prompt
+    assert (backend.window, backend.window_cuts) == (4, 0)
+
+
 def test_llm_requires_api_key_without_transport(monkeypatch):
     monkeypatch.delenv("TAGSIEGE_API_KEY", raising=False)
     with pytest.raises(ConfigurationError):
@@ -484,6 +539,8 @@ def test_an_error_status_is_retried_on_a_fresh_connection(servers):
     endpoint.failing.add("flaky")
     assert backend._complete("flaky") == "reply to flaky"
     assert backend.retry_count == 1
+    # "warm" grew the window to 3, the 500 halved it to 1, the retry's reply made 2
+    assert (backend.window, backend.window_cuts) == (2, 1)
     ports = [port for port, _, _ in endpoint.seen]
     assert ports[0] == ports[1] != ports[2]  # the failed exchange closed the connection
     endpoint.failing.add("dead")
