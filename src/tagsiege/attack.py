@@ -10,9 +10,8 @@ before retrieval and before any query.
 
 Every query is built against the clean graph, so no target depends on
 another's answers: up to `backend.max_in_flight` targets run at once (one for
-the oracle, 24 for an LLM, whose own in-flight window then admits their
-queries). Their outcomes enter the plan in sorted target order, so the plan
-does not depend on the order replies arrive in.
+the oracle, 24 for an LLM). Their outcomes enter the plan in sorted target
+order, so the plan does not depend on the order replies arrive in.
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ constraint-violating replies (an id that is not a JSON integer, or a keyword
 or rewrite that is not a string, among them) get one corrective re-prompt and
 then fall back to the oracle; `fallback_count` counts those fallbacks. It
 posts through the standard library's `http.client`, on one kept-alive
-connection per thread, and paces its requests with an in-flight window that
-grows with the replies and halves on a failed exchange. A backend error is
-the failure of one target, which `attack` records as a skip.
+connection per thread, and opens at most MAX_OPENING new connections at
+once. A backend error is the failure of one target, which `attack` records
+as a skip.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ API_KEY_ENV = "TAGSIEGE_API_KEY"
 BASE_URL_ENV = "TAGSIEGE_BASE_URL"
 DEFAULT_BASE_URL = "https://api.openai.com/v1"
 BACKOFF_BASE_S = 0.5  # the n-th retry of a query waits BACKOFF_BASE_S * 2^(n-1) s
-INITIAL_WINDOW = 2  # exchanges the LLM backend lets in flight before its first reply
-WINDOW_STEPS = 4  # most exchanges its window adds in one round trip
+MAX_OPENING = 4  # new LLM connections awaiting their first reply at once
 
 RETENTION_FLOOR = 0.3
 
@@ -264,6 +263,7 @@ def api_key() -> str:
 
 
 _connections = threading.local()
+_opening = threading.BoundedSemaphore(MAX_OPENING)
 
 
 def _open(url: str, timeout: float):
@@ -311,7 +311,14 @@ def _default_transport(url: str, headers: dict, payload: dict, timeout: float) -
     connection (an `http.client` connection is not safe to share between
     threads) and decode the JSON reply. A reply with status 400 or above
     raises BackendError. Any failed exchange closes the connection, so the
-    next attempt opens a fresh one; so does a server that closed it while idle."""
+    next attempt opens a fresh one; so does a server that closed it while idle.
+
+    An exchange on a new connection holds one of MAX_OPENING places until its
+    reply arrives. A connection waits in the server's accept queue until the
+    server accepts it, but `connect` returns as soon as it is queued; the
+    reply shows it was accepted. So this process never has more than
+    MAX_OPENING connections in that queue, however many threads start at
+    once: a full queue drops the SYN, and TCP resends it only after 1 s."""
     held = getattr(_connections, "held", None)
     if held is None or held[0] != (url, timeout):
         if held is not None:
@@ -320,6 +327,9 @@ def _default_transport(url: str, headers: dict, payload: dict, timeout: float) -
     _, conn, target, extra = held
     if conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
         conn.close()  # readable while idle: the server closed it (http.client reopens)
+    opening = conn.sock is None
+    if opening:
+        _opening.acquire()
     try:
         conn.request("POST", target, body=json.dumps(payload).encode(), headers=headers | extra)
         reply = conn.getresponse()
@@ -330,6 +340,9 @@ def _default_transport(url: str, headers: dict, payload: dict, timeout: float) -
     except BaseException:
         conn.close()
         raise
+    finally:
+        if opening:
+            _opening.release()
 
 
 def extract_json_object(content: str) -> dict:
@@ -354,20 +367,10 @@ class LLMBackend(AttackerBackend):
     """Chat-completions client with retries and oracle fallback.
 
     `transport` may be injected for tests; it receives (url, headers, payload,
-    timeout) and returns the decoded response body. `attack` calls the
-    backend from `max_in_flight` threads, but at most `window` exchanges are
-    in flight at once. The window starts at INITIAL_WINDOW and grows by one
-    for every `window / WINDOW_STEPS` exchanges that return a reply (one per
-    reply up to a window of WINDOW_STEPS), up to `max_in_flight`: at most
-    WINDOW_STEPS more exchanges per round trip. It halves, down to one, for
-    each exchange whose transport raises: a connection error, a timeout or an
-    HTTP status of 400 or above. A reply that parses badly is a reply. Each
-    thread holds its own connection, so a wider window means new
-    connections; growing by at most WINDOW_STEPS a round trip keeps them from
-    opening in a burst that overflows the endpoint's accept queue, where a
-    dropped SYN costs a 1 s retransmit. `in_flight_peak` is the most exchanges
-    seen in flight at once and `window_cuts` the number of failed exchanges,
-    each of which halved the window.
+    timeout) and returns the decoded response body. `attack` calls it from up
+    to `max_in_flight` threads at once. `transport_errors` counts the
+    exchanges whose transport raised (a connection error, a timeout or an
+    HTTP status of 400 or above); each was retried or ended its query.
     """
 
     max_in_flight = 24
@@ -390,37 +393,7 @@ class LLMBackend(AttackerBackend):
             self.headers["Authorization"] = f"Bearer {key}"
         base_url = config.base_url or os.environ.get(BASE_URL_ENV, DEFAULT_BASE_URL)
         self.url = base_url.rstrip("/") + "/chat/completions"
-        self._flow = threading.Condition()  # guards the five fields below
-        self.in_flight = 0
-        self.window = min(INITIAL_WINDOW, self.max_in_flight)
-        self._replies = 0  # replies since the window last grew
-        self.in_flight_peak = 0
-        self.window_cuts = 0
-
-    def _exchange(self, payload: dict) -> dict:
-        """One transport call, let in once fewer than `window` are in flight."""
-        with self._flow:
-            while self.in_flight >= self.window:
-                self._flow.wait()
-            self.in_flight += 1
-            self.in_flight_peak = max(self.in_flight_peak, self.in_flight)
-        replied = False
-        try:
-            body = self.transport(self.url, self.headers, payload, self.config.timeout)
-            replied = True
-            return body
-        finally:
-            with self._flow:
-                self.in_flight -= 1
-                if replied:
-                    self._replies += 1
-                    if self._replies * WINDOW_STEPS >= self.window:
-                        self._replies = 0
-                        self.window = min(self.window + 1, self.max_in_flight)
-                else:
-                    self.window = max(self.window // 2, 1)
-                    self.window_cuts += 1
-                self._flow.notify_all()
+        self.transport_errors = 0
 
     def _complete(self, prompt_text: str) -> str:
         payload = {
@@ -434,9 +407,15 @@ class LLMBackend(AttackerBackend):
                 self._count(retries=1)
                 self.sleep(BACKOFF_BASE_S * (2 ** (attempt - 1)))
             try:
-                body = self._exchange(payload)  # the backoff above holds no slot
+                body = self.transport(self.url, self.headers, payload, self.config.timeout)
+            except Exception as exc:  # transport failure; retry
+                with self._lock:
+                    self.transport_errors += 1
+                last_error = exc
+                continue
+            try:
                 return body["choices"][0]["message"]["content"]
-            except Exception as exc:  # transport or shape failure; retry
+            except Exception as exc:  # shape failure; retry
                 last_error = exc
         raise BackendError(
             f"backend failed after {self.config.max_attempts} attempts: {last_error}"

@@ -350,10 +350,7 @@ def _run_attack(cfg: dict, out: Path):
         "counters": _counters(features, {"encoder": trained.operand_forms}),
     }
     if cfg["backend"] == "llm":
-        extra["counters"] |= {
-            "in_flight_peak": backend.in_flight_peak,
-            "window_cuts": backend.window_cuts,
-        }
+        extra["counters"]["transport_errors"] = backend.transport_errors
     inputs = _dataset_inputs(cfg["data"]) | _file_inputs(*template_paths)
     if not completed:
         extra["error"] = (

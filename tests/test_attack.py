@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -327,9 +328,7 @@ class ScriptedLLM:
     whose target text holds a token in `dead_topology` (`dead_text`) raises.
     With `flaky`, the first send of a hash-selected fifth of prompts raises
     ConnectionResetError, so its retry gets the reply.
-    `peak` is the most calls seen in flight at once, `first_reply_peak` the
-    most before any call returned, and `over_window` the number of calls that
-    found more calls in flight than `backend.window` (once `backend` is set).
+    `peak` is the most calls seen in flight at once.
     """
 
     def __init__(self, dead_topology=(), dead_text=(), malform=True, flaky=False,
@@ -339,13 +338,9 @@ class ScriptedLLM:
         self.malform = malform
         self.flaky = flaky
         self.delay = delay
-        self.backend = None
         self.calls = 0
         self.peak = 0
-        self.first_reply_peak = 0
-        self.over_window = 0
         self._in_flight = 0
-        self._returned = 0
         self._sent = set()
         self._lock = threading.Lock()
 
@@ -355,10 +350,6 @@ class ScriptedLLM:
             self.calls += 1
             self._in_flight += 1
             self.peak = max(self.peak, self._in_flight)
-            if not self._returned:
-                self.first_reply_peak = max(self.first_reply_peak, self._in_flight)
-            if self.backend is not None and self._in_flight > self.backend.window:
-                self.over_window += 1
             first_send = prompt not in self._sent
             self._sent.add(prompt)
         try:
@@ -369,7 +360,6 @@ class ScriptedLLM:
         finally:
             with self._lock:
                 self._in_flight -= 1
-                self._returned += 1
 
     def reply(self, prompt):
         digest = hashlib.sha256(prompt.encode()).digest()[0]
@@ -400,7 +390,6 @@ def scripted_attack(transport, n=40, targets=None):
         LLMConfig(), fallback=OracleBackend(g, Z, Vocabulary.from_texts(g.texts)),
         transport=transport, sleep=lambda s: None,
     )
-    transport.backend = backend
     targets = list(range(n)) if targets is None else targets
     plan = attack(g, targets, Z, backend, TEXT_BUDGET, seed=8)
     return plan, backend
@@ -413,7 +402,6 @@ def test_concurrent_llm_attack_matches_one_in_flight(monkeypatch, flaky):
     concurrent_llm = ScriptedLLM(dead_topology={"id12"}, dead_text={"id7"}, flaky=flaky)
     concurrent, backend = scripted_attack(concurrent_llm)
     assert concurrent_llm.peak > 1
-    assert backend.window_cuts > 0
 
     monkeypatch.setattr(LLMBackend, "max_in_flight", 1)
     serial_llm = ScriptedLLM(dead_topology={"id12"}, dead_text={"id7"}, flaky=flaky)
@@ -428,7 +416,7 @@ def test_concurrent_llm_attack_matches_one_in_flight(monkeypatch, flaky):
     assert counts == (
         serial_backend.query_count, serial_backend.retry_count, serial_backend.fallback_count
     )
-    assert backend.window_cuts == serial_backend.window_cuts
+    assert backend.transport_errors == serial_backend.transport_errors > 0
     # the backend also counts the queries of the skipped targets it answered:
     # one for target 12 (topology), two for target 7 (topology, then text)
     assert backend.query_count == concurrent.query_count + 1 + 2
@@ -439,16 +427,24 @@ def test_concurrent_llm_attack_matches_one_in_flight(monkeypatch, flaky):
     assert concurrent_llm.calls == backend.query_count + backend.retry_count
 
 
-def test_llm_attack_ramps_its_window_from_two_to_max_in_flight():
-    # every exchange takes 10 ms, so the 24 workers queue for the window,
-    # which takes 77 replies to grow from 2 to 24
-    llm = ScriptedLLM(malform=False, delay=lambda prompt: 0.01)
-    plan, backend = scripted_attack(llm, n=120)
-    assert len(plan.entries) == 120
-    assert llm.first_reply_peak == 2  # two exchanges before the first reply
-    assert llm.over_window == 0
-    assert llm.peak == backend.in_flight_peak == LLMBackend.max_in_flight
-    assert backend.window == LLMBackend.max_in_flight and backend.window_cuts == 0
+def test_llm_attack_has_max_in_flight_queries_out_at_once():
+    # the first 24 calls wait until all 24 are in flight: with fewer workers
+    # the barrier would break, and its calls would fail
+    barrier = threading.Barrier(LLMBackend.max_in_flight, timeout=10)
+    waiting = itertools.count()
+    lock = threading.Lock()
+
+    def delay(prompt):
+        with lock:
+            first = next(waiting) < LLMBackend.max_in_flight
+        if first:
+            barrier.wait()
+        return 0.0
+
+    llm = ScriptedLLM(malform=False, delay=delay)
+    plan, backend = scripted_attack(llm, n=60)
+    assert len(plan.entries) == 60 and backend.transport_errors == 0
+    assert llm.peak == LLMBackend.max_in_flight
 
 
 def test_counters_lose_no_update_under_fast_thread_switching():

@@ -1,5 +1,6 @@
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -341,59 +342,18 @@ def test_llm_backoff_sleeps_exponentially():
     assert slept == [0.5, 1.0]
 
 
-GOOD_TOPOLOGY = json.dumps({"delete_id": 2, "add_id": 3})
-
-
-def test_llm_window_grows_by_at_most_four_per_window_of_replies(monkeypatch):
-    monkeypatch.setattr(LLMBackend, "max_in_flight", 8)
-    g, backend, _ = llm_pair([GOOD_TOPOLOGY] * 11)
-    prompt = build_topology_prompt(g, 0, InfluencerSet(0, (3,)))
-    assert (backend.window, backend.in_flight_peak) == (2, 0)
-    windows = []
-    for _ in range(11):
-        backend.topology_decision(prompt)
-        windows.append(backend.window)
-    # one step per reply up to a window of 4, then one per window / 4
-    # replies, up to max_in_flight
-    assert windows == [3, 4, 5, 5, 6, 6, 7, 7, 8, 8, 8]
-    assert (backend.in_flight, backend.in_flight_peak, backend.window_cuts) == (0, 1, 0)
-
-
 @pytest.mark.parametrize("failure", [
     ConnectionResetError("connection reset by peer"),
     BackendError("HTTP 429 Too Many Requests from https://llm.test/v1/chat/completions"),
 ], ids=["connection-reset", "http-429"])
-def test_llm_failed_exchange_halves_the_window_and_is_retried(failure):
-    g = two_class_graph()
-    transport = canned_transport(
-        [GOOD_TOPOLOGY] * 3 + [failure, GOOD_TOPOLOGY] + [failure, failure, GOOD_TOPOLOGY]
-    )
-    slots_held_while_sleeping = []
-    backend = LLMBackend(
-        LLMConfig(max_attempts=3), fallback=make_oracle(g), transport=transport,
-        sleep=lambda s: slots_held_while_sleeping.append(backend.in_flight),
-    )
-    prompt = build_topology_prompt(g, 0, InfluencerSet(0, (3,)))
-    for _ in range(3):
-        backend.topology_decision(prompt)
-    assert backend.window == 5
-    # 5 halves to 2 on the failure, and the retry's reply grows it to 3
-    assert not backend.topology_decision(prompt).fallback
-    assert (backend.window, backend.window_cuts) == (3, 1)
-    # 3 halves to 1, stays at the floor of 1, then the third attempt's reply makes 2
-    assert not backend.topology_decision(prompt).fallback
-    assert (backend.window, backend.window_cuts) == (2, 3)
-    assert len(transport.calls) == 8 and backend.retry_count == 3
-    # every backoff slept with no exchange in flight: a sleeping retry holds no slot
-    assert slots_held_while_sleeping == [0, 0, 0]
-
-
-def test_llm_malformed_reply_does_not_shrink_the_window():
-    g, backend, transport = llm_pair(["I would rather not say.", GOOD_TOPOLOGY])
+def test_llm_counts_a_failed_exchange_and_retries_it(failure):
+    good = json.dumps({"delete_id": 2, "add_id": 3})
+    # a malformed reply is a reply: its re-prompt is a retry, not a transport error
+    g, backend, transport = llm_pair([failure, "I would rather not say.", good])
     prompt = build_topology_prompt(g, 0, InfluencerSet(0, (3,)))
     assert not backend.topology_decision(prompt).fallback
-    assert backend.retry_count == 1  # the corrective re-prompt
-    assert (backend.window, backend.window_cuts) == (4, 0)
+    assert len(transport.calls) == 3
+    assert (backend.retry_count, backend.transport_errors) == (2, 1)
 
 
 def test_llm_requires_api_key_without_transport(monkeypatch):
@@ -538,9 +498,7 @@ def test_an_error_status_is_retried_on_a_fresh_connection(servers):
     backend._complete("warm")
     endpoint.failing.add("flaky")
     assert backend._complete("flaky") == "reply to flaky"
-    assert backend.retry_count == 1
-    # "warm" grew the window to 3, the 500 halved it to 1, the retry's reply made 2
-    assert (backend.window, backend.window_cuts) == (2, 1)
+    assert (backend.retry_count, backend.transport_errors) == (1, 1)
     ports = [port for port, _, _ in endpoint.seen]
     assert ports[0] == ports[1] != ports[2]  # the failed exchange closed the connection
     endpoint.failing.add("dead")
@@ -557,6 +515,73 @@ def test_a_connection_the_server_closed_is_survived_by_the_next_attempt(servers)
     assert backend._complete("after") == "reply to after"
     assert backend.retry_count == 0
     assert endpoint.seen[0][0] != endpoint.seen[1][0]
+
+
+class Opening(BaseHTTPRequestHandler):
+    """Holds the first request on each connection for 50 ms and records the
+    most such requests in the handler at once (`first_peak`); every later
+    request waits at `barrier` until as many are in the handler together."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        server = self.server
+        with server.lock:
+            first = self.client_address[1] not in server.ports
+            if first:
+                server.ports.add(self.client_address[1])
+                server.opening += 1
+                server.first_peak = max(server.first_peak, server.opening)
+        if first:
+            time.sleep(0.05)
+            with server.lock:
+                server.opening -= 1
+        else:
+            server.barrier.wait()
+        body = json.dumps({"choices": [{"message": {"content": "ok"}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_new_connections_open_at_most_max_opening_at_once(monkeypatch):
+    for name in ("HTTP_PROXY", "NO_PROXY", "ALL_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.lower(), raising=False)
+    threads = 3 * backends.MAX_OPENING
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Opening)
+    server.lock, server.ports, server.opening, server.first_peak = threading.Lock(), set(), 0, 0
+    server.barrier = threading.Barrier(threads, timeout=10)
+    threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
+    url = url_of(server) + "/chat/completions"
+    start, replies = threading.Barrier(threads), []
+
+    def worker():
+        start.wait()
+        try:
+            for _ in range(2):  # the second request reuses the connection
+                replies.append(backends._default_transport(url, {}, {}, 10))
+        finally:
+            backends._connections.held[1].close()
+
+    pool = [threading.Thread(target=worker) for _ in range(threads)]
+    for thread in pool:
+        thread.start()
+    for thread in pool:
+        thread.join(timeout=30)
+    server.shutdown()
+    server.server_close()
+    assert len(replies) == 2 * threads and len(server.ports) == threads
+    # the threads started together, but their connections opened at most
+    # MAX_OPENING at a time; the kept-alive ones then all had a request out
+    # at once, or the barrier would have broken
+    assert 1 <= server.first_peak <= backends.MAX_OPENING
+    assert not server.barrier.broken
 
 
 def test_requests_go_through_the_proxy_the_environment_names(servers, monkeypatch):

@@ -667,9 +667,8 @@ def test_llm_unreachable_endpoint_exits_three(tmp_path, data_dir, monkeypatch):
     assert len(manifest["skipped"]) == 2
     assert manifest["error"].startswith("all 2 targets failed; first reason: ")
     assert "cost_estimate_usd" not in manifest
-    # each target's one topology exchange failed, and each failure halved the window
-    assert manifest["counters"]["window_cuts"] == 2
-    assert 1 <= manifest["counters"]["in_flight_peak"] <= 2
+    # each target's one topology exchange failed
+    assert manifest["counters"]["transport_errors"] == 2
     plan = load_plan(out / "plan.jsonl")
     assert plan.entries == {}
     assert {str(t): r for t, r in plan.skipped.items()} == manifest["skipped"]
