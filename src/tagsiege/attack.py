@@ -139,6 +139,7 @@ def attack(
     finally:
         # on an unexpected error, targets not yet started never start
         pool.shutdown(cancel_futures=True)
+        backend.close()
 
     for target, outcome in zip(ordered, outcomes):
         if isinstance(outcome, TagSiegeError):

@@ -7,18 +7,20 @@ speaks the common chat-completions JSON protocol; malformed or
 constraint-violating replies (an id that is not a JSON integer, or a keyword
 or rewrite that is not a string, among them) get one corrective re-prompt and
 then fall back to the oracle; `fallback_count` counts those fallbacks. It
-posts through the standard library's `http.client`, on one kept-alive
-connection per thread, and opens at most MAX_OPENING new connections at
-once. A backend error is the failure of one target, which `attack` records
+posts through the standard library's `http.client` on kept-alive connections
+that the backend owns: any worker reuses an idle one, at most MAX_OPENING new
+ones open at once, and `close()`, which `attack` calls when it ends, closes
+them. A backend error is the failure of one target, which `attack` records
 as a skip.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
-import select
+import selectors
 import threading
 import time
 from abc import ABC, abstractmethod
@@ -123,6 +125,9 @@ class AttackerBackend(ABC):
             self.query_count += queries
             self.retry_count += retries
             self.fallback_count += fallbacks
+
+    def close(self) -> None:
+        """Release what the backend holds open; it stays usable afterwards."""
 
     @abstractmethod
     def topology_decision(self, prompt: TopologyPrompt) -> TopologyDecision: ...
@@ -262,8 +267,23 @@ def api_key() -> str:
     return key
 
 
-_connections = threading.local()
-_opening = threading.BoundedSemaphore(MAX_OPENING)
+def endpoint(base_url: str | None) -> str:
+    """The chat-completions URL under `base_url`, or under $TAGSIEGE_BASE_URL
+    or the default when it is None; ConfigurationError unless it is an http
+    or https URL that names a host and, if any, a valid port."""
+    from urllib.parse import urlsplit
+
+    base_url = base_url or os.environ.get(BASE_URL_ENV, DEFAULT_BASE_URL)
+    try:
+        parts = urlsplit(base_url)
+        parts.port  # ValueError for a port that is not a number from 0 to 65535
+    except ValueError:  # that, or an unclosed IPv6 bracket
+        parts = None
+    if not parts or parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ConfigurationError(
+            f"base URL {base_url!r} is not an http or https URL with a host and a valid port"
+        )
+    return base_url.rstrip("/") + "/chat/completions"
 
 
 def _open(url: str, timeout: float):
@@ -306,45 +326,6 @@ def _open(url: str, timeout: float):
     return conn, target, {} if tunnel else extra
 
 
-def _default_transport(url: str, headers: dict, payload: dict, timeout: float) -> dict:
-    """POST `payload` as JSON to `url` through the calling thread's kept-alive
-    connection (an `http.client` connection is not safe to share between
-    threads) and decode the JSON reply. A reply with status 400 or above
-    raises BackendError. Any failed exchange closes the connection, so the
-    next attempt opens a fresh one; so does a server that closed it while idle.
-
-    An exchange on a new connection holds one of MAX_OPENING places until its
-    reply arrives. A connection waits in the server's accept queue until the
-    server accepts it, but `connect` returns as soon as it is queued; the
-    reply shows it was accepted. So this process never has more than
-    MAX_OPENING connections in that queue, however many threads start at
-    once: a full queue drops the SYN, and TCP resends it only after 1 s."""
-    held = getattr(_connections, "held", None)
-    if held is None or held[0] != (url, timeout):
-        if held is not None:
-            held[1].close()
-        held = _connections.held = ((url, timeout), *_open(url, timeout))
-    _, conn, target, extra = held
-    if conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
-        conn.close()  # readable while idle: the server closed it (http.client reopens)
-    opening = conn.sock is None
-    if opening:
-        _opening.acquire()
-    try:
-        conn.request("POST", target, body=json.dumps(payload).encode(), headers=headers | extra)
-        reply = conn.getresponse()
-        body = reply.read()
-        if reply.status >= 400:
-            raise BackendError(f"HTTP {reply.status} {reply.reason} from {url}")
-        return json.loads(body)
-    except BaseException:
-        conn.close()
-        raise
-    finally:
-        if opening:
-            _opening.release()
-
-
 def extract_json_object(content: str) -> dict:
     """Pull the first JSON object out of a completion, tolerating prose around it."""
     start = content.find("{")
@@ -385,15 +366,59 @@ class LLMBackend(AttackerBackend):
         super().__init__()
         self.config = config
         self.fallback = fallback
-        self.transport = transport or _default_transport
+        self.transport = transport or self._post
+        self._idle: list[tuple] = []  # kept-alive (connection, target, extra headers)
+        self._opening = threading.BoundedSemaphore(MAX_OPENING)
         self.sleep = sleep
         key = api_key() if transport is None else os.environ.get(API_KEY_ENV)
         self.headers = {"Content-Type": "application/json"}
         if key:
             self.headers["Authorization"] = f"Bearer {key}"
-        base_url = config.base_url or os.environ.get(BASE_URL_ENV, DEFAULT_BASE_URL)
-        self.url = base_url.rstrip("/") + "/chat/completions"
+        self.url = endpoint(config.base_url)
         self.transport_errors = 0
+
+    def _post(self, url: str, headers: dict, payload: dict, timeout: float) -> dict:
+        """POST `payload` as JSON to `url` on an idle connection, or a new one,
+        decode the JSON reply and put the connection back on the idle stack. A
+        reply with status 400 or above raises BackendError. A failed exchange
+        closes its connection, so the next attempt opens a fresh one; so does a
+        server that closed it while idle.
+
+        An exchange on a new connection holds one of MAX_OPENING places until its
+        reply arrives. A connection waits in the server's accept queue until the
+        server accepts it, but `connect` returns as soon as it is queued; the
+        reply shows it was accepted. So this backend never has more than
+        MAX_OPENING connections in that queue, however many workers start at
+        once: a full queue drops the SYN, and TCP resends it only after 1 s."""
+        with self._lock:
+            held = self._idle.pop() if self._idle else None
+        conn, target, extra = held or _open(url, timeout)
+        if conn.sock is not None:
+            with selectors.DefaultSelector() as idle:
+                idle.register(conn.sock, selectors.EVENT_READ)
+                if idle.select(0):
+                    conn.close()  # the server closed it while idle; http.client reopens
+        with self._opening if conn.sock is None else contextlib.nullcontext():
+            try:
+                conn.request("POST", target, json.dumps(payload).encode(), headers | extra)
+                reply = conn.getresponse()
+                body = reply.read()
+                if reply.status >= 400:
+                    raise BackendError(f"HTTP {reply.status} {reply.reason} from {url}")
+                decoded = json.loads(body)
+            except BaseException:
+                conn.close()
+                raise
+        with self._lock:
+            self._idle.append((conn, target, extra))
+        return decoded
+
+    def close(self) -> None:
+        """Close every idle connection; later exchanges open new ones."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn, _, _ in idle:
+            conn.close()
 
     def _complete(self, prompt_text: str) -> str:
         payload = {
@@ -414,7 +439,7 @@ class LLMBackend(AttackerBackend):
                 last_error = exc
                 continue
             try:
-                return body["choices"][0]["message"]["content"]
+                return typed(body["choices"][0]["message"]["content"], str)
             except Exception as exc:  # shape failure; retry
                 last_error = exc
         raise BackendError(

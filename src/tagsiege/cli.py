@@ -279,7 +279,7 @@ def _load_templates(cfg: dict):
 
 def _run_attack(cfg: dict, out: Path):
     from .attack import attack, check_attack_config
-    from .backends import LLMBackend, OracleBackend, api_key
+    from .backends import LLMBackend, OracleBackend, api_key, endpoint
     from .encoder import encode, train_encoder
 
     # every config error is found before a template or the dataset is read
@@ -291,6 +291,7 @@ def _run_attack(cfg: dict, out: Path):
     if cfg["backend"] == "llm":
         api_key()
         llm_config = _config(LLMConfig, cfg)
+        endpoint(llm_config.base_url)
     raw, num = cfg["targets"], cfg["num_targets"]
     if raw is not None and num is not None:
         raise ConfigurationError("pass either --targets or --num-targets, not both")

@@ -427,6 +427,16 @@ def test_concurrent_llm_attack_matches_one_in_flight(monkeypatch, flaky):
     assert concurrent_llm.calls == backend.query_count + backend.retry_count
 
 
+def test_replies_without_string_content_skip_the_target():
+    # hosted APIs send a null content with refusals and tool calls
+    plan, backend = scripted_attack(
+        lambda *request: {"choices": [{"message": {"content": None}}]}, n=16, targets=[3]
+    )
+    assert plan.entries == {}
+    assert plan.skipped == {3: "backend failed after 3 attempts: expected str, got NoneType"}
+    assert (backend.query_count, backend.retry_count, backend.transport_errors) == (1, 2, 0)
+
+
 def test_llm_attack_has_max_in_flight_queries_out_at_once():
     # the first 24 calls wait until all 24 are in flight: with fewer workers
     # the barrier would break, and its calls would fail

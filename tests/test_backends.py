@@ -1,4 +1,5 @@
 import json
+import os
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import tagsiege.backends as backends
+from tagsiege.attack import attack
 from tagsiege.backends import (
     LLMBackend,
     LLMConfig,
@@ -292,6 +294,15 @@ def test_llm_reprompts_on_text_fields_that_are_not_strings(reply):
     assert "unparseable reply: expected str" in reprompt
 
 
+def test_llm_retries_a_reply_whose_content_is_not_a_string():
+    # hosted APIs send a null content with refusals and tool calls
+    g, backend, transport = llm_pair([None, json.dumps({"delete_id": 2, "add_id": 3})])
+    decision = backend.topology_decision(build_topology_prompt(g, 0, InfluencerSet(0, (3,))))
+    assert (decision.delete_choice, decision.add_choice, decision.fallback) == (2, 3, False)
+    assert (backend.query_count, backend.retry_count, backend.transport_errors) == (1, 1, 0)
+    assert len(transport.calls) == 2
+
+
 def test_llm_takes_a_null_delete_id_for_an_isolated_target():
     g = TextAttributedGraph.build(
         texts=["alpha beta", "alpha gamma", "omega psi"], labels=[0, 0, 1],
@@ -398,7 +409,8 @@ class Recorder(BaseHTTPRequestHandler):
     """A chat-completions endpoint (and, as a server of its own, a proxy) that
     records (client port, request path, prompt) per POST and each CONNECT.
     A prompt in `failing` gets one 500 reply first; the reply to "close" is
-    followed by closing the kept-alive connection without announcing it."""
+    followed by closing the kept-alive connection without announcing it; the
+    reply to "hold" waits, once the server has set `holding`, for `release`."""
 
     protocol_version = "HTTP/1.1"
 
@@ -408,6 +420,9 @@ class Recorder(BaseHTTPRequestHandler):
         self.server.seen.append((self.client_address[1], self.path, prompt))
         self.server.auth.add(self.headers["Authorization"])
         self.server.proxy_auth.add(self.headers["Proxy-Authorization"])
+        if prompt == "hold":
+            self.server.holding.set()
+            self.server.release.wait(timeout=10)
         if prompt in self.server.failing:
             self.server.failing.discard(prompt)
             self.reply(500, b"{}")
@@ -431,6 +446,10 @@ class Recorder(BaseHTTPRequestHandler):
 
 
 class Server(ThreadingHTTPServer):
+    def finish_request(self, request, client_address):
+        super().finish_request(request, client_address)  # returns when the connection ends
+        self.ended.append(client_address[1])
+
     def shutdown_request(self, request):
         super().shutdown_request(request)
         self.closed.set()
@@ -440,6 +459,7 @@ def serve():
     server = Server(("127.0.0.1", 0), Recorder)
     server.seen, server.connects, server.failing = [], [], set()
     server.auth, server.proxy_auth, server.closed = set(), set(), threading.Event()
+    server.holding, server.release, server.ended = threading.Event(), threading.Event(), []
     threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
     return server
 
@@ -454,45 +474,111 @@ def servers():
             mp.delenv(name, raising=False)
             mp.delenv(name.lower(), raising=False)
         mp.setenv("TAGSIEGE_API_KEY", "test-key")
-        mp.setattr(backends, "_connections", threading.local())
         yield endpoint, proxy
-        held = getattr(backends._connections, "held", None)
-        if held is not None:
-            held[1].close()
     for server in (endpoint, proxy):
         server.shutdown()
         server.server_close()
 
 
-def llm_client(base_url, max_attempts=3):
-    return LLMBackend(
-        LLMConfig(base_url=base_url, max_attempts=max_attempts, timeout=5),
-        fallback=make_oracle(), sleep=lambda seconds: None,
-    )
+@pytest.fixture
+def llm_client():
+    """Builds LLM backends on their own connections and closes them after the test."""
+    built = []
+
+    def build(base_url, max_attempts=3, fallback=None):
+        built.append(LLMBackend(
+            LLMConfig(base_url=base_url, max_attempts=max_attempts, timeout=5),
+            fallback=fallback or make_oracle(), sleep=lambda seconds: None,
+        ))
+        return built[-1]
+
+    yield build
+    for backend in built:
+        backend.close()
 
 
 def url_of(server, host="127.0.0.1"):
     return f"http://{host}:{server.server_address[1]}/v1"
 
 
-def test_default_transport_keeps_one_connection_per_thread(servers):
+def run_in_thread(call, *args):
+    worker = threading.Thread(target=call, args=args)
+    worker.start()
+    return worker
+
+
+def test_an_idle_connection_serves_any_thread_and_a_busy_one_none(servers, llm_client):
     endpoint, _ = servers
     backend = llm_client(url_of(endpoint))
     assert backend._complete("first") == "reply to first"
-    assert backend._complete("second") == "reply to second"
-    worker = threading.Thread(target=backend._complete, args=("third",))
-    worker.start()
-    worker.join(timeout=10)
-    assert not worker.is_alive()
-    ports = [port for port, _, _ in endpoint.seen]
-    # the first thread's two requests share its connection; the second thread opens its own
-    assert ports[0] == ports[1] != ports[2]
+    run_in_thread(backend._complete, "second").join(timeout=10)  # takes the idle connection
+    holder = run_in_thread(backend._complete, "hold")
+    assert endpoint.holding.wait(timeout=10)
+    # the one connection has a request out, so this exchange opens a second one
+    assert backend._complete("during") == "reply to during"
+    endpoint.release.set()
+    holder.join(timeout=10)
+    assert not holder.is_alive()
+    port = {prompt: port for port, _, prompt in endpoint.seen}
+    assert port["first"] == port["second"] == port["hold"] != port["during"]
+    assert len(backend._idle) == 2
     assert {path for _, path, _ in endpoint.seen} == {"/v1/chat/completions"}
     assert endpoint.auth == {"Bearer test-key"}
     assert backend.retry_count == 0
 
 
-def test_an_error_status_is_retried_on_a_fresh_connection(servers):
+def every_connection_ended(server, timeout=10):
+    """Whether each connection that sent `server` a request has ended within `timeout` s."""
+    deadline = time.monotonic() + timeout
+    while {port for port, _, _ in server.seen} - set(server.ended):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def test_attack_closes_the_connections_of_an_llm_backend(servers, llm_client):
+    endpoint, _ = servers
+    g = TextAttributedGraph.build(
+        texts=["alpha beta", "alpha gamma", "beta gamma"] * 2 + ["omega psi", "omega chi"] * 3,
+        labels=[0] * 6 + [1] * 6, splits=["train"] * 12, edges=[(i, i + 1) for i in range(11)],
+    )
+    backend = llm_client(url_of(endpoint), max_attempts=1, fallback=make_oracle(g))
+    # every reply is prose, so each query is re-prompted and then falls back
+    plan = attack(g, list(range(2, 12)), np.eye(12), backend, 4, k=1)
+    assert len(plan.entries) == 10 and backend.fallback_count == 20
+    assert len(endpoint.seen) == 40
+    assert backend._idle == []
+    assert every_connection_ended(endpoint)
+
+
+def test_an_idle_connection_on_a_descriptor_above_1023_is_reused(servers, llm_client):
+    # select.select() takes no descriptor of 1024 (FD_SETSIZE) or above
+    resource = pytest.importorskip("resource")
+    limits = resource.getrlimit(resource.RLIMIT_NOFILE)
+    soft, hard = (float("inf") if n == resource.RLIM_INFINITY else n for n in limits)
+    if hard < 1100:
+        pytest.skip(f"the hard limit of {hard} open files is too low")
+    endpoint, _ = servers
+    held = [os.open(os.devnull, os.O_RDONLY)]
+    try:
+        if soft < 1100:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (1100, limits[1]))
+        while held[-1] < 1024:  # fill every descriptor below 1024
+            held.append(os.dup(held[0]))
+        backend = llm_client(url_of(endpoint))
+        assert backend._complete("first") == "reply to first"
+        assert backend._idle[0][0].sock.fileno() > 1024
+        assert backend._complete("second") == "reply to second"
+    finally:
+        for fd in held:
+            os.close(fd)
+        resource.setrlimit(resource.RLIMIT_NOFILE, limits)
+    assert endpoint.seen[0][0] == endpoint.seen[1][0]
+    assert (backend.retry_count, backend.transport_errors) == (0, 0)
+
+
+def test_an_error_status_is_retried_on_a_fresh_connection(servers, llm_client):
     endpoint, _ = servers
     backend = llm_client(url_of(endpoint))
     backend._complete("warm")
@@ -506,7 +592,7 @@ def test_an_error_status_is_retried_on_a_fresh_connection(servers):
         llm_client(url_of(endpoint), max_attempts=1)._complete("dead")
 
 
-def test_a_connection_the_server_closed_is_survived_by_the_next_attempt(servers):
+def test_a_connection_the_server_closed_is_survived_by_the_next_attempt(servers, llm_client):
     endpoint, _ = servers
     backend = llm_client(url_of(endpoint))
     assert backend._complete("close") == "reply to close"
@@ -549,31 +635,24 @@ class Opening(BaseHTTPRequestHandler):
         pass
 
 
-def test_new_connections_open_at_most_max_opening_at_once(monkeypatch):
-    for name in ("HTTP_PROXY", "NO_PROXY", "ALL_PROXY"):
-        monkeypatch.delenv(name, raising=False)
-        monkeypatch.delenv(name.lower(), raising=False)
+def test_new_connections_open_at_most_max_opening_at_once(servers, llm_client):
     threads = 3 * backends.MAX_OPENING
     server = ThreadingHTTPServer(("127.0.0.1", 0), Opening)
     server.lock, server.ports, server.opening, server.first_peak = threading.Lock(), set(), 0, 0
     server.barrier = threading.Barrier(threads, timeout=10)
     threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
-    url = url_of(server) + "/chat/completions"
+    backend = llm_client(url_of(server), max_attempts=1)
     start, replies = threading.Barrier(threads), []
 
     def worker():
         start.wait()
-        try:
-            for _ in range(2):  # the second request reuses the connection
-                replies.append(backends._default_transport(url, {}, {}, 10))
-        finally:
-            backends._connections.held[1].close()
+        for _ in range(2):  # the second request takes an idle connection
+            replies.append(backend._complete("ask"))
 
-    pool = [threading.Thread(target=worker) for _ in range(threads)]
-    for thread in pool:
-        thread.start()
+    pool = [run_in_thread(worker) for _ in range(threads)]
     for thread in pool:
         thread.join(timeout=30)
+    backend.close()
     server.shutdown()
     server.server_close()
     assert len(replies) == 2 * threads and len(server.ports) == threads
@@ -584,7 +663,7 @@ def test_new_connections_open_at_most_max_opening_at_once(monkeypatch):
     assert not server.barrier.broken
 
 
-def test_requests_go_through_the_proxy_the_environment_names(servers, monkeypatch):
+def test_requests_go_through_the_proxy_the_environment_names(servers, llm_client, monkeypatch):
     endpoint, proxy = servers
     monkeypatch.setenv("HTTP_PROXY", url_of(proxy, "user:pw@127.0.0.1").removesuffix("/v1"))
     # an http URL is requested whole from the proxy; the .invalid host is never resolved

@@ -826,6 +826,9 @@ def test_a_recorded_non_finite_value_exits_two_before_reading(
     (["attack", "--data", "{none}", "--num-targets", "0"], "--num-targets must be >= 1, got 0"),
     (["attack", "--data", "{none}", "--targets", "5", "--target-split", "nope"],
      "unknown --target-split 'nope'; choose from train, val, test"),
+    (["attack", "--data", "{none}", "--num-targets", "2", "--backend", "llm",
+      "--base-url", "localhost:8000/v1"],
+     "base URL 'localhost:8000/v1' is not an http or https URL with a host and a valid port"),
     (["synth", "--train-frac", "0.9"], "train_frac + val_frac must be at most 1"),
     (["synth", "--val-frac", "-0.1"], "train_frac and val_frac must be non-negative"),
 ], ids=["attack-hidden-0", "attack-epochs-0", "attack-learning-rate-0",
@@ -833,8 +836,11 @@ def test_a_recorded_non_finite_value_exits_two_before_reading(
         "evaluate-unknown-victim", "evaluate-malformed-baseline", "evaluate-max-vocab-0",
         "audit-max-vocab-0", "attack-no-target-flag", "attack-both-target-flags",
         "attack-malformed-targets", "attack-num-targets-0", "attack-unknown-target-split",
-        "synth-fractions-above-1", "synth-negative-fraction"])
-def test_config_errors_are_found_before_a_missing_dataset(tmp_path, capsys, argv, message):
+        "attack-base-url-without-scheme", "synth-fractions-above-1", "synth-negative-fraction"])
+def test_config_errors_are_found_before_a_missing_dataset(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    monkeypatch.setenv("TAGSIEGE_API_KEY", "unused")
     none = str(tmp_path / "none")
     argv = [arg.format(none=none) for arg in argv]
     if argv[0] in ("evaluate", "audit"):
@@ -845,6 +851,19 @@ def test_config_errors_are_found_before_a_missing_dataset(tmp_path, capsys, argv
     out = tmp_path / "o"
     assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_a_base_url_without_a_host_in_the_environment_is_found_before_any_read(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setenv("TAGSIEGE_API_KEY", "unused")
+    monkeypatch.setenv("TAGSIEGE_BASE_URL", "http:///v1")
+    out = tmp_path / "o"
+    code = main(["attack", "--data", str(tmp_path / "none"), "--num-targets", "2",
+                 "--backend", "llm", "--out", str(out)])
+    assert (code, capsys.readouterr().err) == (
+        2, "error: base URL 'http:///v1' is not an http or https URL with a host and a valid port\n")
     assert not out.exists()
 
 
